@@ -436,10 +436,7 @@ def is_trivial_solution(coeffs, values) -> bool:
         raise UsageError(f"expected {len(eq)} values, got {len(vals)}")
     if sum(a * v for a, v in zip(eq, vals)) != 0:
         raise UsageError("values do not satisfy the equation")
-    classes: dict[int, int] = {}
-    for a, v in zip(eq, vals):
-        classes[v] = classes.get(v, 0) + a
-    return all(total == 0 for total in classes.values())
+    return _is_trivial(eq, vals)
 
 
 def _is_trivial(eq: Sequence[int], vals: Sequence[int]) -> bool:
@@ -447,6 +444,18 @@ def _is_trivial(eq: Sequence[int], vals: Sequence[int]) -> bool:
     for a, v in zip(eq, vals):
         classes[v] = classes.get(v, 0) + a
     return all(total == 0 for total in classes.values())
+
+
+def _suffix_bounds(eq: Sequence[int], lo: int, hi: int) -> tuple[list, list]:
+    """Least and greatest sum of a_i x_i over i >= pos, x_i in [lo, hi], per pos."""
+    k = len(eq)
+    suffix_min = [0] * (k + 1)
+    suffix_max = [0] * (k + 1)
+    for i in range(k - 1, -1, -1):
+        a = eq[i]
+        suffix_min[i] = suffix_min[i + 1] + (a * lo if a > 0 else a * hi)
+        suffix_max[i] = suffix_max[i + 1] + (a * hi if a > 0 else a * lo)
+    return suffix_min, suffix_max
 
 
 def find_solutions(
@@ -474,13 +483,7 @@ def _solution_gen(
     if not s:
         return
     k = len(eq)
-    lo, hi = s[0], s[-1]
-    suffix_min = [0] * (k + 1)
-    suffix_max = [0] * (k + 1)
-    for i in range(k - 1, -1, -1):
-        a = eq[i]
-        suffix_min[i] = suffix_min[i + 1] + (a * lo if a > 0 else a * hi)
-        suffix_max[i] = suffix_max[i + 1] + (a * hi if a > 0 else a * lo)
+    suffix_min, suffix_max = _suffix_bounds(eq, s[0], s[-1])
     assignment = [0] * k
     nodes = 0
 
@@ -513,15 +516,9 @@ def _creates_solution(system, kept: list, cand: int, max_nodes: int) -> bool:
     avoiding it were ruled out when earlier elements were admitted.
     """
     values = sorted(kept + [cand])
-    lo, hi = values[0], values[-1]
     for eq in system:
         k = len(eq)
-        suffix_min = [0] * (k + 1)
-        suffix_max = [0] * (k + 1)
-        for i in range(k - 1, -1, -1):
-            a = eq[i]
-            suffix_min[i] = suffix_min[i + 1] + (a * lo if a > 0 else a * hi)
-            suffix_max[i] = suffix_max[i + 1] + (a * hi if a > 0 else a * lo)
+        suffix_min, suffix_max = _suffix_bounds(eq, values[0], values[-1])
         assignment = [0] * k
         nodes = 0
 

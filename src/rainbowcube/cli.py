@@ -21,6 +21,7 @@ from typing import Optional
 
 from . import addsets, coloring, verifier
 from .errors import BudgetError, UsageError
+from .hypercube import _check_dim, edge_key
 from .verifier import Violation
 
 EXIT_OK = 0
@@ -61,12 +62,21 @@ def load_coloring(path: str) -> coloring.EdgeColoring:
         if field not in doc:
             raise UsageError(f"{path}: missing field {field!r}")
     n, k = doc["n"], doc["k"]
-    if not isinstance(n, int) or not isinstance(k, int):
+    if type(n) is not int or type(k) is not int:
         raise UsageError(f"{path}: n and k must be ints")
+    _check_dim(n)
     if doc["scheme"] not in coloring.SCHEMES:
         raise UsageError(f"{path}: unknown scheme {doc['scheme']!r}")
+    params = doc.get("params", {})
+    if not isinstance(params, dict):
+        raise UsageError(f"{path}: params must be an object")
+    if "S" in params:
+        s = params["S"]
+        if not isinstance(s, list) or any(type(e) is not int for e in s):
+            raise UsageError(f"{path}: params S must be a list of ints")
+        params["S"] = tuple(s)
     table = {}
-    expected = n << n - 1 if n >= 1 else 0
+    expected = n << n - 1
     records = doc["edges"]
     if not isinstance(records, list):
         raise UsageError(f"{path}: edges must be a list")
@@ -77,7 +87,7 @@ def load_coloring(path: str) -> coloring.EdgeColoring:
             d, p = rec["color"]
         except (KeyError, TypeError, ValueError) as exc:
             raise UsageError(f"{path}: malformed edge record {rec!r}") from exc
-        if not isinstance(direction, int) or not 1 <= direction <= n:
+        if type(direction) is not int or not 1 <= direction <= n:
             raise UsageError(f"{path}: direction {direction!r} out of range")
         if bottom >> n:
             raise UsageError(f"{path}: mask {rec['b']} has bits above position {n}")
@@ -85,9 +95,9 @@ def load_coloring(path: str) -> coloring.EdgeColoring:
             raise UsageError(
                 f"{path}: direction bit {direction} set in bottom {rec['b']}"
             )
-        if not isinstance(d, int) or not isinstance(p, int):
+        if type(d) is not int or type(p) is not int:
             raise UsageError(f"{path}: color parts must be ints in {rec!r}")
-        key = bottom << 5 | direction - 1
+        key = edge_key(bottom, direction)
         if key in table:
             raise UsageError(f"{path}: duplicate edge {rec['b']} dir {direction}")
         table[key] = (d, p)
@@ -95,9 +105,6 @@ def load_coloring(path: str) -> coloring.EdgeColoring:
         raise UsageError(
             f"{path}: expected {expected} edges for Q_{n}, found {len(table)}"
         )
-    params = doc.get("params") or {}
-    if "S" in params:
-        params["S"] = tuple(params["S"])
     return coloring.EdgeColoring(n, k, "explicit", params, table)
 
 

@@ -64,16 +64,7 @@ class EdgeColoring:
                 return self._table[e.key()]
             except KeyError:
                 raise UsageError(f"no color stored for edge {e}") from None
-        return self._scheme_color(e.bottom, e.dir)
-
-    def _scheme_color(self, bottom: int, direction: int) -> Color:
-        level = bottom.bit_count() + 1
-        s = self.params["S"]
-        a = weight_a(bottom, s)
-        if self.scheme == "construction1":
-            return a + self.params["M"] * direction, level % (self.k // 2)
-        mod = 2 * self.params["N"]
-        return (a + 2 * s[direction - 1]) % mod, level % 3
+        return self._colored(e.bottom, e.dir, weight_a(e.bottom, self.params["S"]))
 
     def items(self) -> Iterator[tuple[Edge, Color]]:
         """(edge, color) pairs in enumeration order, streamed."""
@@ -83,17 +74,15 @@ class EdgeColoring:
             return
         weights = _weight_table(self.n, self.params["S"])
         for e in enumerate_edges(self.n):
-            yield e, self._colored(e.bottom, e.dir, weights)
+            yield e, self._colored(e.bottom, e.dir, weights[e.bottom])
 
-    def _colored(self, bottom: int, direction: int, weights) -> Color:
+    def _colored(self, bottom: int, direction: int, a: int) -> Color:
+        """Scheme color of the edge (bottom, direction); ``a`` is a(bottom)."""
         level = bottom.bit_count() + 1
         if self.scheme == "construction1":
-            return (
-                weights[bottom] + self.params["M"] * direction,
-                level % (self.k // 2),
-            )
+            return a + self.params["M"] * direction, level % (self.k // 2)
         mod = 2 * self.params["N"]
-        return (weights[bottom] + 2 * self.params["S"][direction - 1]) % mod, level % 3
+        return (a + 2 * self.params["S"][direction - 1]) % mod, level % 3
 
     def key_table(self) -> dict[int, Color]:
         """Full table keyed by Edge.key(); validates explicit totality."""
@@ -113,7 +102,7 @@ class EdgeColoring:
             return dict(self._table)
         weights = _weight_table(self.n, self.params["S"])
         return {
-            e.key(): self._colored(e.bottom, e.dir, weights)
+            e.key(): self._colored(e.bottom, e.dir, weights[e.bottom])
             for e in enumerate_edges(self.n)
         }
 

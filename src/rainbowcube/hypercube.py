@@ -6,6 +6,10 @@ edge is identified by its bottom vertex (the endpoint with the direction
 bit clear) and its direction index; the top vertex has that bit set. An
 edge whose bottom vertex has j ones sits on level j + 1.
 
+Color tables and conflict graphs key edges by the dense int
+``bottom << 5 | dir - 1`` (five bits hold a direction up to MAX_DIM).
+``edge_key`` and ``cycle_keys`` are the only places that build it.
+
 Cycles are canonical vertex tuples: the minimum vertex comes first and the
 orientation is chosen so the second vertex is smaller than the last. Cycle
 enumeration is a depth-first search from each candidate minimum vertex,
@@ -85,11 +89,22 @@ class Edge:
 
     def key(self) -> int:
         """Dense int key; cheaper dict key than the dataclass itself."""
-        return self.bottom << 5 | self.dir - 1
+        return edge_key(self.bottom, self.dir)
 
 
-def edge_from_key(key: int) -> Edge:
-    return Edge(key >> 5, (key & 31) + 1)
+def edge_key(bottom: int, dir: int) -> int:
+    """Dense int key of the edge (bottom, dir); see the module docstring."""
+    return bottom << 5 | dir - 1
+
+
+def cycle_keys(cyc) -> list[int]:
+    """Edge keys of a vertex cycle in walk order, as ``edges_of_cycle`` gives them."""
+    keys = []
+    prev = cyc[0]
+    for u in cyc[1:] + cyc[:1]:
+        keys.append((prev & u) << 5 | (prev ^ u).bit_length() - 1)
+        prev = u
+    return keys
 
 
 def validate_edge(n: int, e: Edge) -> None:
@@ -156,6 +171,15 @@ def _bitmasks(mask: int) -> list[int]:
 
 def _free_coord_masks(n: int, used: int) -> list[int]:
     return [1 << d for d in range(n) if not used >> d & 1]
+
+
+def _walk(start: int, masks) -> list[int]:
+    """``start`` and every vertex reached from it by XOR-ing each mask in turn."""
+    path = [start]
+    for b in masks:
+        start ^= b
+        path.append(start)
+    return path
 
 
 def canonical_cycle(verts) -> Cycle:
@@ -345,8 +369,8 @@ def build_cycle_same_level(n: int, k: int, e1: Edge, e2: Edge) -> Cycle:
     problem = cycle_problem(n, cyc)
     if problem is not None:
         raise InternalError(f"constructed cycle invalid: {problem}")
-    edges = set(edges_of_cycle(cyc))
-    if e1 not in edges or e2 not in edges:
+    keys = cycle_keys(cyc)
+    if e1.key() not in keys or e2.key() not in keys:
         raise InternalError("constructed cycle misses a required edge")
     return cyc
 
@@ -373,18 +397,7 @@ def _same_level_cycle(n: int, k: int, e1: Edge, e2: Edge, may_flip: bool) -> Cyc
         if len(pool) < r:
             return flipped()
         fresh = pool[:r]
-        up = [v, v | bi]
-        cur = v | bi
-        for b in fresh:
-            cur |= b
-            up.append(cur)
-        top = cur | bj
-        down = [v | bj]
-        cur = v | bj
-        for b in fresh:
-            cur |= b
-            down.append(cur)
-        return canonical_cycle(tuple(up + [top] + down[::-1]))
+        return canonical_cycle(tuple(_walk(v, [bi, *fresh, bj, bi, *fresh[::-1]])))
 
     if w == y:
         # shared top: descend to both bottoms, rejoin above fresh coordinates
@@ -395,18 +408,7 @@ def _same_level_cycle(n: int, k: int, e1: Edge, e2: Edge, may_flip: bool) -> Cyc
         if len(pool) < r:
             return flipped()
         fresh = pool[:r]
-        left = [v]
-        cur = v
-        for b in fresh:
-            cur |= b
-            left.append(cur)
-        top = cur | bi
-        right = [x]
-        cur = x
-        for b in fresh:
-            cur |= b
-            right.append(cur)
-        return canonical_cycle(tuple([w] + left + [top] + right[::-1]))
+        return canonical_cycle(tuple(_walk(w, [bi, *fresh, bi, bj, *fresh[::-1]])))
 
     # disjoint: bottom route between v and x, top route between w and y
     dvx = (v ^ x).bit_count()
@@ -422,51 +424,16 @@ def _same_level_cycle(n: int, k: int, e1: Edge, e2: Edge, may_flip: bool) -> Cyc
     if len(pool) < need:
         return flipped()
     s_masks = pool[:r]
-
-    path_vx = [v]
-    cur = v
+    leave, enter = _bitmasks(v & ~x), _bitmasks(x & ~v)
     if pad_down:
-        pad_masks = _bitmasks(inter)[:pad]
-        for b in _bitmasks(v & ~x):
-            cur ^= b
-            path_vx.append(cur)
-        for b in pad_masks:
-            cur ^= b
-            path_vx.append(cur)
-        for b in _bitmasks(x & ~v):
-            cur |= b
-            path_vx.append(cur)
-        for b in pad_masks:
-            cur |= b
-            path_vx.append(cur)
+        # clear `pad` shared coordinates on the way, set them again at the end
+        pads = _bitmasks(inter)[:pad]
+        path_vx = _walk(v, leave + pads + enter + pads)
     else:
-        pad_masks = pool[r : r + pad]
-        for b in pad_masks:
-            cur |= b
-            path_vx.append(cur)
-        for b in _bitmasks(v & ~x):
-            cur ^= b
-            path_vx.append(cur)
-        for b in _bitmasks(x & ~v):
-            cur |= b
-            path_vx.append(cur)
-        for b in pad_masks:
-            cur ^= b
-            path_vx.append(cur)
-
-    path_wy = [w]
-    cur = w
-    for b in s_masks:
-        cur |= b
-        path_wy.append(cur)
-    for b in _bitmasks(y & ~w):
-        cur |= b
-        path_wy.append(cur)
-    for b in reversed(_bitmasks(w & ~y)):
-        cur ^= b
-        path_wy.append(cur)
-    for b in reversed(s_masks):
-        cur ^= b
-        path_wy.append(cur)
-
+        # set `pad` fresh coordinates first, clear them again at the end
+        pads = pool[r : r + pad]
+        path_vx = _walk(v, pads + leave + enter + pads)
+    path_wy = _walk(
+        w, s_masks + _bitmasks(y & ~w) + _bitmasks(w & ~y)[::-1] + s_masks[::-1]
+    )
     return canonical_cycle(tuple(path_vx + path_wy[::-1]))

@@ -21,11 +21,14 @@ from .hypercube import (
     Edge,
     build_cycle_same_level,
     count_level_edges,
+    cycle_keys,
     cycle_problem,
+    edge_key,
     edge_level,
     edges_of_cycle,
     enumerate_cycles,
     enumerate_edges,
+    _check_cycle_length,
     _check_dim,
 )
 
@@ -73,8 +76,9 @@ class BoundCertificate:
 
 
 def _check_k(n: int, k: int) -> None:
-    if not isinstance(k, int) or k < 4 or k > 1 << n or k % 2:
-        raise UsageError(f"cycle length must be even and in [4, 2^{n}], got {k!r}")
+    _check_cycle_length(n, k)
+    if k % 2:
+        raise UsageError(f"cycle length must be even, got {k}")
 
 
 def verify_rainbow(coloring: EdgeColoring, k: int) -> Optional[Violation]:
@@ -90,18 +94,9 @@ def verify_rainbow(coloring: EdgeColoring, k: int) -> Optional[Violation]:
     table = coloring.key_table()
     worst: Optional[tuple] = None
     for cyc in enumerate_cycles(n, k):
-        seen: set[Color] = set()
-        prev = cyc[-1]
-        clash = False
-        for u in cyc:
-            a, b = (prev, u) if prev < u else (u, prev)
-            color = table[(a & b) << 5 | (a ^ b).bit_length() - 1]
-            if color in seen:
-                clash = True
-                break
-            seen.add(color)
-            prev = u
-        if clash and (worst is None or cyc < worst):
+        if len({table[key] for key in cycle_keys(cyc)}) < k and (
+            worst is None or cyc < worst
+        ):
             worst = cyc
     if worst is None:
         return None
@@ -139,7 +134,7 @@ def conflict_graph(n: int, k: int, deadline: Optional[float] = None) -> Conflict
                     bounds=(1, len(edges)),
                     kind="timeout",
                 )
-        ids = [index[e.key()] for e in edges_of_cycle(cyc)]
+        ids = [index[key] for key in cycle_keys(cyc)]
         for i in ids:
             for j in ids:
                 if i != j:
@@ -356,7 +351,7 @@ def verify_q3_equivalence(coloring: EdgeColoring) -> tuple[bool, bool]:
                 v = base | corner
                 for d in trio:
                     if not v >> d & 1:
-                        color = table[v << 5 | d]
+                        color = table[edge_key(v, d + 1)]
                         if color in colors:
                             distinct = False
                             break

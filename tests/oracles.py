@@ -29,6 +29,45 @@ def count_cycles_nx(n: int, k: int) -> int:
     return sum(1 for c in nx.simple_cycles(g, length_bound=k) if len(c) == k)
 
 
+def canonical_cycles_nx(n: int, k: int) -> list[tuple[int, ...]]:
+    """Canonical k-cycles of Q_n, sorted: networkx cycles rotated to their
+    minimum vertex and oriented so the second vertex is below the last."""
+    out = []
+    for c in nx.simple_cycles(cube_graph(n), length_bound=k):
+        if len(c) != k:
+            continue
+        i = c.index(min(c))
+        c = c[i:] + c[:i]
+        if c[1] > c[-1]:
+            c = c[:1] + c[:0:-1]
+        out.append(tuple(c))
+    return sorted(out)
+
+
+def cycle_edge_pairs(cyc) -> list[tuple[int, int]]:
+    """(bottom, 1-based direction) of each edge of a vertex cycle, walk order."""
+    out = []
+    for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+        lo, hi = sorted((a, b))
+        out.append((lo, (hi - lo).bit_length()))
+    return out
+
+
+def conflict_adjacency_nx(n: int, k: int) -> tuple[list, list[set[int]]]:
+    """Edges of Q_n as (bottom, dir), sorted, and for each the set of indices
+    of edges sharing a networkx-enumerated k-cycle with it."""
+    edges = sorted(
+        (v, d + 1) for v in range(1 << n) for d in range(n) if not v >> d & 1
+    )
+    index = {e: i for i, e in enumerate(edges)}
+    adj: list[set[int]] = [set() for _ in edges]
+    for c in canonical_cycles_nx(n, k):
+        ids = [index[e] for e in cycle_edge_pairs(c)]
+        for i in ids:
+            adj[i].update(j for j in ids if j != i)
+    return edges, adj
+
+
 def cycles_by_permutation(n: int, k: int) -> set[tuple[int, ...]]:
     """Canonical k-cycles of Q_n by scanning vertex subsets and orderings."""
     out = set()

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from rainbowcube.cli import load_coloring, main, save_coloring
 from rainbowcube.coloring import construction2, derive_c2_params
 from rainbowcube.hypercube import enumerate_edges
@@ -138,6 +140,29 @@ class TestVerify:
         doc["edges"][0] = {"b": "0x8", "dir": 1, "color": [0, 0]}
         path = write_json(tmp_path / "bad.json", doc)
         assert run("verify", "--coloring", path) == 2
+
+    @pytest.mark.parametrize(
+        "top,edge",
+        [
+            ({"n": 400000000, "edges": []}, {}),
+            ({"n": 0, "edges": []}, {}),
+            ({"n": True}, {}),
+            ({"k": True}, {}),
+            ({}, {"dir": True}),
+            ({}, {"color": [3, True]}),
+            ({"params": [1]}, {}),
+            ({"params": None}, {}),
+            ({"params": {"S": 5}}, {}),
+            ({"params": {"S": [1, True]}}, {}),
+        ],
+    )
+    def test_malformed_field(self, tmp_path, capsys, top, edge):
+        doc = monochrome_doc(2, 4)
+        doc["edges"][0].update(edge)
+        doc.update(top)
+        path = write_json(tmp_path / "bad.json", doc)
+        assert run("verify", "--coloring", path) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestExact:

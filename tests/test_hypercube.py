@@ -9,9 +9,11 @@ from rainbowcube.hypercube import (
     canonical_cycle,
     complement_edge,
     count_level_edges,
+    cycle_keys,
     cycle_problem,
     cycles_containing_pair,
     edge_between,
+    edge_key,
     edge_level,
     edges_of_cycle,
     enumerate_cycles,
@@ -111,6 +113,20 @@ class TestEnumerateCycles:
             assert cycle_problem(n, cyc) is None
             assert cyc not in seen
             seen.add(cyc)
+
+
+@pytest.mark.parametrize(
+    "n,k", [(n, k) for n in range(2, 6) for k in (4, 6, 8) if k <= 1 << n]
+)
+def test_cycle_keys_match_edges_of_cycle(n, k):
+    for cyc in enumerate_cycles(n, k):
+        assert cycle_keys(cyc) == [e.key() for e in edges_of_cycle(cyc)]
+
+
+def test_edge_key_is_injective_on_q5():
+    keys = {edge_key(e.bottom, e.dir) for e in enumerate_edges(5)}
+    assert len(keys) == 5 << 4
+    assert all(edge_key(e.bottom, e.dir) == e.key() for e in enumerate_edges(5))
 
 
 def test_canonical_cycle_rotation_reflection():

@@ -56,6 +56,33 @@ class TestVerifyRainbow:
         assert vio.e1 in edges and vio.e2 in edges
         assert vio.e1 < vio.e2
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_witness_is_smallest_clashing_cycle(self, seed):
+        rng = random.Random(seed)
+        col = random_coloring(4, 6, rng.choice((24, 96, 400, 4000)), rng)
+        table = col.key_table()
+        expected = None
+        for cyc in oracles.canonical_cycles_nx(4, 6):
+            pairs = sorted(oracles.cycle_edge_pairs(cyc))
+            colors = [table[Edge(b, d).key()] for b, d in pairs]
+            clash = next(
+                (
+                    (pairs[i], pairs[j], colors[i])
+                    for i in range(6)
+                    for j in range(i + 1, 6)
+                    if colors[i] == colors[j]
+                ),
+                None,
+            )
+            if clash is not None:
+                expected = (cyc, *clash)
+                break
+        vio = verify_rainbow(col, 6)
+        got = vio and (
+            vio.cycle, (vio.e1.bottom, vio.e1.dir), (vio.e2.bottom, vio.e2.dir), vio.color
+        )
+        assert got == expected
+
     def test_construction2_small_cubes(self):
         for n in (3, 4):
             s, cap, _ = derive_c2_params(n, 1)
@@ -85,6 +112,16 @@ class TestConflictGraph:
         g = conflict_graph(3, 4)
         assert len(g.edges) == 12
         assert all(g.degree(i) == 6 for i in range(12))
+
+    @pytest.mark.parametrize("n,k", [(3, 4), (3, 6), (4, 4), (4, 6), (4, 8)])
+    def test_adjacency_matches_networkx_cycles(self, n, k):
+        edges, adj = oracles.conflict_adjacency_nx(n, k)
+        g = conflict_graph(n, k)
+        assert [(e.bottom, e.dir) for e in g.edges] == edges
+        assert [
+            {j for j in range(len(edges)) if g.adj[i] >> j & 1}
+            for i in range(len(edges))
+        ] == adj
 
     def test_budget_class(self):
         with pytest.raises(BudgetError):
