@@ -7,7 +7,8 @@ printed), 2 usage or format error, 3 budget exceeded.
 
 Coloring document (JSON): {"n", "k", "scheme", "params", "edges"}, where
 edges is a list of {"b": "<hex bottom mask>", "dir": <1-based int>,
-"color": [d, p]} covering every edge of Q_n exactly once. Equation files
+"color": [d, p]} covering every edge of Q_n exactly once; a mask is hex
+digits with an optional 0x prefix. Equation files
 hold {"equations": [[a1, ..., ak], ...]} with nonzero int coefficients.
 Set files hold a sorted int array, bare or under an "elements" key.
 """
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from typing import Optional
 
@@ -28,6 +30,8 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+
+_HEX_MASK = re.compile(r"(?:0[xX])?[0-9a-fA-F]+")
 
 
 def save_coloring(col: coloring.EdgeColoring, path: str) -> None:
@@ -50,12 +54,25 @@ def save_coloring(col: coloring.EdgeColoring, path: str) -> None:
         fh.write("\n")
 
 
-def load_coloring(path: str) -> coloring.EdgeColoring:
+def _read_json(path: str):
+    """The parsed document; undecodable, malformed or too deeply nested
+    input is a UsageError."""
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+            return json.load(fh)
+    except (ValueError, RecursionError) as exc:
         raise UsageError(f"{path}: not valid JSON: {exc}") from exc
+
+
+def _parse_mask(text) -> int:
+    """A bottom mask from hex digits with an optional 0x/0X prefix."""
+    if not _HEX_MASK.fullmatch(text):
+        raise ValueError(f"not a hex mask: {text!r}")
+    return int(text, 16)
+
+
+def load_coloring(path: str) -> coloring.EdgeColoring:
+    doc = _read_json(path)
     if not isinstance(doc, dict):
         raise UsageError(f"{path}: top level must be an object")
     for field in ("n", "k", "scheme", "edges"):
@@ -82,7 +99,7 @@ def load_coloring(path: str) -> coloring.EdgeColoring:
         raise UsageError(f"{path}: edges must be a list")
     for rec in records:
         try:
-            bottom = int(rec["b"], 16)
+            bottom = _parse_mask(rec["b"])
             direction = rec["dir"]
             d, p = rec["color"]
         except (KeyError, TypeError, ValueError) as exc:
@@ -109,11 +126,7 @@ def load_coloring(path: str) -> coloring.EdgeColoring:
 
 
 def load_set(path: str) -> tuple[int, ...]:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"{path}: not valid JSON: {exc}") from exc
+    doc = _read_json(path)
     if isinstance(doc, dict):
         doc = doc.get("elements")
     if not isinstance(doc, list) or not all(isinstance(e, int) for e in doc):
@@ -122,11 +135,7 @@ def load_set(path: str) -> tuple[int, ...]:
 
 
 def load_equations(path: str) -> tuple[tuple[int, ...], ...]:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"{path}: not valid JSON: {exc}") from exc
+    doc = _read_json(path)
     if not isinstance(doc, dict) or "equations" not in doc:
         raise UsageError(f"{path}: expected an object with an 'equations' list")
     eqs = doc["equations"]
@@ -207,7 +216,7 @@ def _cmd_exact(args) -> int:
         value, col = verifier.exact_min_colors(args.n, args.k, args.timeout)
     except BudgetError as exc:
         if exc.kind == "timeout":
-            lo, hi = exc.bounds if exc.bounds else (1, args.n << args.n - 1)
+            lo, hi = exc.bounds
             print(f"timed out; certified bounds [{lo}, {hi}]")
             return EXIT_BUDGET
         raise

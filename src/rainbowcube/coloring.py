@@ -24,7 +24,7 @@ from typing import Iterator, Union
 
 from .addsets import behrend_set, verify_3ap_free, verify_bt
 from .errors import BudgetError, UsageError
-from .hypercube import Edge, enumerate_edges, validate_edge, _check_dim
+from .hypercube import Edge, edge_key, enumerate_edges, validate_edge, _check_dim
 
 Color = tuple[int, int]
 
@@ -96,10 +96,12 @@ class EdgeColoring:
                 raise UsageError(
                     f"coloring is not total: {len(self._table)} of {expected} edges"
                 )
-            for e in enumerate_edges(self.n):
-                if e.key() not in self._table:
-                    raise UsageError(f"coloring misses edge {e}")
-            return dict(self._table)
+            table = self._table
+            for bottom in range(1 << self.n):
+                for d in range(1, self.n + 1):
+                    if not bottom >> d - 1 & 1 and edge_key(bottom, d) not in table:
+                        raise UsageError(f"coloring misses edge {Edge(bottom, d)}")
+            return dict(table)
         weights = _weight_table(self.n, self.params["S"])
         return {
             e.key(): self._colored(e.bottom, e.dir, weights[e.bottom])

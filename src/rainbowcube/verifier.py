@@ -10,6 +10,7 @@ conflict graph.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from itertools import combinations
@@ -154,34 +155,17 @@ def _greedy_clique(adj: tuple[int, ...]) -> list[int]:
     return clique
 
 
-def _dsatur_greedy(adj: tuple[int, ...]) -> list[int]:
-    m = len(adj)
-    colors = [-1] * m
-    neighbor_colors: list[set[int]] = [set() for _ in range(m)]
-    for _ in range(m):
-        pick = max(
-            (i for i in range(m) if colors[i] < 0),
-            key=lambda i: (len(neighbor_colors[i]), adj[i].bit_count(), -i),
-        )
-        c = 0
-        while c in neighbor_colors[pick]:
-            c += 1
-        colors[pick] = c
-        mask = adj[pick]
-        while mask:
-            low = mask & -mask
-            neighbor_colors[low.bit_length() - 1].add(c)
-            mask ^= low
-    return colors
-
-
 def _try_color(
     adj: tuple[int, ...],
     limit: int,
     clique: list[int],
     deadline: Optional[float],
 ) -> Optional[list[int]]:
-    """A proper coloring with at most ``limit`` colors, or None."""
+    """A proper coloring with at most ``limit`` colors, or None.
+
+    DSATUR search on an explicit stack. With ``limit = len(adj)`` and no
+    clique its first descent never backtracks: the DSATUR greedy coloring.
+    """
     m = len(adj)
     colors = [-1] * m
     forbidden = [0] * m  # bitmask of colors blocked at each node
@@ -195,43 +179,43 @@ def _try_color(
             forbidden[low.bit_length() - 1] |= 1 << c
             mask ^= low
     uncolored = [i for i in range(m) if colors[i] < 0]
-    ticks = 0
-
-    def rec(remaining: int, used: int) -> bool:
-        nonlocal ticks
-        if remaining == 0:
-            return True
-        ticks += 1
-        if deadline is not None and ticks % 2048 == 0 and time.monotonic() > deadline:
+    degree = [a.bit_count() for a in adj]
+    stack = []  # (node, color, used before it, neighbors it blocked)
+    used = len(clique)
+    while len(stack) < len(uncolored):
+        if deadline is not None and time.monotonic() > deadline:
             raise BudgetError("chromatic search timed out", kind="timeout")
         pick = max(
             (i for i in uncolored if colors[i] < 0),
-            key=lambda i: (forbidden[i].bit_count(), adj[i].bit_count(), -i),
+            key=lambda i: (forbidden[i].bit_count(), degree[i], -i),
         )
-        cap = min(limit, used + 1)
-        for c in range(cap):
-            if forbidden[pick] >> c & 1:
-                continue
-            colors[pick] = c
-            touched = []
-            mask = adj[pick]
-            while mask:
-                low = mask & -mask
-                j = low.bit_length() - 1
-                if not forbidden[j] >> c & 1:
-                    forbidden[j] |= 1 << c
-                    touched.append(j)
-                mask ^= low
-            if rec(remaining - 1, max(used, c + 1)):
-                return True
+        c = 0
+        while True:  # lowest allowed color, backtracking when none is left
+            cap = min(limit, used + 1)
+            while c < cap and forbidden[pick] >> c & 1:
+                c += 1
+            if c < cap:
+                break
+            if not stack:
+                return None
+            pick, c, used, touched = stack.pop()
             colors[pick] = -1
             for j in touched:
                 forbidden[j] &= ~(1 << c)
-        return False
-
-    if rec(len(uncolored), len(clique)):
-        return colors
-    return None
+            c += 1
+        colors[pick] = c
+        touched = []
+        mask = adj[pick]
+        while mask:
+            low = mask & -mask
+            j = low.bit_length() - 1
+            if not forbidden[j] >> c & 1:
+                forbidden[j] |= 1 << c
+                touched.append(j)
+            mask ^= low
+        stack.append((pick, c, used, touched))
+        used = max(used, c + 1)
+    return colors
 
 
 def exact_min_colors(
@@ -240,12 +224,17 @@ def exact_min_colors(
     """Chromatic number of the conflict graph plus an optimal coloring.
 
     Branch and bound: greedy clique lower bound (seeded by the one-level
-    edge count when n > k and k = 0 mod 4), DSATUR upper bound, then
-    backtracking at each candidate count. On timeout raises BudgetError
-    with certified (lower, upper) bounds.
+    edge count when n > k and k = 0 mod 4), the DSATUR greedy coloring as
+    upper bound (the first descent of the search), then backtracking at
+    each candidate count. ``time_limit`` must be finite; it covers the
+    conflict graph, the greedy coloring and the search. On timeout raises
+    BudgetError with certified (lower, upper) bounds; before the greedy
+    coloring completes the upper bound is the edge count.
     """
     _check_dim(n)
     _check_k(n, k)
+    if time_limit is not None and not math.isfinite(time_limit):
+        raise UsageError(f"time limit must be finite, got {time_limit!r}")
     deadline = None if time_limit is None else time.monotonic() + time_limit
     if not _conflict_class_ok(n, k) and time_limit is None:
         raise BudgetError(
@@ -255,34 +244,26 @@ def exact_min_colors(
     graph = conflict_graph(n, k, deadline=deadline)
 
     clique = _greedy_clique(graph.adj)
-    lower = len(clique)
+    target = len(clique)
     if k % 4 == 0 and n > k:
-        lower = max(lower, count_level_edges(n, k // 4))
-    greedy = _dsatur_greedy(graph.adj)
-    upper = max(greedy) + 1 if greedy else 0
-    best_assign = greedy
-
-    target = lower
-    if deadline is not None and target < upper and time.monotonic() > deadline:
+        target = max(target, count_level_edges(n, k // 4))
+    upper = len(graph.adj)
+    try:
+        best_assign = _try_color(graph.adj, upper, [], deadline)
+        upper = max(best_assign) + 1 if best_assign else 0
+        while target < upper:
+            found = _try_color(graph.adj, target, clique, deadline)
+            if found is not None:
+                best_assign = found
+                upper = target
+                break
+            target += 1  # exhausted: chromatic number exceeds target
+    except BudgetError as exc:
         raise BudgetError(
             f"exact search timed out between {target} and {upper} colors",
             bounds=(target, upper),
             kind="timeout",
-        )
-    while target < upper:
-        try:
-            found = _try_color(graph.adj, target, clique, deadline)
-        except BudgetError as exc:
-            raise BudgetError(
-                f"exact search timed out between {target} and {upper} colors",
-                bounds=(target, upper),
-                kind="timeout",
-            ) from exc
-        if found is not None:
-            best_assign = found
-            upper = target
-            break
-        target += 1  # exhausted: chromatic number exceeds target
+        ) from exc
 
     table = {
         e.key(): (best_assign[i], 0) for i, e in enumerate(graph.edges)

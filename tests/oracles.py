@@ -137,6 +137,24 @@ def brute_chromatic(adj: tuple[int, ...]) -> int:
     return k
 
 
+def dsatur_greedy(adj: tuple[int, ...]) -> list[int]:
+    """DSATUR greedy coloring (Brelaz 1979) of a graph given as neighbor
+    bitmasks: color next the uncolored node with the most distinct neighbor
+    colors, ties to higher degree then lower index, with the least color
+    absent from its neighbors. Saturation is recounted from scratch."""
+    m = len(adj)
+    nbrs = [[j for j in range(m) if a >> j & 1] for a in adj]
+    colors = [-1] * m
+    for _ in range(m):
+        pick = max(
+            (i for i in range(m) if colors[i] < 0),
+            key=lambda i: (len({colors[j] for j in nbrs[i]} - {-1}), len(nbrs[i]), -i),
+        )
+        taken = {colors[j] for j in nbrs[pick]}
+        colors[pick] = min(c for c in range(m + 1) if c not in taken)
+    return colors
+
+
 def greedy_bt_oracle(t: int, size: int) -> list[int]:
     """Greedy B_t set recomputing all multiset sums from scratch each step."""
     elems = [1]

@@ -154,6 +154,9 @@ class TestVerify:
             ({"params": None}, {}),
             ({"params": {"S": 5}}, {}),
             ({"params": {"S": [1, True]}}, {}),
+            ({}, {"b": " 0x0 "}),
+            ({}, {"b": "-0x0"}),
+            ({}, {"b": "0_0"}),
         ],
     )
     def test_malformed_field(self, tmp_path, capsys, top, edge):
@@ -163,6 +166,30 @@ class TestVerify:
         path = write_json(tmp_path / "bad.json", doc)
         assert run("verify", "--coloring", path) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_mask_forms_accepted(self, tmp_path):
+        doc = monochrome_doc(2, 4)
+        for i, (rec, b) in enumerate(zip(doc["edges"], ("0", "0X0", "1", "0x2"))):
+            rec.update(b=b, color=[i, 0])
+        assert run("verify", "--coloring", write_json(tmp_path / "ok.json", doc)) == 0
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("verify", "--coloring"),
+        ("sets", "--kind", "bt", "--t", "2", "--verify-only"),
+        ("genus", "--eqs"),
+    ],
+)
+@pytest.mark.parametrize(
+    "content", [b"\xff\xfe[1, 2]", b"[" * 200_000], ids=["bom", "deep"]
+)
+def test_unreadable_json_exit_two(tmp_path, capsys, command, content):
+    path = tmp_path / "doc.json"
+    path.write_bytes(content)
+    assert run(*command, str(path)) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestExact:
@@ -182,6 +209,11 @@ class TestExact:
     def test_timeout_exit_three(self, capsys):
         assert run("exact", "--n", "10", "--k", "12", "--timeout", "0.2") == 3
         assert "bounds" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("limit", ["nan", "inf"])
+    def test_non_finite_timeout_exit_two(self, capsys, limit):
+        assert run("exact", "--n", "3", "--k", "6", "--timeout", limit) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_oversize_without_timeout_exit_two(self):
         assert run("exact", "--n", "10", "--k", "12") == 2

@@ -11,7 +11,7 @@ from rainbowcube.coloring import (
     weight_a,
 )
 from rainbowcube.errors import BudgetError, UsageError
-from rainbowcube.hypercube import Edge, enumerate_edges
+from rainbowcube.hypercube import Edge, edge_key, enumerate_edges
 
 
 def test_weight_a():
@@ -140,6 +140,14 @@ class TestEdgeColoring:
     def test_explicit_partial_table_fails_materialization(self):
         table = {e.key(): (0, 0) for e in enumerate_edges(3)}
         table.pop(Edge(0, 1).key())
+        col = EdgeColoring(3, 6, "explicit", {}, table)
+        with pytest.raises(UsageError):
+            col.key_table()
+
+    def test_explicit_foreign_key_fails_materialization(self):
+        table = {e.key(): (0, 0) for e in enumerate_edges(3)}
+        table.pop(Edge(0, 1).key())
+        table[edge_key(1, 1)] = (0, 0)  # direction bit set: not an edge
         col = EdgeColoring(3, 6, "explicit", {}, table)
         with pytest.raises(UsageError):
             col.key_table()

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -7,6 +8,7 @@ from rainbowcube.errors import BudgetError, UsageError
 from rainbowcube.hypercube import Edge, edges_of_cycle, enumerate_edges
 from rainbowcube.verifier import (
     Violation,
+    _try_color,
     conflict_graph,
     exact_min_colors,
     lower_bound_clique,
@@ -180,6 +182,40 @@ class TestExactMinColors:
         with pytest.raises(BudgetError) as info:
             exact_min_colors(10, 12)
         assert info.value.kind == "class"
+
+    def test_timeout_before_greedy_reports_edge_count(self):
+        with pytest.raises(BudgetError) as info:
+            exact_min_colors(4, 6, time_limit=0.0)
+        assert info.value.bounds == (10, 32)  # greedy clique, edges of Q_4
+
+    def test_timeout_covers_greedy_phase(self):
+        start = time.monotonic()
+        with pytest.raises(BudgetError) as info:
+            exact_min_colors(10, 4, time_limit=0.5)
+        assert time.monotonic() - start < 5
+        assert info.value.kind == "timeout"
+        lo, hi = info.value.bounds
+        assert lo <= 10 <= hi  # f(10, 4) = 10
+
+    @pytest.mark.parametrize("limit", [float("nan"), float("inf"), float("-inf")])
+    def test_time_limit_must_be_finite(self, limit):
+        with pytest.raises(UsageError):
+            exact_min_colors(3, 6, time_limit=limit)
+
+
+class TestTryColor:
+    def test_long_descent_does_not_recurse(self):
+        assert _try_color(tuple([0] * 1500), 1, [], None) == [0] * 1500
+
+    def test_infeasible_limit(self):
+        g = conflict_graph(3, 6)  # complete on 12 nodes
+        assert _try_color(g.adj, 11, [], None) is None
+        assert _try_color(g.adj, 11, list(range(12)), None) is None
+
+    @pytest.mark.parametrize("n,k", [(3, 4), (4, 4), (4, 6), (5, 4), (5, 6)])
+    def test_first_descent_is_dsatur_greedy(self, n, k):
+        adj = conflict_graph(n, k).adj
+        assert _try_color(adj, len(adj), [], None) == oracles.dsatur_greedy(adj)
 
 
 class TestLowerBoundClique:
