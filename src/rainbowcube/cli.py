@@ -19,6 +19,7 @@ import argparse
 import json
 import re
 import sys
+from math import comb
 from typing import Optional
 
 from . import addsets, coloring, verifier
@@ -30,6 +31,9 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+
+# Most size-t multisets a construction1 rebuild may scan in its B_t check.
+REBUILD_SCAN_LIMIT = 10**6
 
 _HEX_MASK = re.compile(r"(?:0[xX])?[0-9a-fA-F]+")
 
@@ -122,7 +126,45 @@ def load_coloring(path: str) -> coloring.EdgeColoring:
         raise UsageError(
             f"{path}: expected {expected} edges for Q_{n}, found {len(table)}"
         )
+    if doc["scheme"] != "explicit":
+        _check_scheme(path, doc["scheme"], n, k, params, table)
     return coloring.EdgeColoring(n, k, "explicit", params, table)
+
+
+def _check_scheme(path: str, scheme: str, n: int, k: int, params: dict, table) -> None:
+    """Rebuild a scheme document from its params; it must match k, the
+    params and every edge color."""
+    t = k // 4 - 1
+    scan = comb(n + t - 1, t) if scheme == "construction1" and t > 0 else 0
+    if scan > REBUILD_SCAN_LIMIT:
+        raise BudgetError(
+            f"{path}: rebuilding construction1 for n={n}, k={k} checks "
+            f"{scan} multisets of {t} elements",
+            kind="class",
+        )
+    try:
+        if scheme == "construction1":
+            rebuilt = coloring.construction1(n, k, params["S"])
+        else:
+            rebuilt = coloring.construction2(n, params["S"], params["N"])
+    except KeyError as exc:
+        raise UsageError(f"{path}: {scheme} params lack {exc}") from exc
+    except UsageError as exc:
+        raise UsageError(
+            f"{path}: params cannot rebuild the {scheme} coloring: {exc}"
+        ) from exc
+    if (rebuilt.k, rebuilt.params) != (k, params):
+        raise UsageError(
+            f"{path}: k={k} and params {params} do not match the {scheme} "
+            f"rebuild: k={rebuilt.k} and params {rebuilt.params}"
+        )
+    for e, color in rebuilt.items():
+        stored = table[e.key()]
+        if stored != color:
+            raise UsageError(
+                f"{path}: edge {hex(e.bottom)} dir {e.dir} has color {list(stored)}, "
+                f"{scheme} with these params gives {list(color)}"
+            )
 
 
 def load_set(path: str) -> tuple[int, ...]:

@@ -225,24 +225,33 @@ def cycle_problem(n: int, verts) -> Optional[str]:
     return None
 
 
-def enumerate_cycles(n: int, k: int) -> Iterator[Cycle]:
+def enumerate_cycles(n: int, k: int, starts=None) -> Iterator[Cycle]:
     """Every k-cycle of Q_n exactly once, canonical, deterministic order.
 
     Odd k yields nothing (Q_n is bipartite); k outside [4, 2^n] is an
-    error.
+    error. ``starts``, an ascending iterable of vertices, keeps only the
+    cycles whose minimum vertex is in it, in the same order; None means
+    every vertex. Each start is checked when it is reached: one outside
+    [0, 2^n), or not above the one before it, is a UsageError.
     """
     _check_dim(n)
     _check_cycle_length(n, k)
     if k % 2:
         return iter(())
-    return _cycle_gen(n, k)
+    return _cycle_gen(n, k, range(1 << n) if starts is None else starts)
 
 
-def _cycle_gen(n: int, k: int) -> Iterator[Cycle]:
+def _cycle_gen(n: int, k: int, starts) -> Iterator[Cycle]:
     bits = [1 << d for d in range(n)]
     blocked = _blocked_store(n)
     leaf = k - 1  # depth at which the only move left is closing to the start
-    for start in range(1 << n):
+    prev = -1
+    for start in starts:
+        if not isinstance(start, int) or not prev < start < 1 << n:
+            raise UsageError(
+                f"start {start!r} is outside [0, 2^{n}) or not above the one before"
+            )
+        prev = start
         path = [start]
         nexts = [0]
         while path:

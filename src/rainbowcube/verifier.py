@@ -3,9 +3,15 @@
 A coloring is k-rainbow exactly when every k-cycle carries k distinct
 edge colors, which is the same as a proper coloring of the conflict
 graph whose nodes are the edges of Q_n, joined when two edges appear in
-a common k-cycle. Verification enumerates cycles exhaustively; exact
-minimum color counts come from branch-and-bound chromatic search on the
-conflict graph.
+a common k-cycle. XOR by a vertex maps k-cycles to k-cycles, so the
+conflict neighbourhood of edge (b, d) is the translate by b of that of
+edge (0, d), and the k-cycles through vertex 0 give all of those.
+Verification scans every edge against its translated neighbourhood; if
+some edges clash, it enumerates cycles only from the possible minimum
+vertices of a cycle through a clashing edge to recover the canonical
+witness. Exact minimum color counts come from branch-and-bound
+chromatic search on the conflict graph, built from the same
+neighbourhoods.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ import math
 import time
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional
+from typing import Iterator, Optional
 
 from .coloring import Color, EdgeColoring
 from .errors import BudgetError, InternalError, UsageError
@@ -82,25 +88,95 @@ def _check_k(n: int, k: int) -> None:
         raise UsageError(f"cycle length must be even, got {k}")
 
 
+def _check_deadline(deadline: Optional[float], n: int) -> None:
+    """Raise the conflict-graph timeout once ``deadline`` has passed."""
+    if deadline is not None and time.monotonic() > deadline:
+        raise BudgetError(
+            "conflict graph construction timed out",
+            bounds=(1, n << n - 1),
+            kind="timeout",
+        )
+
+
+def _neighbourhoods(
+    n: int, k: int, deadline: Optional[float] = None
+) -> list[tuple[tuple[int, int, int], ...]]:
+    """For each direction d, the edges sharing a k-cycle with edge (0, d).
+
+    Entry d - 1 lists them as sorted (bottom, clear, dir - 1) triples;
+    ``clear`` is the vertex mask of Q_n without the bit of that direction.
+    XOR by b maps k-cycles to k-cycles, so the neighbours of edge (b, d)
+    have the keys ((bottom ^ b) & clear) << 5 | dir - 1. A cycle through
+    edge (0, d) has 0 as its minimum vertex, so the cycles from start 0
+    are all it takes.
+    """
+    full = (1 << n) - 1
+    near: list[set[int]] = [set() for _ in range(n)]
+    for count, cyc in enumerate(enumerate_cycles(n, k, starts=(0,)), 1):
+        if count % 1024 == 0:
+            _check_deadline(deadline, n)
+        keys = cycle_keys(cyc)
+        near[keys[0]].update(keys)  # the two edges at vertex 0 have key dir - 1
+        near[keys[-1]].update(keys)
+    return [
+        tuple(
+            sorted(
+                (key >> 5, full ^ 1 << (key & 31), key & 31) for key in keys if key != d
+            )
+        )
+        for d, keys in enumerate(near)
+    ]
+
+
+def _candidate_starts(clashing: list[int], half: int) -> Iterator[int]:
+    """Ascending vertices s with s <= x and popcount(s ^ x) <= ``half`` for
+    some x in the ascending list ``clashing``: every k-cycle through such
+    an x (k = 2 * half) has its minimum vertex among them."""
+    lo = 0
+    for s in range(clashing[-1] + 1):
+        while clashing[lo] < s:
+            lo += 1
+        if any((s ^ clashing[i]).bit_count() <= half for i in range(lo, len(clashing))):
+            yield s
+
+
 def verify_rainbow(coloring: EdgeColoring, k: int) -> Optional[Violation]:
     """None when every k-cycle is rainbow, else the canonical violation.
 
     The reported violation carries the canonically smallest offending
     cycle and its lexicographically first pair of equally colored edges.
+    A coloring is k-rainbow when no edge shares its color with an edge of
+    its translated neighbourhood (see ``_neighbourhoods``). Otherwise the
+    cycles are enumerated only from the possible minimum vertices of a
+    cycle through a clashing edge, in ascending order, up to the first
+    start that has a non-rainbow cycle.
     """
     n = coloring.n
     _check_k(n, k)
     if n > VERIFY_DIM_LIMIT:
         raise BudgetError(f"verification supports n <= {VERIFY_DIM_LIMIT}", kind="class")
     table = coloring.key_table()
+    nbrs = _neighbourhoods(n, k)
+    clashing = set()
+    for key, color in table.items():
+        b = key >> 5
+        if any(
+            table[((x ^ b) & clear) << 5 | d] == color for x, clear, d in nbrs[key & 31]
+        ):
+            clashing.add(b)
+    if not clashing:
+        return None
     worst: Optional[tuple] = None
-    for cyc in enumerate_cycles(n, k):
+    starts = _candidate_starts(sorted(clashing), k // 2)
+    for cyc in enumerate_cycles(n, k, starts=starts):
+        if worst is not None and cyc[0] > worst[0]:
+            break
         if len({table[key] for key in cycle_keys(cyc)}) < k and (
             worst is None or cyc < worst
         ):
             worst = cyc
     if worst is None:
-        return None
+        raise InternalError("clashing edges share no k-cycle")
     ordered = sorted(edges_of_cycle(worst))
     for e1, e2 in combinations(ordered, 2):
         c1 = table[e1.key()]
@@ -114,7 +190,9 @@ def _conflict_class_ok(n: int, k: int) -> bool:
 
 
 def conflict_graph(n: int, k: int, deadline: Optional[float] = None) -> ConflictGraph:
-    """Co-occurrence graph of Q_n edges over k-cycles."""
+    """Co-occurrence graph of Q_n edges over k-cycles, from the translated
+    neighbourhoods of ``_neighbourhoods``; the deadline is checked at least
+    every 1,024 cycles or edges."""
     _check_dim(n)
     _check_k(n, k)
     if deadline is None and not _conflict_class_ok(n, k):
@@ -122,25 +200,22 @@ def conflict_graph(n: int, k: int, deadline: Optional[float] = None) -> Conflict
             f"conflict graph for n={n}, k={k} is outside the supported class",
             kind="class",
         )
-    edges = tuple(enumerate_edges(n))
-    index = {e.key(): i for i, e in enumerate(edges)}
-    adj = [0] * len(edges)
-    checked = 0
-    for cyc in enumerate_cycles(n, k):
-        if deadline is not None:
-            checked += 1
-            if checked % 1024 == 0 and time.monotonic() > deadline:
-                raise BudgetError(
-                    "conflict graph construction timed out",
-                    bounds=(1, len(edges)),
-                    kind="timeout",
-                )
-        ids = [index[key] for key in cycle_keys(cyc)]
-        for i in ids:
-            for j in ids:
-                if i != j:
-                    adj[i] |= 1 << j
-    return ConflictGraph(n, k, edges, tuple(adj))
+    nbrs = _neighbourhoods(n, k, deadline)
+    edges = []
+    index = {}
+    for i, e in enumerate(enumerate_edges(n)):
+        if i % 1024 == 1023:
+            _check_deadline(deadline, n)
+        edges.append(e)
+        index[e.key()] = i
+    adj = []
+    for i, e in enumerate(edges):
+        if i % 1024 == 1023:
+            _check_deadline(deadline, n)
+        b = e.bottom
+        near = nbrs[e.dir - 1]
+        adj.append(sum(1 << index[((x ^ b) & clear) << 5 | d] for x, clear, d in near))
+    return ConflictGraph(n, k, tuple(edges), tuple(adj))
 
 
 def _greedy_clique(adj: tuple[int, ...]) -> list[int]:

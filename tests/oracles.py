@@ -4,7 +4,9 @@ These deliberately avoid the library's own algorithms: cycle counting
 goes through networkx or raw permutation scans, maximum progression-free
 sizes come from a full subset scan, chromatic numbers from a plain
 backtracking colorer, and the greedy B_t oracle recomputes every multiset
-sum from scratch at each step.
+sum from scratch at each step. The slow paths of the verifier, which walk
+every k-cycle of the library's own enumerator, serve as the ground truth
+for its translated-neighbourhood fast paths.
 """
 
 from __future__ import annotations
@@ -12,6 +14,14 @@ from __future__ import annotations
 import itertools
 
 import networkx as nx
+
+from rainbowcube.hypercube import (
+    cycle_keys,
+    edges_of_cycle,
+    enumerate_cycles,
+    enumerate_edges,
+)
+from rainbowcube.verifier import Violation
 
 
 def cube_graph(n: int) -> nx.Graph:
@@ -66,6 +76,40 @@ def conflict_adjacency_nx(n: int, k: int) -> tuple[list, list[set[int]]]:
         for i in ids:
             adj[i].update(j for j in ids if j != i)
     return edges, adj
+
+
+def verify_rainbow_enum(coloring, k: int):
+    """``verify_rainbow`` by walking every k-cycle: None, or the Violation
+    on the smallest non-rainbow canonical cycle and its first equally
+    colored pair of edges."""
+    table = coloring.key_table()
+    worst = None
+    for cyc in enumerate_cycles(coloring.n, k):
+        if len({table[key] for key in cycle_keys(cyc)}) < k and (
+            worst is None or cyc < worst
+        ):
+            worst = cyc
+    if worst is None:
+        return None
+    ordered = sorted(edges_of_cycle(worst))
+    for e1, e2 in itertools.combinations(ordered, 2):
+        if table[e1.key()] == table[e2.key()]:
+            return Violation(worst, e1, e2, table[e1.key()])
+    raise AssertionError("violating cycle lost its clash")
+
+
+def conflict_adjacency_enum(n: int, k: int) -> list[int]:
+    """Conflict-graph neighbor bitmasks over ``enumerate_edges`` order, from
+    every k-cycle of the library's enumerator."""
+    index = {e.key(): i for i, e in enumerate(enumerate_edges(n))}
+    adj = [0] * len(index)
+    for cyc in enumerate_cycles(n, k):
+        ids = [index[key] for key in cycle_keys(cyc)]
+        for i in ids:
+            for j in ids:
+                if i != j:
+                    adj[i] |= 1 << j
+    return adj
 
 
 def cycles_by_permutation(n: int, k: int) -> set[tuple[int, ...]]:

@@ -174,6 +174,80 @@ class TestVerify:
         assert run("verify", "--coloring", write_json(tmp_path / "ok.json", doc)) == 0
 
 
+class TestSchemeDocuments:
+    """A document naming a construction must be what its params rebuild."""
+
+    def construct(self, tmp_path, *flags):
+        out = tmp_path / "c.json"
+        assert run("construct", *flags, "--out", str(out)) == 0
+        return out, json.loads(out.read_text())
+
+    def test_unrelated_colors_exit_two(self, tmp_path, capsys):
+        doc = monochrome_doc(2, 6)
+        doc.update(scheme="construction2", params={"S": [1, 2], "N": 3})
+        assert run("verify", "--coloring", write_json(tmp_path / "c.json", doc)) == 2
+        assert "edge 0x0 dir 1 has color [0, 0]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--n", "4", "--scheme", "c2", "--eps", "1"),
+            ("--n", "5", "--k", "8", "--scheme", "c1"),
+        ],
+    )
+    def test_round_trip_exit_zero(self, tmp_path, flags):
+        out, _ = self.construct(tmp_path, *flags)
+        assert run("verify", "--coloring", str(out)) == 0
+
+    def test_first_differing_edge_named(self, tmp_path, capsys):
+        out, doc = self.construct(tmp_path, "--n", "4", "--scheme", "c2", "--eps", "1")
+        rec = doc["edges"][7]
+        rec["color"] = doc["edges"][0]["color"]
+        capsys.readouterr()
+        assert run("verify", "--coloring", write_json(out, doc)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"edge {rec['b']} dir {rec['dir']} has color" in err
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"N": 5},
+            {"S": [2, 1, 4, 5]},
+            {"S": [1, 2, 4, 5, 10]},
+            {"extra": 1},
+            {"N": None},
+            {"S": [1, 2, 3, 4]},
+            {"S": []},
+        ],
+    )
+    def test_params_mismatch_or_unusable_exit_two(self, tmp_path, capsys, change):
+        out, doc = self.construct(tmp_path, "--n", "4", "--scheme", "c2", "--eps", "1")
+        doc["params"].update(change)
+        capsys.readouterr()
+        assert run("verify", "--coloring", write_json(out, doc)) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("change", [{"M": 1}, {"S": [1, 2, 3, 4, 5]}])
+    def test_construction1_params_mismatch_exit_two(self, tmp_path, change):
+        out, doc = self.construct(tmp_path, "--n", "4", "--k", "8", "--scheme", "c1")
+        doc["params"].update(change)
+        assert run("verify", "--coloring", write_json(out, doc)) == 2
+
+    @pytest.mark.parametrize("k", [6, 10])
+    def test_k_the_params_cannot_rebuild_exit_two(self, tmp_path, k):
+        out, doc = self.construct(tmp_path, "--n", "4", "--k", "8", "--scheme", "c1")
+        doc["k"] = k
+        assert run("verify", "--coloring", write_json(out, doc)) == 2
+
+    def test_oversized_bt_rebuild_refused(self, tmp_path, capsys):
+        out, doc = self.construct(tmp_path, "--n", "4", "--k", "8", "--scheme", "c1")
+        doc["k"] = 800  # a B_199 check over comb(202, 199) multisets
+        capsys.readouterr()
+        assert run("verify", "--coloring", write_json(out, doc)) == 2
+        assert capsys.readouterr().err.startswith("budget exceeded: ")
+
+
 @pytest.mark.parametrize(
     "command",
     [

@@ -106,6 +106,37 @@ class TestEnumerateCycles:
         mine = set(enumerate_cycles(3, 6))
         assert mine == oracles.cycles_by_permutation(3, 6)
 
+    @pytest.mark.parametrize(
+        "n,k,starts",
+        [
+            (3, 6, (0,)),
+            (3, 6, (1, 2, 5)),
+            (4, 4, ()),
+            (4, 6, (0, 3, 7, 9)),
+            (4, 8, range(16)),
+            (4, 8, (6, 15)),
+            (5, 6, (0, 17, 30, 31)),
+            (5, 8, range(0, 32, 3)),
+        ],
+    )
+    def test_starts_filter_full_enumeration(self, n, k, starts):
+        full = [c for c in enumerate_cycles(n, k) if c[0] in starts]
+        assert list(enumerate_cycles(n, k, starts=starts)) == full
+        assert list(enumerate_cycles(n, k, starts=iter(starts))) == full
+
+    @pytest.mark.parametrize("bad", [-1, 8, 2**40, 1.0, "0"])
+    def test_start_outside_cube_raises_when_reached(self, bad):
+        it = enumerate_cycles(3, 6, starts=(0, bad))
+        first = list(itertools.islice(it, 4))
+        assert first == [c for c in enumerate_cycles(3, 6) if c[0] == 0][:4]
+        with pytest.raises(UsageError):
+            list(it)
+
+    @pytest.mark.parametrize("starts", [(2, 1), (1, 1)])
+    def test_starts_must_ascend(self, starts):
+        with pytest.raises(UsageError):
+            list(enumerate_cycles(3, 6, starts=starts))
+
     @pytest.mark.parametrize("n,k", [(3, 6), (4, 6), (4, 8), (3, 8)])
     def test_all_valid_canonical_unique(self, n, k):
         seen = set()

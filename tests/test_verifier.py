@@ -3,9 +3,22 @@ import time
 
 import pytest
 
-from rainbowcube.coloring import EdgeColoring, construction2, count_colors, derive_c2_params
+from rainbowcube.addsets import greedy_bt
+from rainbowcube.coloring import (
+    EdgeColoring,
+    construction1,
+    construction2,
+    count_colors,
+    derive_c2_params,
+)
 from rainbowcube.errors import BudgetError, UsageError
-from rainbowcube.hypercube import Edge, edges_of_cycle, enumerate_edges
+from rainbowcube.hypercube import (
+    Edge,
+    cycle_keys,
+    edges_of_cycle,
+    enumerate_cycles,
+    enumerate_edges,
+)
 from rainbowcube.verifier import (
     Violation,
     _try_color,
@@ -101,6 +114,60 @@ class TestVerifyRainbow:
             verify_rainbow(distinct_coloring(3), 5)
 
 
+# Every (n, k) with n <= 5 whose conflict graph is in the supported class.
+SMALL_CLASSES = [
+    (n, k)
+    for n in range(2, 6)
+    for k in range(4, 17, 2)
+    if k <= 1 << n and (n <= 4 or k <= 12)
+]
+
+
+def planted(col, k, rng):
+    """``col`` as a table where one edge of a random k-cycle takes the
+    color of another edge of that cycle."""
+    cycles = list(enumerate_cycles(col.n, k, starts=(rng.randrange(8),)))
+    a, b = rng.sample(cycle_keys(rng.choice(cycles)), 2)
+    table = col.key_table()
+    table[a] = table[b]
+    return explicit(col.n, col.k, table)
+
+
+class TestFastPathMatchesEnumeration:
+    """verify_rainbow and conflict_graph against the every-cycle slow paths."""
+
+    @pytest.mark.parametrize("n,k", [c for c in SMALL_CLASSES if c != (5, 12)])
+    def test_seeded_palettes(self, n, k):
+        m = n << n - 1
+        rng = random.Random(f"palettes {n} {k}")
+        for palette in (1, 2, max(m // 2, 1), 3 * m, 50 * m):
+            col = random_coloring(n, k, palette, rng)
+            assert verify_rainbow(col, k) == oracles.verify_rainbow_enum(col, k)
+
+    def test_largest_small_class(self):
+        col = random_coloring(5, 12, 3 * 80, random.Random(512))
+        assert verify_rainbow(col, 12) == oracles.verify_rainbow_enum(col, 12)
+
+    @pytest.mark.parametrize("n,k", [(6, 8), (8, 6)])
+    def test_planted_clash_and_monochrome(self, n, k):
+        if k == 6:
+            s, cap, _ = derive_c2_params(n, 1)
+            col = construction2(n, s, cap)
+        else:
+            col = construction1(n, k, greedy_bt(k // 4 - 1, n))
+        assert verify_rainbow(col, k) is None
+        rng = random.Random(n * 100 + k)
+        cases = [planted(col, k, rng) for _ in range(2)] + [monochrome(n, k)]
+        for case in cases:
+            vio = verify_rainbow(case, k)
+            assert vio is not None
+            assert vio == oracles.verify_rainbow_enum(case, k)
+
+    @pytest.mark.parametrize("n,k", [c for c in SMALL_CLASSES if c[1] <= 10])
+    def test_conflict_graph_matches_enumeration(self, n, k):
+        assert list(conflict_graph(n, k).adj) == oracles.conflict_adjacency_enum(n, k)
+
+
 class TestConflictGraph:
     def test_q3_c6_complete(self):
         g = conflict_graph(3, 6)
@@ -124,6 +191,14 @@ class TestConflictGraph:
             {j for j in range(len(edges)) if g.adj[i] >> j & 1}
             for i in range(len(edges))
         ] == adj
+
+    def test_deadline_checked_while_walking_cycles(self):
+        start = time.monotonic()
+        with pytest.raises(BudgetError) as info:
+            conflict_graph(5, 12, deadline=start + 0.05)  # about 2 s of cycles
+        assert time.monotonic() - start < 1
+        assert info.value.kind == "timeout"
+        assert info.value.bounds == (1, 80)
 
     def test_budget_class(self):
         with pytest.raises(BudgetError):
@@ -187,6 +262,14 @@ class TestExactMinColors:
         with pytest.raises(BudgetError) as info:
             exact_min_colors(4, 6, time_limit=0.0)
         assert info.value.bounds == (10, 32)  # greedy clique, edges of Q_4
+
+    def test_timeout_covers_conflict_graph_build(self):
+        start = time.monotonic()
+        with pytest.raises(BudgetError) as info:
+            exact_min_colors(16, 4, time_limit=0.05)
+        assert time.monotonic() - start < 1
+        assert info.value.kind == "timeout"
+        assert info.value.bounds == (1, 16 << 15)
 
     def test_timeout_covers_greedy_phase(self):
         start = time.monotonic()
