@@ -7,11 +7,10 @@ a common k-cycle. XOR by a vertex maps k-cycles to k-cycles, so the
 conflict neighbourhood of edge (b, d) is the translate by b of that of
 edge (0, d), and the k-cycles through vertex 0 give all of those.
 Verification scans every edge against its translated neighbourhood; if
-some edges clash, it enumerates cycles only from the possible minimum
-vertices of a cycle through a clashing edge to recover the canonical
-witness. Exact minimum color counts come from branch-and-bound
-chromatic search on the conflict graph, built from the same
-neighbourhoods.
+some edges clash, it recovers the canonical witness from the cycles
+through a cover of the clashing pairs. Exact minimum color counts come
+from branch-and-bound chromatic search on the conflict graph, built
+from the same neighbourhoods.
 """
 
 from __future__ import annotations
@@ -27,6 +26,7 @@ from .errors import BudgetError, InternalError, UsageError
 from .hypercube import (
     Edge,
     build_cycle_same_level,
+    canonical_cycle,
     count_level_edges,
     cycle_keys,
     cycle_problem,
@@ -128,15 +128,69 @@ def _neighbourhoods(
     ]
 
 
-def _candidate_starts(clashing: list[int], half: int) -> Iterator[int]:
+def _pair_cover(clashing: dict[int, list[int]]) -> list[int]:
+    """Sorted keys of clashing edges that meet every clashing pair.
+
+    ``clashing`` maps each clashing edge key to the keys of its equally
+    colored neighbours. Greedy, most partners first: a key joins unless
+    all its partners already did. One planted clash gives one key.
+    """
+    cover: set[int] = set()
+    for key in sorted(clashing, key=lambda e: (-len(clashing[e]), e)):
+        if any(p not in cover for p in clashing[key]):
+            cover.add(key)
+    return sorted(cover)
+
+
+def _smallest_violation(n: int, k: int, table: dict, cover: list[int]) -> Optional[tuple]:
+    """The canonically smallest non-rainbow k-cycle through an edge of ``cover``.
+
+    With at most n cover edges, one walk of the start-0 cycles translates
+    each cycle through edge (0, d) by every cover bottom b of direction d:
+    XOR by b maps it to a cycle through edge (b, d). Every translate is
+    checked, none skipped by a bound on the best so far, so the cost is
+    the same wherever the clashes are: at most about three walks of the
+    start-0 block.
+    With more cover edges, some clash usually sits near vertex 0, so the
+    cycles are enumerated in ascending start blocks instead, only from
+    the possible minimum vertices of a cycle through a cover edge, up to
+    the first block that holds a non-rainbow cycle.
+    """
+    worst: Optional[tuple] = None
+    if len(cover) > n:
+        starts = _candidate_starts(sorted({key >> 5 for key in cover}), k // 2)
+        for cyc in enumerate_cycles(n, k, starts=starts):
+            if worst is not None and cyc[0] > worst[0]:
+                break
+            if len({table[key] for key in cycle_keys(cyc)}) < k and (
+                worst is None or cyc < worst
+            ):
+                worst = cyc
+        return worst
+    bottoms: list[list[int]] = [[] for _ in range(n)]
+    for key in cover:
+        bottoms[key & 31].append(key >> 5)
+    for cyc in enumerate_cycles(n, k, starts=(0,)):
+        for end in (cyc[1], cyc[-1]):
+            for b in bottoms[end.bit_length() - 1]:
+                moved = [v ^ b for v in cyc]
+                if len({table[key] for key in cycle_keys(moved)}) == k:
+                    continue
+                cand = canonical_cycle(moved)
+                if worst is None or cand < worst:
+                    worst = cand
+    return worst
+
+
+def _candidate_starts(bottoms: list[int], half: int) -> Iterator[int]:
     """Ascending vertices s with s <= x and popcount(s ^ x) <= ``half`` for
-    some x in the ascending list ``clashing``: every k-cycle through such
+    some x in the ascending list ``bottoms``: every k-cycle through such
     an x (k = 2 * half) has its minimum vertex among them."""
     lo = 0
-    for s in range(clashing[-1] + 1):
-        while clashing[lo] < s:
+    for s in range(bottoms[-1] + 1):
+        while bottoms[lo] < s:
             lo += 1
-        if any((s ^ clashing[i]).bit_count() <= half for i in range(lo, len(clashing))):
+        if any((s ^ bottoms[i]).bit_count() <= half for i in range(lo, len(bottoms))):
             yield s
 
 
@@ -146,10 +200,10 @@ def verify_rainbow(coloring: EdgeColoring, k: int) -> Optional[Violation]:
     The reported violation carries the canonically smallest offending
     cycle and its lexicographically first pair of equally colored edges.
     A coloring is k-rainbow when no edge shares its color with an edge of
-    its translated neighbourhood (see ``_neighbourhoods``). Otherwise the
-    cycles are enumerated only from the possible minimum vertices of a
-    cycle through a clashing edge, in ascending order, up to the first
-    start that has a non-rainbow cycle.
+    its translated neighbourhood (see ``_neighbourhoods``). Otherwise every
+    non-rainbow cycle holds a clashing pair, so the witness is the
+    smallest non-rainbow cycle through an edge of a cover of those pairs
+    (see ``_smallest_violation``).
     """
     n = coloring.n
     _check_k(n, k)
@@ -157,24 +211,17 @@ def verify_rainbow(coloring: EdgeColoring, k: int) -> Optional[Violation]:
         raise BudgetError(f"verification supports n <= {VERIFY_DIM_LIMIT}", kind="class")
     table = coloring.key_table()
     nbrs = _neighbourhoods(n, k)
-    clashing = set()
+    partners: dict[int, list[int]] = {}
     for key, color in table.items():
         b = key >> 5
         if any(
             table[((x ^ b) & clear) << 5 | d] == color for x, clear, d in nbrs[key & 31]
         ):
-            clashing.add(b)
-    if not clashing:
+            near = (((x ^ b) & clear) << 5 | d for x, clear, d in nbrs[key & 31])
+            partners[key] = [p for p in near if table[p] == color]
+    if not partners:
         return None
-    worst: Optional[tuple] = None
-    starts = _candidate_starts(sorted(clashing), k // 2)
-    for cyc in enumerate_cycles(n, k, starts=starts):
-        if worst is not None and cyc[0] > worst[0]:
-            break
-        if len({table[key] for key in cycle_keys(cyc)}) < k and (
-            worst is None or cyc < worst
-        ):
-            worst = cyc
+    worst = _smallest_violation(n, k, table, _pair_cover(partners))
     if worst is None:
         raise InternalError("clashing edges share no k-cycle")
     ordered = sorted(edges_of_cycle(worst))

@@ -163,6 +163,23 @@ class TestFastPathMatchesEnumeration:
             assert vio is not None
             assert vio == oracles.verify_rainbow_enum(case, k)
 
+    @pytest.mark.parametrize("n,k", [(4, 6), (5, 6), (4, 8), (5, 8)])
+    def test_clash_at_every_start(self, n, k):
+        # a clash on a cycle from each start block, so the witness is
+        # recovered from every region of the cube
+        col = random_coloring(n, k, 10**9, random.Random(n * 10 + k))
+        assert verify_rainbow(col, k) is None
+        rng = random.Random(k)
+        for start in range(1 << n):
+            cycles = list(enumerate_cycles(n, k, starts=(start,)))
+            if not cycles:
+                continue
+            a, b = rng.sample(cycle_keys(rng.choice(cycles)), 2)
+            table = col.key_table()
+            table[a] = table[b]
+            case = explicit(n, k, table)
+            assert verify_rainbow(case, k) == oracles.verify_rainbow_enum(case, k)
+
     @pytest.mark.parametrize("n,k", [c for c in SMALL_CLASSES if c[1] <= 10])
     def test_conflict_graph_matches_enumeration(self, n, k):
         assert list(conflict_graph(n, k).adj) == oracles.conflict_adjacency_enum(n, k)
