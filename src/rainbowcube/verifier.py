@@ -3,14 +3,17 @@
 A coloring is k-rainbow exactly when every k-cycle carries k distinct
 edge colors, which is the same as a proper coloring of the conflict
 graph whose nodes are the edges of Q_n, joined when two edges appear in
-a common k-cycle. XOR by a vertex maps k-cycles to k-cycles, so the
-conflict neighbourhood of edge (b, d) is the translate by b of that of
-edge (0, d), and the k-cycles through vertex 0 give all of those.
-Verification scans every edge against its translated neighbourhood; if
-some edges clash, it recovers the canonical witness from the cycles
-through a cover of the clashing pairs. Exact minimum color counts come
+a common k-cycle. XOR by a vertex and permutations of the coordinates
+map k-cycles to k-cycles, so whether two edges conflict depends only on
+their orbit type under the symmetries fixing one of them, and the
+k-cycles through edge (0, 1) of Q_min(n, k/2) give the set T of
+conflicting types (``_conflict_types``). Verification groups the edges
+by color and tests each class pair by pair against T, or, for a class
+larger than a conflict neighbourhood, scans each member's translated
+neighbourhood. If some edges clash, the canonical witness is the
+smallest cycle through a clashing pair. Exact minimum color counts come
 from branch-and-bound chromatic search on the conflict graph, built
-from the same neighbourhoods.
+from the neighbourhoods T expands to.
 """
 
 from __future__ import annotations
@@ -26,10 +29,10 @@ from .errors import BudgetError, InternalError, UsageError
 from .hypercube import (
     Edge,
     build_cycle_same_level,
-    canonical_cycle,
     count_level_edges,
     cycle_keys,
     cycle_problem,
+    cycles_containing_pair,
     edge_key,
     edge_level,
     edges_of_cycle,
@@ -98,87 +101,150 @@ def _check_deadline(deadline: Optional[float], n: int) -> None:
         )
 
 
-def _neighbourhoods(
+def _pair_type(a: int, b: int) -> tuple[bool, int, int]:
+    """Orbit type (same_dir, bit, weight) of the edge with key ``b`` as seen
+    from the edge with key ``a``.
+
+    With 0-based directions d of a and e of b, z is the bottom of b after
+    XOR by the bottom of a, bit is bit d of z and weight counts its other
+    ones. XOR by the bottom of a, then the transposition of coordinates 1
+    and d + 1, map edge a to edge (0, 1); the permutations of coordinates
+    2..n fix (0, 1), and their orbits on the other edges are these triples.
+    """
+    d, e = a & 31, b & 31
+    z = (a ^ b) >> 5 & ~(1 << e)
+    bit = z >> d & 1
+    return e == d, bit, z.bit_count() - bit
+
+
+def _conflict_types(
     n: int, k: int, deadline: Optional[float] = None
+) -> set[tuple[bool, int, int]]:
+    """The set T of ``_pair_type``s of edges that share a k-cycle; two
+    distinct edges conflict iff their type is in T (the edge itself has
+    type (True, 0, 0)).
+
+    A k-cycle uses at most k/2 coordinates, so a permutation fixing
+    coordinate 1 moves any cycle through edge (0, 1) into Q_m with
+    m = min(n, k/2): the cycles of Q_m through (0, 1) give all of T. They
+    are the start-0 cycles with second vertex 1, which the walk yields
+    first. It stops once all 3m - 2 types of Q_m have been seen.
+    """
+    m = min(n, k // 2)
+    types: set[tuple[bool, int, int]] = set()
+    for count, cyc in enumerate(enumerate_cycles(m, k, starts=(0,)), 1):
+        if count % 1024 == 0:
+            _check_deadline(deadline, n)
+        if cyc[1] != 1:
+            break
+        types.update(_pair_type(0, key) for key in cycle_keys(cyc))
+        if len(types) == 3 * m - 2:
+            break
+    return types
+
+
+def _neighbourhood_size(n: int, types: set[tuple[bool, int, int]]) -> int:
+    """Number of edges of Q_n sharing a k-cycle with any one edge: the
+    orbit sizes of the types in ``types``, less the edge itself."""
+    return sum(
+        math.comb(n - 1, weight) if same else (n - 1) * math.comb(n - 2, weight)
+        for same, _, weight in types
+    ) - 1
+
+
+def _neighbourhoods(
+    n: int, types: set[tuple[bool, int, int]], deadline: Optional[float] = None
 ) -> list[tuple[tuple[int, int, int], ...]]:
-    """For each direction d, the edges sharing a k-cycle with edge (0, d).
+    """For each direction d, the edges sharing a k-cycle with edge (0, d),
+    from the conflict types ``types`` of ``_conflict_types``.
 
     Entry d - 1 lists them as sorted (bottom, clear, dir - 1) triples;
     ``clear`` is the vertex mask of Q_n without the bit of that direction.
     XOR by b maps k-cycles to k-cycles, so the neighbours of edge (b, d)
-    have the keys ((bottom ^ b) & clear) << 5 | dir - 1. A cycle through
-    edge (0, d) has 0 as its minimum vertex, so the cycles from start 0
-    are all it takes.
+    have the keys ((bottom ^ b) & clear) << 5 | dir - 1. A neighbour's
+    bottom has bit + weight ones, so only those bottoms are scanned; the
+    deadline is checked every 1,024 edges.
     """
     full = (1 << n) - 1
-    near: list[set[int]] = [set() for _ in range(n)]
-    for count, cyc in enumerate(enumerate_cycles(n, k, starts=(0,)), 1):
-        if count % 1024 == 0:
-            _check_deadline(deadline, n)
-        keys = cycle_keys(cyc)
-        near[keys[0]].update(keys)  # the two edges at vertex 0 have key dir - 1
-        near[keys[-1]].update(keys)
-    return [
-        tuple(
-            sorted(
-                (key >> 5, full ^ 1 << (key & 31), key & 31) for key in keys if key != d
-            )
-        )
-        for d, keys in enumerate(near)
-    ]
-
-
-def _pair_cover(clashing: dict[int, list[int]]) -> list[int]:
-    """Sorted keys of clashing edges that meet every clashing pair.
-
-    ``clashing`` maps each clashing edge key to the keys of its equally
-    colored neighbours. Greedy, most partners first: a key joins unless
-    all its partners already did. One planted clash gives one key.
-    """
-    cover: set[int] = set()
-    for key in sorted(clashing, key=lambda e: (-len(clashing[e]), e)):
-        if any(p not in cover for p in clashing[key]):
-            cover.add(key)
-    return sorted(cover)
-
-
-def _smallest_violation(n: int, k: int, table: dict, cover: list[int]) -> Optional[tuple]:
-    """The canonically smallest non-rainbow k-cycle through an edge of ``cover``.
-
-    With at most n cover edges, one walk of the start-0 cycles translates
-    each cycle through edge (0, d) by every cover bottom b of direction d:
-    XOR by b maps it to a cycle through edge (b, d). Every translate is
-    checked, none skipped by a bound on the best so far, so the cost is
-    the same wherever the clashes are: at most about three walks of the
-    start-0 block.
-    With more cover edges, some clash usually sits near vertex 0, so the
-    cycles are enumerated in ascending start blocks instead, only from
-    the possible minimum vertices of a cycle through a cover edge, up to
-    the first block that holds a non-rainbow cycle.
-    """
-    worst: Optional[tuple] = None
-    if len(cover) > n:
-        starts = _candidate_starts(sorted({key >> 5 for key in cover}), k // 2)
-        for cyc in enumerate_cycles(n, k, starts=starts):
-            if worst is not None and cyc[0] > worst[0]:
-                break
-            if len({table[key] for key in cycle_keys(cyc)}) < k and (
-                worst is None or cyc < worst
-            ):
-                worst = cyc
-        return worst
-    bottoms: list[list[int]] = [[] for _ in range(n)]
-    for key in cover:
-        bottoms[key & 31].append(key >> 5)
-    for cyc in enumerate_cycles(n, k, starts=(0,)):
-        for end in (cyc[1], cyc[-1]):
-            for b in bottoms[end.bit_length() - 1]:
-                moved = [v ^ b for v in cyc]
-                if len({table[key] for key in cycle_keys(moved)}) == k:
+    reach = max(bit + weight for _, bit, weight in types)
+    near: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    count = 0
+    for ones in range(reach + 1):
+        for coords in combinations(range(n), ones):
+            y = sum(1 << c for c in coords)
+            for e in range(n):
+                if y >> e & 1:
                     continue
-                cand = canonical_cycle(moved)
-                if worst is None or cand < worst:
-                    worst = cand
+                count += 1
+                if count % 1024 == 0:
+                    _check_deadline(deadline, n)
+                key = y << 5 | e
+                for d in range(n):  # d is also the key of edge (0, d + 1)
+                    if d != key and _pair_type(d, key) in types:
+                        near[d].append((y, full ^ 1 << e, e))
+    return [tuple(sorted(entries)) for entries in near]
+
+
+def _clashes(
+    n: int, types: set[tuple[bool, int, int]], classes
+) -> Iterator[tuple[int, int]]:
+    """Pairs a < b of equally colored edge keys that share a k-cycle.
+
+    ``classes`` holds the edge keys of each color. A class of s edges
+    with s - 1 <= |N|, N the neighbourhood of one edge, is tested pair by
+    pair against ``types``; a larger one scans each member's translated
+    neighbourhood. Either way no class costs more lookups than s * |N|.
+    """
+    size = _neighbourhood_size(n, types)
+    nbrs = None
+    for keys in classes:
+        if len(keys) - 1 <= size:
+            for i, a in enumerate(keys):
+                for b in keys[i + 1 :]:
+                    if _pair_type(a, b) in types:
+                        yield (a, b) if a < b else (b, a)
+            continue
+        if nbrs is None:
+            nbrs = _neighbourhoods(n, types)
+        members = set(keys)
+        for a in keys:
+            x = a >> 5
+            for y, clear, d in nbrs[a & 31]:
+                b = ((x ^ y) & clear) << 5 | d
+                if a < b and b in members:
+                    yield a, b
+
+
+def _smallest_violation(
+    n: int, k: int, table: dict, pairs: Optional[list], bottoms: set[int]
+) -> Optional[tuple]:
+    """The canonically smallest non-rainbow k-cycle.
+
+    It holds a clashing pair, and every cycle through a clashing pair is
+    non-rainbow. So with the clashing ``pairs`` at hand (at most n) it is
+    the least of the smallest cycles through each pair. Otherwise
+    (``pairs`` None) the cycles are enumerated in ascending start blocks,
+    only from the possible minimum vertices of a cycle through a clashing
+    edge (of bottom in ``bottoms``), up to the first block that holds a
+    non-rainbow cycle.
+    """
+    if pairs is not None:
+        witnesses = [
+            cycles_containing_pair(
+                n, k, Edge(a >> 5, (a & 31) + 1), Edge(b >> 5, (b & 31) + 1)
+            )[1]
+            for a, b in pairs
+        ]
+        return None if None in witnesses else min(witnesses)
+    worst: Optional[tuple] = None
+    starts = _candidate_starts(sorted(bottoms), k // 2)
+    for cyc in enumerate_cycles(n, k, starts=starts):
+        if worst is not None and cyc[0] > worst[0]:
+            break
+        if len({table[key] for key in cycle_keys(cyc)}) < k and (
+            worst is None or cyc < worst
+        ):
+            worst = cyc
     return worst
 
 
@@ -199,29 +265,32 @@ def verify_rainbow(coloring: EdgeColoring, k: int) -> Optional[Violation]:
 
     The reported violation carries the canonically smallest offending
     cycle and its lexicographically first pair of equally colored edges.
-    A coloring is k-rainbow when no edge shares its color with an edge of
-    its translated neighbourhood (see ``_neighbourhoods``). Otherwise every
-    non-rainbow cycle holds a clashing pair, so the witness is the
-    smallest non-rainbow cycle through an edge of a cover of those pairs
-    (see ``_smallest_violation``).
+    A coloring is k-rainbow when no two equally colored edges share a
+    k-cycle (see ``_clashes``). Clashing pairs are kept while there are
+    at most n of them, after that only the set of their bottoms, so
+    memory stays bounded however dense the clashes (see
+    ``_smallest_violation``).
     """
     n = coloring.n
     _check_k(n, k)
     if n > VERIFY_DIM_LIMIT:
         raise BudgetError(f"verification supports n <= {VERIFY_DIM_LIMIT}", kind="class")
     table = coloring.key_table()
-    nbrs = _neighbourhoods(n, k)
-    partners: dict[int, list[int]] = {}
+    classes: dict = {}
     for key, color in table.items():
-        b = key >> 5
-        if any(
-            table[((x ^ b) & clear) << 5 | d] == color for x, clear, d in nbrs[key & 31]
-        ):
-            near = (((x ^ b) & clear) << 5 | d for x, clear, d in nbrs[key & 31])
-            partners[key] = [p for p in near if table[p] == color]
-    if not partners:
+        classes.setdefault(color, []).append(key)
+    pairs: Optional[list[tuple[int, int]]] = []
+    bottoms: set[int] = set()
+    for a, b in _clashes(n, _conflict_types(n, k), classes.values()):
+        bottoms.add(a >> 5)
+        bottoms.add(b >> 5)
+        if pairs is not None:
+            pairs.append((a, b))
+            if len(pairs) > n:
+                pairs = None
+    if not bottoms:
         return None
-    worst = _smallest_violation(n, k, table, _pair_cover(partners))
+    worst = _smallest_violation(n, k, table, pairs, bottoms)
     if worst is None:
         raise InternalError("clashing edges share no k-cycle")
     ordered = sorted(edges_of_cycle(worst))
@@ -247,7 +316,7 @@ def conflict_graph(n: int, k: int, deadline: Optional[float] = None) -> Conflict
             f"conflict graph for n={n}, k={k} is outside the supported class",
             kind="class",
         )
-    nbrs = _neighbourhoods(n, k, deadline)
+    nbrs = _neighbourhoods(n, _conflict_types(n, k, deadline), deadline)
     edges = []
     index = {}
     for i, e in enumerate(enumerate_edges(n)):

@@ -98,6 +98,27 @@ def verify_rainbow_enum(coloring, k: int):
     raise AssertionError("violating cycle lost its clash")
 
 
+def neighbourhoods_enum(n: int, k: int) -> list[tuple[tuple[int, int, int], ...]]:
+    """For each direction d, the edges sharing a k-cycle with edge (0, d), in
+    the format of ``verifier._neighbourhoods``, from every k-cycle through
+    vertex 0 (0 is the minimum vertex of each, so they are the start-0
+    cycles of the library's enumerator)."""
+    full = (1 << n) - 1
+    near: list[set[int]] = [set() for _ in range(n)]
+    for cyc in enumerate_cycles(n, k, starts=(0,)):
+        keys = cycle_keys(cyc)
+        near[keys[0]].update(keys)  # the two edges at vertex 0 have key dir - 1
+        near[keys[-1]].update(keys)
+    return [
+        tuple(
+            sorted(
+                (key >> 5, full ^ 1 << (key & 31), key & 31) for key in keys if key != d
+            )
+        )
+        for d, keys in enumerate(near)
+    ]
+
+
 def conflict_adjacency_enum(n: int, k: int) -> list[int]:
     """Conflict-graph neighbor bitmasks over ``enumerate_edges`` order, from
     every k-cycle of the library's enumerator."""

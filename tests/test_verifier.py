@@ -1,7 +1,10 @@
 import random
 import time
+from collections import Counter
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rainbowcube.addsets import greedy_bt
 from rainbowcube.coloring import (
@@ -21,6 +24,12 @@ from rainbowcube.hypercube import (
 )
 from rainbowcube.verifier import (
     Violation,
+    _clashes,
+    _conflict_types,
+    _neighbourhood_size,
+    _neighbourhoods,
+    _pair_type,
+    _smallest_violation,
     _try_color,
     conflict_graph,
     exact_min_colors,
@@ -184,6 +193,163 @@ class TestFastPathMatchesEnumeration:
     def test_conflict_graph_matches_enumeration(self, n, k):
         assert list(conflict_graph(n, k).adj) == oracles.conflict_adjacency_enum(n, k)
 
+    def test_few_color_tables_take_both_scan_branches(self):
+        # 1-, 2- and 3-color tables hold classes on both sides of |N| + 1,
+        # so both the pair test and the neighbourhood scan find clashes
+        branches = set()
+        for n, k in [(3, 4), (4, 4), (4, 6), (4, 8), (5, 4), (5, 6)]:
+            size = _neighbourhood_size(n, _conflict_types(n, k))
+            rng = random.Random(f"few colors {n} {k}")
+            for palette in (1, 2, 3):
+                for _ in range(2):
+                    col = random_coloring(n, k, palette, rng)
+                    sizes = Counter(col.key_table().values()).values()
+                    branches.update(s - 1 <= size for s in sizes)
+                    assert verify_rainbow(col, k) == oracles.verify_rainbow_enum(col, k)
+        assert branches == {True, False}
+
+    @pytest.mark.parametrize("n,k", [(4, 6), (5, 6), (4, 8), (5, 8)])
+    def test_edge_with_more_than_n_partners(self, n, k):
+        # n + 1 neighbours of one edge take its color: more than n clashing
+        # pairs, so the witness comes from the start-block walk
+        rng = random.Random(f"hub {n} {k}")
+        col = random_coloring(n, k, 10**9, rng)
+        assert verify_rainbow(col, k) is None
+        table = col.key_table()
+        hub = rng.choice(sorted(table))
+        near = _neighbourhoods(n, _conflict_types(n, k))[hub & 31]
+        x = hub >> 5
+        for y, clear, d in rng.sample(near, n + 1):
+            table[((x ^ y) & clear) << 5 | d] = table[hub]
+        case = explicit(n, k, table)
+        assert verify_rainbow(case, k) == oracles.verify_rainbow_enum(case, k)
+
+    @pytest.mark.parametrize("n,k", [(6, 4), (7, 4)])
+    def test_one_clash_in_a_large_class(self, n, k):
+        # a class of |N| + 2 edges, too large for the pair test, holding a
+        # single clashing pair a < b where the bottom of a has the
+        # direction bit of b set, so only the neighbourhood scan from a
+        # (translated and masked) can find it
+        types = _conflict_types(n, k)
+        rng = random.Random(f"large class {n} {k}")
+        keys = [e.key() for e in enumerate_edges(n)]
+        rng.shuffle(keys)
+        members = next(
+            [a, b]
+            for a in keys
+            for b in keys
+            if a < b and a >> 5 >> (b & 31) & 1 and _pair_type(a, b) in types
+        )
+        for c in keys:
+            if all(c != m and _pair_type(m, c) not in types for m in members):
+                members.append(c)
+        assert len(members) >= _neighbourhood_size(n, types) + 2
+        table = {key: (i, 0) for i, key in enumerate(keys)}
+        for key in members:
+            table[key] = (-1, 0)
+        col = explicit(n, k, table)
+        vio = verify_rainbow(col, k)
+        assert vio is not None
+        assert vio == oracles.verify_rainbow_enum(col, k)
+
+    @pytest.mark.parametrize("n,k", [(4, 6), (5, 6), (4, 8), (5, 8), (4, 12)])
+    def test_pair_and_block_witness_agree(self, n, k):
+        # the at-most-n-pairs witness equals the start-block walk's
+        rng = random.Random(f"witness {n} {k}")
+        m = n << n - 1
+        for palette in (3 * m, 10 * m, 50 * m):
+            table = random_coloring(n, k, palette, rng).key_table()
+            classes = {}
+            for key, color in table.items():
+                classes.setdefault(color, []).append(key)
+            pairs = list(_clashes(n, _conflict_types(n, k), classes.values()))
+            if not pairs:
+                continue
+            bottoms = {key >> 5 for pair in pairs for key in pair}
+            assert _smallest_violation(n, k, table, pairs, bottoms) == (
+                _smallest_violation(n, k, table, None, bottoms)
+            )
+
+
+NEIGHBOURHOOD_CLASSES = SMALL_CLASSES + [(6, 8), (6, 10), (7, 6), (8, 6), (9, 8)]
+
+
+@lru_cache(maxsize=None)
+def relation(n, k):
+    """Conflict-graph node index by edge key, and the adjacency."""
+    g = conflict_graph(n, k)
+    return {e.key(): i for i, e in enumerate(g.edges)}, g.adj
+
+
+def moved(key, v, perm):
+    """Edge key after XOR by ``v``, then the coordinate permutation ``perm``."""
+    x, d = key >> 5, key & 31
+    x = (x ^ v) & ~(1 << d)
+    return sum(1 << perm[c] for c in range(len(perm)) if x >> c & 1) << 5 | perm[d]
+
+
+@st.composite
+def symmetry_cases(draw):
+    """(n, k, a, b, v, perm): two distinct edge keys of Q_n, a vertex and a
+    permutation of the coordinates."""
+    n, k = draw(st.sampled_from(SMALL_CLASSES))
+    keys = [e.key() for e in enumerate_edges(n)]
+    a, b = draw(st.lists(st.sampled_from(keys), min_size=2, max_size=2, unique=True))
+    v = draw(st.integers(0, (1 << n) - 1))
+    perm = draw(st.permutations(range(n)))
+    return n, k, a, b, v, perm
+
+
+class TestConflictTypes:
+    """The orbit-type relation against the every-cycle enumeration."""
+
+    @pytest.mark.parametrize("n,k", NEIGHBOURHOOD_CLASSES)
+    def test_neighbourhoods_match_enumeration(self, n, k):
+        types = _conflict_types(n, k)
+        nbrs = _neighbourhoods(n, types)
+        assert nbrs == oracles.neighbourhoods_enum(n, k)
+        assert {len(near) for near in nbrs} == {_neighbourhood_size(n, types)}
+
+    @pytest.mark.parametrize("n,k", [c for c in SMALL_CLASSES if c[1] <= 10])
+    def test_type_test_matches_enumeration(self, n, k):
+        types = _conflict_types(n, k)
+        keys = [e.key() for e in enumerate_edges(n)]
+        adj = oracles.conflict_adjacency_enum(n, k)
+        for i, a in enumerate(keys):
+            got = [j for j, b in enumerate(keys) if j != i and _pair_type(a, b) in types]
+            assert got == [j for j in range(len(keys)) if adj[i] >> j & 1]
+
+    def test_types_from_the_smallest_cube(self):
+        # a k-cycle spans at most k/2 coordinates: T never exceeds the
+        # 3m - 2 types of Q_m, m = min(n, k/2), and the self type is in it
+        for n, k in NEIGHBOURHOOD_CLASSES:
+            m = min(n, k // 2)
+            types = _conflict_types(n, k)
+            assert (True, 0, 0) in types
+            assert len(types) <= 3 * m - 2
+            assert all(weight <= m - 1 - (not same) for same, _, weight in types)
+
+    @settings(max_examples=200, deadline=None)
+    @given(symmetry_cases())
+    def test_relation_invariant_under_translation(self, case):
+        n, k, a, b, v, _ = case
+        index, adj = relation(n, k)
+        identity = list(range(n))
+        a2, b2 = moved(a, v, identity), moved(b, v, identity)
+        assert adj[index[a]] >> index[b] & 1 == adj[index[a2]] >> index[b2] & 1
+        types = _conflict_types(n, k)
+        assert (_pair_type(a, b) in types) == (_pair_type(a2, b2) in types)
+
+    @settings(max_examples=200, deadline=None)
+    @given(symmetry_cases())
+    def test_relation_invariant_under_coordinate_permutation(self, case):
+        n, k, a, b, _, perm = case
+        index, adj = relation(n, k)
+        a2, b2 = moved(a, 0, perm), moved(b, 0, perm)
+        assert adj[index[a]] >> index[b] & 1 == adj[index[a2]] >> index[b2] & 1
+        types = _conflict_types(n, k)
+        assert (_pair_type(a, b) in types) == (_pair_type(a2, b2) in types)
+
 
 class TestConflictGraph:
     def test_q3_c6_complete(self):
@@ -212,10 +378,10 @@ class TestConflictGraph:
     def test_deadline_checked_while_walking_cycles(self):
         start = time.monotonic()
         with pytest.raises(BudgetError) as info:
-            conflict_graph(5, 12, deadline=start + 0.05)  # about 2 s of cycles
+            conflict_graph(6, 12, deadline=start + 0.05)  # about 0.4 s of cycles
         assert time.monotonic() - start < 1
         assert info.value.kind == "timeout"
-        assert info.value.bounds == (1, 80)
+        assert info.value.bounds == (1, 192)
 
     def test_budget_class(self):
         with pytest.raises(BudgetError):
