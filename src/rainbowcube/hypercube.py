@@ -286,9 +286,11 @@ def cycles_containing_pair(
     """Whether some k-cycle of Q_n contains both edges.
 
     Returns (exists, witness); the witness is the canonically smallest
-    such cycle. The search walks cycles through e1 (bottom to top first),
-    pruning on the Hamming distance home and on the cheapest remaining
-    detour through e2.
+    such cycle. The possible minimum vertices are tried in ascending
+    order (``_pair_starts``), and from each a depth-first search steps to
+    the neighbours in ascending order, so the first cycle it closes is
+    the answer. The search stops there, so its cost does not grow with
+    the number of cycles through the pair.
     """
     _check_dim(n)
     _check_cycle_length(n, k)
@@ -298,44 +300,126 @@ def cycles_containing_pair(
         raise UsageError("edges must be distinct")
     if k % 2:
         return False, None
-
-    b1, t1 = e1.bottom, e1.top
-    b2, t2 = e2.bottom, e2.top
-    bits = [1 << d for d in range(n)]
     blocked = _blocked_store(n)
-    blocked[b1] = 1
-    blocked[t1] = 1
-    path = [b1, t1]
-    best: list[Optional[Cycle]] = [None]
+    for start in _pair_starts(n, k, e1, e2):
+        cyc = _first_cycle_from(n, k, start, e1, e2, blocked)
+        if cyc is not None:
+            return True, cyc
+    return False, None
 
-    def rec(v: int, remaining: int, used2: bool) -> None:
-        if remaining == 1:
-            if (v ^ b1).bit_count() == 1 and (used2 or (v & b1, v | b1) == (b2, t2)):
-                cand = canonical_cycle(path)
-                if best[0] is None or cand < best[0]:
-                    best[0] = cand
+
+def _pair_starts(n: int, k: int, e1: Edge, e2: Edge) -> Iterator[int]:
+    """Ascending vertices s, at most both bottoms, from which a closed walk
+    of length at most k runs through both edges: every minimum vertex of
+    a k-cycle through the edges is among them.
+
+    The shortest such walk leaves s for an endpoint u of e1 and returns
+    from an endpoint w of e2 (or the reverse), so it is
+    |s ^ u| + |s ^ w| + 2 + |u' ^ w'| long, with u', w' the other
+    endpoints. That is |u ^ w| plus twice the bits where s differs from
+    both u and w, which bounds those bits by a budget per choice of
+    (u, w). The bits of s are fixed from the highest down, 0 before 1,
+    and a prefix is dropped once every budget is spent or its least
+    completion exceeds the bottoms; so the walk meets no dead end but
+    those the bottoms cause.
+    """
+    full = (1 << n) - 1
+    top = min(e1.bottom, e2.bottom)
+    ends1, ends2 = (e1.bottom, e1.top), (e2.bottom, e2.top)
+    agree, budgets = [], []
+    for i, u in enumerate(ends1):
+        for j, w in enumerate(ends2):
+            other = (ends1[1 - i] ^ ends2[1 - j]).bit_count()
+            spare = k - 2 - other - (u ^ w).bit_count()
+            if spare >= 0:
+                agree.append((u, full & ~(u ^ w)))
+                budgets.append(spare // 2)
+
+    def walk(bit: int, prefix: int, room: list[int]) -> Iterator[int]:
+        if not bit:
+            yield prefix
             return
-        lim = remaining - 1
-        for b in bits:
-            w = v ^ b
-            if blocked[w]:
+        for s in (prefix, prefix | bit):
+            if s > top:
+                return
+            left = [r - ((s ^ u) & same & bit != 0) for (u, same), r in zip(agree, room)]
+            if max(left) >= 0:
+                yield from walk(bit >> 1, s, left)
+
+    return walk(1 << n - 1, 0, budgets) if budgets else iter(())
+
+
+def _first_cycle_from(
+    n: int, k: int, start: int, e1: Edge, e2: Edge, blocked
+) -> Optional[Cycle]:
+    """The smallest canonical k-cycle with minimum vertex ``start`` through
+    both edges, or None.
+
+    Neighbours are tried in ascending order, so the first cycle closed is
+    the smallest; its orientation is canonical, as the reverse walk is
+    larger. A step is pruned when the shortest tour from it through the
+    edges still missing and back to ``start`` is too long (see ``tours``),
+    or when it leaves an endpoint of a missing edge other than ``start``:
+    that endpoint is on the path now, so the edge can no longer be used.
+    ``blocked`` is all zero on entry and on return.
+    """
+    b1, t1, b2, t2 = e1.bottom, e1.top, e2.bottom, e2.top
+    up = [1 << d for d in range(n)]
+    down = up[::-1]
+
+    def rest(b: int, t: int) -> list[tuple[int, int]]:
+        # (entry endpoint, length of the rest of the tour from it)
+        ends = ((b, t), (t, b))
+        return [(x, 1 + (y ^ start).bit_count()) for x, y in ends if x != start]
+
+    def via(pairs, rest2) -> list[tuple[int, int]]:
+        return [
+            (x, 1 + min((y ^ a).bit_count() + c for a, c in rest2))
+            for x, y in pairs
+            if x != start and y != start and rest2
+        ]
+
+    rest1, rest2 = rest(b1, t1), rest(b2, t2)
+    # tours[missing e1, missing e2]: the tour from v is at least
+    # min(|v ^ x| + c) over its (x, c); an empty list means none exists
+    tours = {
+        (True, True): via(((b1, t1), (t1, b1)), rest2)
+        + via(((b2, t2), (t2, b2)), rest1),
+        (True, False): rest1,
+        (False, True): rest2,
+        (False, False): [(start, 0)],
+    }
+    path = [start]
+
+    def rec(v: int, left: int, miss1: bool, miss2: bool) -> bool:
+        if left == 1:
+            if (v ^ start).bit_count() != 1:
+                return False
+            lo, hi = v & start, v | start
+            return not (miss1 and (lo, hi) != (b1, t1) or miss2 and (lo, hi) != (b2, t2))
+        end1 = miss1 and v != start and (v == b1 or v == t1)
+        end2 = miss2 and v != start and (v == b2 or v == t2)
+        for w in [v ^ b for b in down if v & b] + [v | b for b in up if not v & b]:
+            if w <= start or blocked[w]:
                 continue
-            if (w ^ b1).bit_count() > lim:
+            lo, hi = v & w, v | w
+            m1 = miss1 and not (lo == b1 and hi == t1)
+            m2 = miss2 and not (lo == b2 and hi == t2)
+            if m1 and end1 or m2 and end2:
                 continue
-            u2 = used2 or (v & w, v | w) == (b2, t2)
-            if not u2:
-                via_b = (w ^ b2).bit_count() + 1 + (t2 ^ b1).bit_count()
-                via_t = (w ^ t2).bit_count() + 1 + (b2 ^ b1).bit_count()
-                if min(via_b, via_t) > lim:
-                    continue
+            entries = tours[m1, m2]
+            if not entries or min((w ^ x).bit_count() + c for x, c in entries) >= left:
+                continue
             blocked[w] = 1
             path.append(w)
-            rec(w, lim, u2)
-            path.pop()
+            found = rec(w, left - 1, m1, m2)
             blocked[w] = 0
+            if found:
+                return True
+            path.pop()
+        return False
 
-    rec(t1, k - 1, False)
-    return best[0] is not None, best[0]
+    return tuple(path) if rec(start, k, True, True) else None
 
 
 def build_cycle_same_level(n: int, k: int, e1: Edge, e2: Edge) -> Cycle:

@@ -204,6 +204,18 @@ class TestCyclesContainingPair:
             assert found == bool(holding)
             assert witness == (min(holding) if holding else None)
 
+    @pytest.mark.parametrize("n,k", [(3, 8), (4, 8), (4, 12), (4, 16), (5, 8)])
+    def test_matches_enumeration_for_all_pairs(self, n, k):
+        least = {}
+        for cyc in enumerate_cycles(n, k):
+            for pair in itertools.combinations(sorted(edges_of_cycle(cyc)), 2):
+                if pair not in least or cyc < least[pair]:
+                    least[pair] = cyc
+        for e1, e2 in itertools.combinations(enumerate_edges(n), 2):
+            witness = least.get((e1, e2))
+            assert cycles_containing_pair(n, k, e1, e2) == (witness is not None, witness)
+            assert cycles_containing_pair(n, k, e2, e1) == (witness is not None, witness)
+
     def test_c4_levels_too_far(self):
         # edges of any 4-cycle sit on two consecutive levels
         found, witness = cycles_containing_pair(4, 4, Edge(0, 1), Edge(0b110, 1))
