@@ -43,6 +43,11 @@ from .hypercube import (
 )
 
 VERIFY_DIM_LIMIT = 14
+# Adjacency bytes (one m-bit int per edge) a conflict graph may take:
+# Q_12 (75.5 MB) builds, Q_13 (354 MB) is refused.
+CONFLICT_GRAPH_BYTES = 128 << 20
+# Seconds ``exact_min_colors`` runs when no time limit is given.
+EXACT_TIME_LIMIT = 20.0
 
 
 @dataclass(frozen=True)
@@ -308,9 +313,18 @@ def _conflict_class_ok(n: int, k: int) -> bool:
 def conflict_graph(n: int, k: int, deadline: Optional[float] = None) -> ConflictGraph:
     """Co-occurrence graph of Q_n edges over k-cycles, from the translated
     neighbourhoods of ``_neighbourhoods``; the deadline is checked at least
-    every 1,024 cycles or edges."""
+    every 1,024 cycles or edges. Without a deadline only the supported
+    class is built; with one, any n whose adjacency (m ints of m bits,
+    m = n 2^(n-1) edges) fits in ``CONFLICT_GRAPH_BYTES``."""
     _check_dim(n)
     _check_k(n, k)
+    m = n << n - 1
+    if m * m // 8 > CONFLICT_GRAPH_BYTES:
+        raise BudgetError(
+            f"conflict graph for n={n} needs about {m * m >> 23} MB of adjacency,"
+            f" over the {CONFLICT_GRAPH_BYTES >> 20} MB cap",
+            kind="class",
+        )
     if deadline is None and not _conflict_class_ok(n, k):
         raise BudgetError(
             f"conflict graph for n={n}, k={k} is outside the supported class",
@@ -354,58 +368,104 @@ def _try_color(
 ) -> Optional[list[int]]:
     """A proper coloring with at most ``limit`` colors, or None.
 
-    DSATUR search on an explicit stack. With ``limit = len(adj)`` and no
-    clique its first descent never backtracks: the DSATUR greedy coloring.
+    DSATUR search on an explicit stack: the ``clique`` nodes take colors
+    0, 1, ... and stay fixed; then each step colors the uncolored node
+    with the most distinct neighbour colors (its saturation), ties to
+    higher degree then lower index, with its lowest allowed color at
+    most one above the largest in use, and backtracks when none is left.
+    With ``limit = len(adj)`` and no clique its first descent never
+    backtracks: the DSATUR greedy coloring.
+
+    Nothing is rescanned per node. The nodes are relabelled once in
+    (-degree, index) order and every set below is a bitmask over labels:
+    ``blocked[c]`` holds the nodes with a neighbour of color c, and
+    ``level[s]`` the uncolored nodes of saturation s, so the pick is the
+    lowest bit of the highest non-empty level. Coloring a node with c moves
+    its uncolored neighbours outside ``blocked[c]`` (``touched``) up one
+    level; uncoloring it moves them back. The stack uncolors every node
+    colored after a node before that node, so colored nodes need no
+    updates.
     """
     m = len(adj)
-    colors = [-1] * m
-    forbidden = [0] * m  # bitmask of colors blocked at each node
     if len(clique) > limit:
         return None
-    for c, i in enumerate(clique):
-        colors[i] = c
+    order = sorted(range(m), key=lambda i: (-adj[i].bit_count(), i))
+    label = [0] * m
+    for p, i in enumerate(order):
+        label[i] = p
+    nbrs = []  # neighbour mask of each label
+    for i in order:
         mask = adj[i]
+        near = 0
         while mask:
             low = mask & -mask
-            forbidden[low.bit_length() - 1] |= 1 << c
+            near |= 1 << label[low.bit_length() - 1]
             mask ^= low
-    uncolored = [i for i in range(m) if colors[i] < 0]
-    degree = [a.bit_count() for a in adj]
-    stack = []  # (node, color, used before it, neighbors it blocked)
+        nbrs.append(near)
+    blocked = [0] * min(limit, m)
+    free = (1 << m) - 1  # uncolored labels
+    for c, i in enumerate(clique):
+        p = label[i]
+        free ^= 1 << p
+        blocked[c] |= nbrs[p]
+    level = [0] * (min(limit, m) + 2)  # a spare one for ``top += 1``
+    for p in range(m):
+        if free >> p & 1:
+            level[sum(blocked[c] >> p & 1 for c in range(len(clique)))] |= 1 << p
+    top = len(level) - 1  # no non-empty level lies above it
+    stack = []  # (node bit, color, used before it, nodes it touched, its level)
     used = len(clique)
-    while len(stack) < len(uncolored):
+    while len(stack) < m - len(clique):
         if deadline is not None and time.monotonic() > deadline:
             raise BudgetError("chromatic search timed out", kind="timeout")
-        pick = max(
-            (i for i in uncolored if colors[i] < 0),
-            key=lambda i: (forbidden[i].bit_count(), degree[i], -i),
-        )
+        while not level[top]:
+            top -= 1
+        sat = top
+        bit = level[top] & -level[top]
+        level[top] ^= bit
         c = 0
         while True:  # lowest allowed color, backtracking when none is left
             cap = min(limit, used + 1)
-            while c < cap and forbidden[pick] >> c & 1:
+            while c < cap and blocked[c] & bit:
                 c += 1
             if c < cap:
                 break
+            # A fresh pick fails only with all ``limit`` colors blocked, at
+            # the highest level there is, so no node returned before the
+            # next pick lies above ``top``.
+            level[sat] |= bit
             if not stack:
                 return None
-            pick, c, used, touched = stack.pop()
-            colors[pick] = -1
-            for j in touched:
-                forbidden[j] &= ~(1 << c)
+            bit, c, used, touched, sat = stack.pop()
+            free |= bit
+            blocked[c] ^= touched
+            s = 1
+            while touched:  # bottom up, so nothing moves twice
+                moved = level[s] & touched
+                level[s] ^= moved
+                level[s - 1] |= moved
+                touched ^= moved
+                s += 1
             c += 1
-        colors[pick] = c
-        touched = []
-        mask = adj[pick]
-        while mask:
-            low = mask & -mask
-            j = low.bit_length() - 1
-            if not forbidden[j] >> c & 1:
-                forbidden[j] |= 1 << c
-                touched.append(j)
-            mask ^= low
-        stack.append((pick, c, used, touched))
+        free ^= bit
+        touched = rest = nbrs[bit.bit_length() - 1] & free & ~blocked[c]
+        blocked[c] |= touched
+        s = top
+        while rest:  # top down, so nothing moves twice
+            moved = level[s] & rest
+            level[s] ^= moved
+            level[s + 1] |= moved
+            rest ^= moved
+            s -= 1
+        if touched:
+            top += 1
+        stack.append((bit, c, used, touched, sat))
         used = max(used, c + 1)
+    colors = [0] * m
+    for c, i in enumerate(clique):
+        colors[i] = c
+    for bit, c, *_ in stack:
+        colors[order[bit.bit_length() - 1]] = c
     return colors
 
 
@@ -417,16 +477,21 @@ def exact_min_colors(
     Branch and bound: greedy clique lower bound (seeded by the one-level
     edge count when n > k and k = 0 mod 4), the DSATUR greedy coloring as
     upper bound (the first descent of the search), then backtracking at
-    each candidate count. ``time_limit`` must be finite; it covers the
-    conflict graph, the greedy coloring and the search. On timeout raises
+    each candidate count; ``_try_color`` keeps the uncolored nodes in one
+    bitmask per saturation level, so no step rescans them. ``time_limit``
+    must be finite and defaults to ``EXACT_TIME_LIMIT`` seconds; it covers
+    the conflict graph, the greedy coloring and the search. On timeout raises
     BudgetError with certified (lower, upper) bounds; before the greedy
-    coloring completes the upper bound is the edge count.
+    coloring completes the upper bound is the edge count. Without a time
+    limit only the supported class is searched.
     """
     _check_dim(n)
     _check_k(n, k)
     if time_limit is not None and not math.isfinite(time_limit):
         raise UsageError(f"time limit must be finite, got {time_limit!r}")
-    deadline = None if time_limit is None else time.monotonic() + time_limit
+    deadline = time.monotonic() + (
+        EXACT_TIME_LIMIT if time_limit is None else time_limit
+    )
     if not _conflict_class_ok(n, k) and time_limit is None:
         raise BudgetError(
             f"exact search for n={n}, k={k} is outside the supported class",

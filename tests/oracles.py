@@ -6,7 +6,9 @@ sizes come from a full subset scan, chromatic numbers from a plain
 backtracking colorer, and the greedy B_t oracle recomputes every multiset
 sum from scratch at each step. The slow paths of the verifier, which walk
 every k-cycle of the library's own enumerator, serve as the ground truth
-for its translated-neighbourhood fast paths.
+for its translated-neighbourhood fast paths, and a DSATUR search that
+finds each pick by scanning every node is the ground truth for the
+saturation-level search of ``_try_color``.
 """
 
 from __future__ import annotations
@@ -217,6 +219,58 @@ def dsatur_greedy(adj: tuple[int, ...]) -> list[int]:
         )
         taken = {colors[j] for j in nbrs[pick]}
         colors[pick] = min(c for c in range(m + 1) if c not in taken)
+    return colors
+
+
+def dsatur_search_scan(
+    adj: tuple[int, ...], limit: int, clique: list[int]
+) -> list[int] | None:
+    """The DSATUR backtracking search of ``verifier._try_color`` with its
+    pick found by a full scan: every node it colors is the uncolored one
+    of largest (saturation, degree, -index), saturation the popcount of
+    its ``forbidden`` color mask. Colors are tried lowest first, at most
+    one above the largest in use; the ``clique`` nodes are colored 0, 1, ...
+    first and never revisited. Returns the first coloring with at most
+    ``limit`` colors in that order, or None."""
+    m = len(adj)
+    nbrs = [[j for j in range(m) if a >> j & 1] for a in adj]
+    colors = [-1] * m
+    forbidden = [0] * m
+    if len(clique) > limit:
+        return None
+    for c, i in enumerate(clique):
+        colors[i] = c
+        for j in nbrs[i]:
+            forbidden[j] |= 1 << c
+    uncolored = [i for i in range(m) if colors[i] < 0]
+    degree = [a.bit_count() for a in adj]
+    stack = []  # (node, color, used before it, neighbors it blocked)
+    used = len(clique)
+    while len(stack) < len(uncolored):
+        pick = max(
+            (i for i in uncolored if colors[i] < 0),
+            key=lambda i: (forbidden[i].bit_count(), degree[i], -i),
+        )
+        c = 0
+        while True:
+            cap = min(limit, used + 1)
+            while c < cap and forbidden[pick] >> c & 1:
+                c += 1
+            if c < cap:
+                break
+            if not stack:
+                return None
+            pick, c, used, touched = stack.pop()
+            colors[pick] = -1
+            for j in touched:
+                forbidden[j] &= ~(1 << c)
+            c += 1
+        colors[pick] = c
+        touched = [j for j in nbrs[pick] if not forbidden[j] >> c & 1]
+        for j in touched:
+            forbidden[j] |= 1 << c
+        stack.append((pick, c, used, touched))
+        used = max(used, c + 1)
     return colors
 
 

@@ -292,6 +292,10 @@ class TestExact:
     def test_oversize_without_timeout_exit_two(self):
         assert run("exact", "--n", "10", "--k", "12") == 2
 
+    def test_oversize_conflict_graph_exit_two(self, capsys):
+        assert run("exact", "--n", "16", "--k", "4", "--timeout", "1000") == 2
+        assert "MB" in capsys.readouterr().err
+
 
 class TestSets:
     def test_bose_chowla_generation(self, capsys):

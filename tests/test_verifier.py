@@ -14,6 +14,7 @@ from rainbowcube.coloring import (
     count_colors,
     derive_c2_params,
 )
+from rainbowcube import verifier
 from rainbowcube.errors import BudgetError, UsageError
 from rainbowcube.hypercube import (
     Edge,
@@ -26,6 +27,7 @@ from rainbowcube.verifier import (
     Violation,
     _clashes,
     _conflict_types,
+    _greedy_clique,
     _neighbourhood_size,
     _neighbourhoods,
     _pair_type,
@@ -449,10 +451,30 @@ class TestExactMinColors:
     def test_timeout_covers_conflict_graph_build(self):
         start = time.monotonic()
         with pytest.raises(BudgetError) as info:
-            exact_min_colors(16, 4, time_limit=0.05)
+            exact_min_colors(12, 4, time_limit=0.05)  # about 1.1 s to build
         assert time.monotonic() - start < 1
         assert info.value.kind == "timeout"
-        assert info.value.bounds == (1, 16 << 15)
+        assert info.value.bounds == (1, 12 << 11)
+
+    def test_oversized_conflict_graph_refused_before_building(self):
+        start = time.monotonic()
+        with pytest.raises(BudgetError) as info:
+            exact_min_colors(16, 4, time_limit=1000)  # about 32 GB of adjacency
+        assert time.monotonic() - start < 1
+        assert info.value.kind == "class"
+        with pytest.raises(BudgetError) as info:
+            conflict_graph(13, 4, deadline=time.monotonic() + 1000)
+        assert info.value.kind == "class"
+
+    def test_default_time_limit(self, monkeypatch):
+        monkeypatch.setattr(verifier, "EXACT_TIME_LIMIT", 0.5)
+        start = time.monotonic()
+        with pytest.raises(BudgetError) as info:
+            exact_min_colors(4, 6)  # needs tens of seconds to close
+        assert time.monotonic() - start < 3
+        assert info.value.kind == "timeout"
+        lo, hi = info.value.bounds
+        assert lo <= 16 <= hi  # f(4, 6) = 16 by the independence bound
 
     def test_timeout_covers_greedy_phase(self):
         start = time.monotonic()
@@ -482,6 +504,48 @@ class TestTryColor:
     def test_first_descent_is_dsatur_greedy(self, n, k):
         adj = conflict_graph(n, k).adj
         assert _try_color(adj, len(adj), [], None) == oracles.dsatur_greedy(adj)
+
+    @pytest.mark.parametrize(
+        "n,k", [(3, 4), (4, 4), (5, 4), (6, 4), (3, 6), (4, 8), (5, 6)]
+    )
+    def test_matches_scan_search(self, n, k):
+        adj = conflict_graph(n, k).adj
+        clique = _greedy_clique(adj)
+        assert _try_color(adj, len(adj), [], None) == oracles.dsatur_search_scan(
+            adj, len(adj), []
+        )
+        # (5, 6) at clique + 2 = 15 runs for minutes either way
+        top = len(clique) + (1 if (n, k) == (5, 6) else 2)
+        for limit in range(len(clique) - 1, top + 1):
+            for seed in ([], clique):
+                assert _try_color(adj, limit, seed, None) == (
+                    oracles.dsatur_search_scan(adj, limit, seed)
+                ), (limit, seed)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(-1, 3), st.booleans())
+    def test_matches_scan_search_on_random_graphs(self, graph_seed, offset, seeded):
+        # Hypothesis leans to tiny sizes and densities, so the graph comes
+        # from a seeded generator; uneven node weights spread the degrees,
+        # which conflict graphs (all regular) never do, so the degree
+        # tie-break is exercised
+        rng = random.Random(graph_seed)
+        m = rng.randint(2, 40)
+        density = rng.random()
+        weight = [rng.random() for _ in range(m)]
+        adj = [0] * m
+        for j in range(m):
+            for i in range(j):
+                if rng.random() < density * (weight[i] + weight[j]) / 2:
+                    adj[i] |= 1 << j
+                    adj[j] |= 1 << i
+        adj = tuple(adj)
+        clique = _greedy_clique(adj)
+        limit = max(0, len(clique) + offset)
+        seed = clique if seeded else []
+        assert _try_color(adj, limit, seed, None) == oracles.dsatur_search_scan(
+            adj, limit, seed
+        )
 
 
 class TestLowerBoundClique:
