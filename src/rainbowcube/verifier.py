@@ -3,17 +3,16 @@
 A coloring is k-rainbow exactly when every k-cycle carries k distinct
 edge colors, which is the same as a proper coloring of the conflict
 graph whose nodes are the edges of Q_n, joined when two edges appear in
-a common k-cycle. XOR by a vertex and permutations of the coordinates
-map k-cycles to k-cycles, so whether two edges conflict depends only on
-their orbit type under the symmetries fixing one of them, and the
-k-cycles through edge (0, 1) of Q_min(n, k/2) give the set T of
-conflicting types (``_conflict_types``). Verification groups the edges
-by color and tests each class pair by pair against T, or, for a class
-larger than a conflict neighbourhood, scans each member's translated
-neighbourhood. If some edges clash, the canonical witness is the
-smallest cycle through a clashing pair. Exact minimum color counts come
-from branch-and-bound chromatic search on the conflict graph, built
-from the neighbourhoods T expands to.
+a common k-cycle. Two distinct edges share a k-cycle exactly when their
+span, the coordinates where their bottoms differ plus both directions,
+has at most k/2 of them (``_conflicts``, which holds the proof).
+Verification groups the edges by color and tests each class pair by
+pair, or, for a class larger than a conflict neighbourhood, scans each
+member's translated neighbourhood, a Hamming ball around the edge. If
+some edges clash, the canonical witness is the smallest cycle through a
+clashing pair. Exact minimum color counts come from branch-and-bound
+chromatic search on the conflict graph, built from the same
+neighbourhoods.
 """
 
 from __future__ import annotations
@@ -106,75 +105,74 @@ def _check_deadline(deadline: Optional[float], n: int) -> None:
         )
 
 
-def _pair_type(a: int, b: int) -> tuple[bool, int, int]:
-    """Orbit type (same_dir, bit, weight) of the edge with key ``b`` as seen
-    from the edge with key ``a``.
+def _conflicts(a: int, b: int, half: int) -> bool:
+    """Whether the distinct edges with keys ``a`` and ``b`` share a k-cycle,
+    k = 2 * ``half``, 4 <= k <= 2^n: exactly when their span, the
+    coordinates where the bottoms differ plus both directions, has at
+    most k/2 of them.
 
-    With 0-based directions d of a and e of b, z is the bottom of b after
-    XOR by the bottom of a, bit is bit d of z and weight counts its other
-    ones. XOR by the bottom of a, then the transposition of coordinates 1
-    and d + 1, map edge a to edge (0, 1); the permutations of coordinates
-    2..n fix (0, 1), and their orbits on the other edges are these triples.
+    Only if: a k-cycle flips each coordinate it uses an even number of
+    times, so it uses at most k/2 coordinates, and a cycle through both
+    edges uses the whole span.
+
+    If, by induction on n; n <= 3 is checked against the every-cycle
+    enumeration in the tests. Let the edges be (x, d) and (y, e) with span
+    s <= k/2. Split Q_n along a coordinate c into halves H0 and H1, and
+    write g^c for an edge g moved across c.
+
+    (a) s <= n - 1, k <= 2^(n-1). Take c outside the span: both edges lie
+        in one half, a Q_(n-1), and induction gives the cycle there.
+    (b) s <= n - 1, k > 2^(n-1). With c as in (a), say both edges lie in
+        H0. Take a 2^(n-1)-cycle of H0 through both and another edge
+        g = (u, v) of it, and replace g by the route u, u^c, ..., v^c, v
+        whose middle is a path of odd length l in H1. l = 1 is g^c; a
+        longer l is an (l + 1)-cycle of H1 through g^c, by induction, less
+        g^c. The lengths run over the even numbers in [2^(n-1) + 2, 2^n].
+    (c) s = n. Take c outside {d, e}: c is a bit of x ^ y, so the edges
+        lie in opposite halves, say (x, d) in H0, and (y, e)^c = (p, q).
+        For k <= 2^(n-1) + 2, take a (k - 2)-cycle of H0 through (x, d)
+        and (p, q), whose span n - 1 is at most (k - 2)/2, and replace
+        (p, q) by p, p^c, q^c, q, which uses (y, e). For k >= 2n + 2, take
+        an edge g of H0 at q other than (p, q) and (x, d), a k0-cycle of
+        H0 through (x, d) and g and a k1-cycle of H1 through g^c and
+        (y, e). Deleting g and g^c and adding the two c-edges between
+        their ends joins them into one cycle of length k0 + k1, with k0
+        in [2n - 2, 2^(n-1)] and k1 in [4, 2^(n-1)].
     """
-    d, e = a & 31, b & 31
-    z = (a ^ b) >> 5 & ~(1 << e)
-    bit = z >> d & 1
-    return e == d, bit, z.bit_count() - bit
+    return ((a ^ b) >> 5 | 1 << (a & 31) | 1 << (b & 31)).bit_count() <= half
 
 
-def _conflict_types(
-    n: int, k: int, deadline: Optional[float] = None
-) -> set[tuple[bool, int, int]]:
-    """The set T of ``_pair_type``s of edges that share a k-cycle; two
-    distinct edges conflict iff their type is in T (the edge itself has
-    type (True, 0, 0)).
-
-    A k-cycle uses at most k/2 coordinates, so a permutation fixing
-    coordinate 1 moves any cycle through edge (0, 1) into Q_m with
-    m = min(n, k/2): the cycles of Q_m through (0, 1) give all of T. They
-    are the start-0 cycles with second vertex 1, which the walk yields
-    first. It stops once all 3m - 2 types of Q_m have been seen.
-    """
-    m = min(n, k // 2)
-    types: set[tuple[bool, int, int]] = set()
-    for count, cyc in enumerate(enumerate_cycles(m, k, starts=(0,)), 1):
-        if count % 1024 == 0:
-            _check_deadline(deadline, n)
-        if cyc[1] != 1:
-            break
-        types.update(_pair_type(0, key) for key in cycle_keys(cyc))
-        if len(types) == 3 * m - 2:
-            break
-    return types
-
-
-def _neighbourhood_size(n: int, types: set[tuple[bool, int, int]]) -> int:
-    """Number of edges of Q_n sharing a k-cycle with any one edge: the
-    orbit sizes of the types in ``types``, less the edge itself."""
-    return sum(
-        math.comb(n - 1, weight) if same else (n - 1) * math.comb(n - 2, weight)
-        for same, _, weight in types
-    ) - 1
+def _neighbourhood_size(n: int, half: int) -> int:
+    """Number of edges of Q_n sharing a k-cycle (k = 2 * ``half``) with
+    edge (0, d): bottoms of at most half - 1 ones off d in direction d,
+    less the edge itself, and in each other direction bottoms of any bit
+    d and at most half - 2 other ones."""
+    return (
+        sum(math.comb(n - 1, w) for w in range(half))
+        + 2 * (n - 1) * sum(math.comb(n - 2, w) for w in range(half - 1))
+        - 1
+    )
 
 
 def _neighbourhoods(
-    n: int, types: set[tuple[bool, int, int]], deadline: Optional[float] = None
+    n: int, half: int, deadline: Optional[float] = None
 ) -> list[tuple[tuple[int, int, int], ...]]:
-    """For each direction d, the edges sharing a k-cycle with edge (0, d),
-    from the conflict types ``types`` of ``_conflict_types``.
+    """For each direction d, the edges sharing a k-cycle (k = 2 * ``half``)
+    with edge (0, d).
 
     Entry d - 1 lists them as sorted (bottom, clear, dir - 1) triples;
     ``clear`` is the vertex mask of Q_n without the bit of that direction.
     XOR by b maps k-cycles to k-cycles, so the neighbours of edge (b, d)
     have the keys ((bottom ^ b) & clear) << 5 | dir - 1. A neighbour's
-    bottom has bit + weight ones, so only those bottoms are scanned; the
-    deadline is checked every 1,024 edges.
+    bottom lies in the Hamming ball of radius min(n, half) - 1 around 0,
+    since its direction adds one more coordinate to the span
+    (``_conflicts``), so only that ball is scanned; the deadline is
+    checked every 1,024 edges.
     """
     full = (1 << n) - 1
-    reach = max(bit + weight for _, bit, weight in types)
     near: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
     count = 0
-    for ones in range(reach + 1):
+    for ones in range(min(n, half)):
         for coords in combinations(range(n), ones):
             y = sum(1 << c for c in coords)
             for e in range(n):
@@ -185,32 +183,31 @@ def _neighbourhoods(
                     _check_deadline(deadline, n)
                 key = y << 5 | e
                 for d in range(n):  # d is also the key of edge (0, d + 1)
-                    if d != key and _pair_type(d, key) in types:
+                    if d != key and _conflicts(d, key, half):
                         near[d].append((y, full ^ 1 << e, e))
     return [tuple(sorted(entries)) for entries in near]
 
 
-def _clashes(
-    n: int, types: set[tuple[bool, int, int]], classes
-) -> Iterator[tuple[int, int]]:
-    """Pairs a < b of equally colored edge keys that share a k-cycle.
+def _clashes(n: int, half: int, classes) -> Iterator[tuple[int, int]]:
+    """Pairs a < b of equally colored edge keys that share a k-cycle,
+    k = 2 * ``half``.
 
     ``classes`` holds the edge keys of each color. A class of s edges
     with s - 1 <= |N|, N the neighbourhood of one edge, is tested pair by
-    pair against ``types``; a larger one scans each member's translated
-    neighbourhood. Either way no class costs more lookups than s * |N|.
+    pair with ``_conflicts``; a larger one scans each member's translated
+    neighbourhood. Either way no class costs more tests than s * |N|.
     """
-    size = _neighbourhood_size(n, types)
+    size = _neighbourhood_size(n, half)
     nbrs = None
     for keys in classes:
         if len(keys) - 1 <= size:
             for i, a in enumerate(keys):
                 for b in keys[i + 1 :]:
-                    if _pair_type(a, b) in types:
+                    if _conflicts(a, b, half):
                         yield (a, b) if a < b else (b, a)
             continue
         if nbrs is None:
-            nbrs = _neighbourhoods(n, types)
+            nbrs = _neighbourhoods(n, half)
         members = set(keys)
         for a in keys:
             x = a >> 5
@@ -286,7 +283,7 @@ def verify_rainbow(coloring: EdgeColoring, k: int) -> Optional[Violation]:
         classes.setdefault(color, []).append(key)
     pairs: Optional[list[tuple[int, int]]] = []
     bottoms: set[int] = set()
-    for a, b in _clashes(n, _conflict_types(n, k), classes.values()):
+    for a, b in _clashes(n, k // 2, classes.values()):
         bottoms.add(a >> 5)
         bottoms.add(b >> 5)
         if pairs is not None:
@@ -312,10 +309,10 @@ def _conflict_class_ok(n: int, k: int) -> bool:
 
 def conflict_graph(n: int, k: int, deadline: Optional[float] = None) -> ConflictGraph:
     """Co-occurrence graph of Q_n edges over k-cycles, from the translated
-    neighbourhoods of ``_neighbourhoods``; the deadline is checked at least
-    every 1,024 cycles or edges. Without a deadline only the supported
-    class is built; with one, any n whose adjacency (m ints of m bits,
-    m = n 2^(n-1) edges) fits in ``CONFLICT_GRAPH_BYTES``."""
+    neighbourhoods of ``_neighbourhoods``; the deadline is checked every
+    1,024 edges. Without a deadline only the supported class is built;
+    with one, any n whose adjacency (m ints of m bits, m = n 2^(n-1)
+    edges) fits in ``CONFLICT_GRAPH_BYTES``."""
     _check_dim(n)
     _check_k(n, k)
     m = n << n - 1
@@ -330,7 +327,7 @@ def conflict_graph(n: int, k: int, deadline: Optional[float] = None) -> Conflict
             f"conflict graph for n={n}, k={k} is outside the supported class",
             kind="class",
         )
-    nbrs = _neighbourhoods(n, _conflict_types(n, k, deadline), deadline)
+    nbrs = _neighbourhoods(n, k // 2, deadline)
     edges = []
     index = {}
     for i, e in enumerate(enumerate_edges(n)):

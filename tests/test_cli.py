@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -106,6 +107,18 @@ class TestConstruct:
 
 
 class TestVerify:
+    @pytest.mark.parametrize("n,k", [(8, 16), (7, 20)])
+    def test_c1_long_cycles_verify_in_seconds(self, tmp_path, n, k):
+        # the conflict test counts a span, so no cycle walk grows with k
+        out = tmp_path / "c.json"
+        start = time.monotonic()
+        assert run(
+            "construct", "--n", str(n), "--k", str(k), "--scheme", "c1",
+            "--out", str(out),
+        ) == 0
+        assert run("verify", "--coloring", str(out)) == 0
+        assert time.monotonic() - start < 10
+
     def test_violation_prints_witness(self, tmp_path, capsys):
         path = write_json(tmp_path / "bad.json", monochrome_doc(3, 6))
         assert run("verify", "--coloring", path) == 1

@@ -19,6 +19,7 @@ from rainbowcube.errors import BudgetError, UsageError
 from rainbowcube.hypercube import (
     Edge,
     cycle_keys,
+    cycles_containing_pair,
     edges_of_cycle,
     enumerate_cycles,
     enumerate_edges,
@@ -26,11 +27,10 @@ from rainbowcube.hypercube import (
 from rainbowcube.verifier import (
     Violation,
     _clashes,
-    _conflict_types,
+    _conflicts,
     _greedy_clique,
     _neighbourhood_size,
     _neighbourhoods,
-    _pair_type,
     _smallest_violation,
     _try_color,
     conflict_graph,
@@ -200,7 +200,7 @@ class TestFastPathMatchesEnumeration:
         # so both the pair test and the neighbourhood scan find clashes
         branches = set()
         for n, k in [(3, 4), (4, 4), (4, 6), (4, 8), (5, 4), (5, 6)]:
-            size = _neighbourhood_size(n, _conflict_types(n, k))
+            size = _neighbourhood_size(n, k // 2)
             rng = random.Random(f"few colors {n} {k}")
             for palette in (1, 2, 3):
                 for _ in range(2):
@@ -219,7 +219,7 @@ class TestFastPathMatchesEnumeration:
         assert verify_rainbow(col, k) is None
         table = col.key_table()
         hub = rng.choice(sorted(table))
-        near = _neighbourhoods(n, _conflict_types(n, k))[hub & 31]
+        near = _neighbourhoods(n, k // 2)[hub & 31]
         x = hub >> 5
         for y, clear, d in rng.sample(near, n + 1):
             table[((x ^ y) & clear) << 5 | d] = table[hub]
@@ -232,7 +232,7 @@ class TestFastPathMatchesEnumeration:
         # single clashing pair a < b where the bottom of a has the
         # direction bit of b set, so only the neighbourhood scan from a
         # (translated and masked) can find it
-        types = _conflict_types(n, k)
+        half = k // 2
         rng = random.Random(f"large class {n} {k}")
         keys = [e.key() for e in enumerate_edges(n)]
         rng.shuffle(keys)
@@ -240,12 +240,12 @@ class TestFastPathMatchesEnumeration:
             [a, b]
             for a in keys
             for b in keys
-            if a < b and a >> 5 >> (b & 31) & 1 and _pair_type(a, b) in types
+            if a < b and a >> 5 >> (b & 31) & 1 and _conflicts(a, b, half)
         )
         for c in keys:
-            if all(c != m and _pair_type(m, c) not in types for m in members):
+            if all(c != m and not _conflicts(m, c, half) for m in members):
                 members.append(c)
-        assert len(members) >= _neighbourhood_size(n, types) + 2
+        assert len(members) >= _neighbourhood_size(n, half) + 2
         table = {key: (i, 0) for i, key in enumerate(keys)}
         for key in members:
             table[key] = (-1, 0)
@@ -264,7 +264,7 @@ class TestFastPathMatchesEnumeration:
             classes = {}
             for key, color in table.items():
                 classes.setdefault(color, []).append(key)
-            pairs = list(_clashes(n, _conflict_types(n, k), classes.values()))
+            pairs = list(_clashes(n, k // 2, classes.values()))
             if not pairs:
                 continue
             bottoms = {key >> 5 for pair in pairs for key in pair}
@@ -274,6 +274,7 @@ class TestFastPathMatchesEnumeration:
 
 
 NEIGHBOURHOOD_CLASSES = SMALL_CLASSES + [(6, 8), (6, 10), (7, 6), (8, 6), (9, 8)]
+neighbourhoods_enum = lru_cache(maxsize=None)(oracles.neighbourhoods_enum)
 
 
 @lru_cache(maxsize=None)
@@ -288,6 +289,36 @@ def moved(key, v, perm):
     x, d = key >> 5, key & 31
     x = (x ^ v) & ~(1 << d)
     return sum(1 << perm[c] for c in range(len(perm)) if x >> c & 1) << 5 | perm[d]
+
+
+def orbit_type(a, b):
+    """Type (same_dir, bit, weight) of edge key ``b`` seen from edge key
+    ``a``: XOR by the bottom of a and the transposition of coordinates 1 and
+    d + 1 (d = a's direction - 1) move a to edge (0, 1), and the
+    permutations of coordinates 2..n, which fix it, sort every other edge
+    by whether it has a's direction, bit d of its bottom and the number of
+    its other ones."""
+    d, e = a & 31, b & 31
+    z = (a ^ b) >> 5 & ~(1 << e)
+    bit = z >> d & 1
+    return e == d, bit, z.bit_count() - bit
+
+
+def cube_types(m):
+    """The 3m - 2 orbit types of the edges of Q_m."""
+    return {(True, 0, w) for w in range(m)} | {
+        (False, bit, w) for bit in (0, 1) for w in range(m - 1)
+    }
+
+
+def span_representatives(n):
+    """(span, edge) for one edge of each orbit type of Q_n but the self
+    type, as seen from edge (0, 1): its span with (0, 1) is the number of
+    coordinates among both directions and the bits of its bottom."""
+    for s in range(2, n + 1):
+        yield s, Edge((1 << s) - 2, 1)  # the direction of (0, 1)
+        for bit in (0, 1):  # direction 2, with or without coordinate 1 set
+            yield s, Edge((1 << s) - 4 | bit, 2)
 
 
 @st.composite
@@ -307,28 +338,32 @@ class TestConflictTypes:
 
     @pytest.mark.parametrize("n,k", NEIGHBOURHOOD_CLASSES)
     def test_neighbourhoods_match_enumeration(self, n, k):
-        types = _conflict_types(n, k)
-        nbrs = _neighbourhoods(n, types)
-        assert nbrs == oracles.neighbourhoods_enum(n, k)
-        assert {len(near) for near in nbrs} == {_neighbourhood_size(n, types)}
+        nbrs = _neighbourhoods(n, k // 2)
+        assert nbrs == neighbourhoods_enum(n, k)
+        assert {len(near) for near in nbrs} == {_neighbourhood_size(n, k // 2)}
 
     @pytest.mark.parametrize("n,k", [c for c in SMALL_CLASSES if c[1] <= 10])
     def test_type_test_matches_enumeration(self, n, k):
-        types = _conflict_types(n, k)
         keys = [e.key() for e in enumerate_edges(n)]
         adj = oracles.conflict_adjacency_enum(n, k)
         for i, a in enumerate(keys):
-            got = [j for j, b in enumerate(keys) if j != i and _pair_type(a, b) in types]
+            got = [j for j, b in enumerate(keys) if j != i and _conflicts(a, b, k // 2)]
             assert got == [j for j in range(len(keys)) if adj[i] >> j & 1]
 
     def test_types_from_the_smallest_cube(self):
-        # a k-cycle spans at most k/2 coordinates: T never exceeds the
-        # 3m - 2 types of Q_m, m = min(n, k/2), and the self type is in it
+        # a k-cycle spans at most k/2 coordinates: the types of the edges
+        # sharing one with edge (0, 1) never exceed the 3m - 2 types of
+        # Q_m, m = min(n, k/2), and by the span rule they are all of them
+        # but the self type, which only the edge itself has
         for n, k in NEIGHBOURHOOD_CLASSES:
             m = min(n, k // 2)
-            types = _conflict_types(n, k)
-            assert (True, 0, 0) in types
-            assert len(types) <= 3 * m - 2
+            types = {
+                orbit_type(0, y << 5 | e)
+                for y, _, e in neighbourhoods_enum(n, k)[0]
+            }
+            assert (True, 0, 0) not in types
+            assert types | {(True, 0, 0)} == cube_types(m)
+            assert len(types) == 3 * m - 3
             assert all(weight <= m - 1 - (not same) for same, _, weight in types)
 
     @settings(max_examples=200, deadline=None)
@@ -339,8 +374,7 @@ class TestConflictTypes:
         identity = list(range(n))
         a2, b2 = moved(a, v, identity), moved(b, v, identity)
         assert adj[index[a]] >> index[b] & 1 == adj[index[a2]] >> index[b2] & 1
-        types = _conflict_types(n, k)
-        assert (_pair_type(a, b) in types) == (_pair_type(a2, b2) in types)
+        assert _conflicts(a, b, k // 2) == _conflicts(a2, b2, k // 2)
 
     @settings(max_examples=200, deadline=None)
     @given(symmetry_cases())
@@ -349,8 +383,31 @@ class TestConflictTypes:
         index, adj = relation(n, k)
         a2, b2 = moved(a, 0, perm), moved(b, 0, perm)
         assert adj[index[a]] >> index[b] & 1 == adj[index[a2]] >> index[b2] & 1
-        types = _conflict_types(n, k)
-        assert (_pair_type(a, b) in types) == (_pair_type(a2, b2) in types)
+        assert _conflicts(a, b, k // 2) == _conflicts(a2, b2, k // 2)
+
+
+class TestSpanRule:
+    """Two edges share a k-cycle iff their span has at most k/2
+    coordinates, checked by first-hit cycle search on one edge of each
+    orbit type against edge (0, 1)."""
+
+    @pytest.mark.parametrize("m", range(2, 15))
+    def test_spans_up_to_half_and_one_above(self, m):
+        k = 2 * m
+        for s, edge in span_representatives(m):
+            assert cycles_containing_pair(m, k, Edge(0, 1), edge)[0]
+            assert _conflicts(0, edge.key(), m)
+        for s, edge in span_representatives(m + 1):
+            if s == m + 1:
+                assert not cycles_containing_pair(m + 1, k, Edge(0, 1), edge)[0]
+                assert not _conflicts(0, edge.key(), m)
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_every_even_length_in_small_cubes(self, n):
+        for k in range(4, (1 << n) + 1, 2):
+            for s, edge in span_representatives(n):
+                exists = cycles_containing_pair(n, k, Edge(0, 1), edge)[0]
+                assert exists == (s <= k // 2) == _conflicts(0, edge.key(), k // 2)
 
 
 class TestConflictGraph:
@@ -377,13 +434,14 @@ class TestConflictGraph:
             for i in range(len(edges))
         ] == adj
 
-    def test_deadline_checked_while_walking_cycles(self):
+    def test_deadline_checked_while_expanding_neighbourhoods(self):
         start = time.monotonic()
         with pytest.raises(BudgetError) as info:
-            conflict_graph(6, 12, deadline=start + 0.05)  # about 0.4 s of cycles
+            # every edge of Q_12 is in the ball: about 0.5 s of expansion
+            conflict_graph(12, 24, deadline=start + 0.05)
         assert time.monotonic() - start < 1
         assert info.value.kind == "timeout"
-        assert info.value.bounds == (1, 192)
+        assert info.value.bounds == (1, 12 << 11)
 
     def test_budget_class(self):
         with pytest.raises(BudgetError):
