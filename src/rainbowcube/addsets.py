@@ -23,6 +23,9 @@ DEFAULT_SOLUTION_NODES = 5_000_000
 DEFAULT_SEARCH_NODES = 20_000_000
 EXHAUSTIVE_LIMIT = 30
 GREEDY_LIMIT = 100_000
+# verify_3ap_free scans with bitsets when max(set) <= this factor times the set
+# size; the pair loop wins from about 470 up (sets of 200 to 2,048 elements)
+AP_BITSET_DENSITY = 256
 
 
 def _as_intset(elems, what: str = "set") -> tuple[int, ...]:
@@ -280,13 +283,36 @@ def bose_chowla(t: int, q: int) -> tuple[int, ...]:
 # Progression-free sets
 
 
+def _bitset(ascending) -> int:
+    """The int with bit v set for each v of an ascending list of ints >= 0."""
+    buf = bytearray((ascending[-1] >> 3) + 1)
+    for v in ascending:
+        buf[v >> 3] |= 1 << (v & 7)
+    return int.from_bytes(buf, "little")
+
+
 def verify_3ap_free(elems):
     """Check for three distinct elements with x + z = 2y.
 
     Returns (True, None) or (False, (x, y, z)) with the first witness in
     ascending (x, y) order.
+
+    Dense sets are scanned with big-int bitsets: with M = sum 2^v and
+    D = sum 2^(2v) over the set, bit z - x - 1 of ((D >> x) & M) >> (x + 1)
+    is set exactly when z = 2y - x is in the set for some y > x, and its
+    lowest bit gives the smallest such y. Sparse sets, whose bitsets could
+    be arbitrarily long, keep the pair loop.
     """
     s = _as_intset(elems)
+    if s and s[-1] <= AP_BITSET_DENSITY * len(s):
+        members = _bitset(s)
+        doubles = _bitset([2 * v for v in s])
+        for xval in s:
+            hit = ((doubles >> xval) & members) >> (xval + 1)
+            if hit:
+                zval = xval + (hit & -hit).bit_length()
+                return False, (xval, (xval + zval) // 2, zval)
+        return True, None
     members = set(s)
     for i, xval in enumerate(s):
         for yval in s[i + 1 :]:
@@ -323,30 +349,53 @@ def _best_sphere_shell(limit: int) -> list[int]:
     Digits x_i in [0, d-1] are read in base 2d - 1, so adding two such
     numbers never carries; a shell of constant sum of squares then has no
     3-term progression. Scans 2 <= d <= 64 and every digit count whose
-    base power stays within the limit.
+    base power stays within the limit, norms ascending within each; a
+    shell replaces the best only when strictly larger.
+
+    Every vector's value is below base^digits <= limit, so no vector is
+    ever out of range and a shell's size is the number of digit vectors
+    with that sum of squares. Those counts are extended one digit at a
+    time, and only the winning shell is built.
     """
-    best: list[int] = []
+    best = (0, 0, 0, 0, ())  # size, d, digits, norm, count tables
     for d in range(2, 65):
         base = 2 * d - 1
-        digits = 1
+        squares = [c * c for c in range(d)]
+        tables = [{0: 1}]  # tables[j][norm] = vectors of j digits with that norm
         span = base
         while span <= limit:
-            shells: dict[int, list[int]] = {}
-            for vec in itertools.product(range(d), repeat=digits):
-                norm = sum(c * c for c in vec)
-                if norm == 0:
-                    continue
-                val = 0
-                for c in reversed(vec):
-                    val = val * base + c
-                if val <= limit:
-                    shells.setdefault(norm, []).append(val)
-            for norm in sorted(shells):
-                if len(shells[norm]) > len(best):
-                    best = sorted(shells[norm])
-            digits += 1
+            grown: dict[int, int] = {}
+            for norm, count in tables[-1].items():
+                for sq in squares:
+                    grown[norm + sq] = grown.get(norm + sq, 0) + count
+            tables.append(grown)
+            for norm in sorted(grown):
+                if norm and grown[norm] > best[0]:
+                    best = (grown[norm], d, len(tables) - 1, norm, tables)
             span *= base
-    return best
+    size, d, digits, norm, tables = best
+    return _shell(d, digits, norm, tables) if size else []
+
+
+def _shell(d: int, digits: int, norm: int, tables) -> list[int]:
+    """Ascending values in base 2d - 1 of the digit vectors with the given
+    sum of squares; ``tables`` prunes every prefix that cannot complete."""
+    base = 2 * d - 1
+    out: list[int] = []
+
+    def walk(left: int, rest: int, val: int) -> None:
+        if not left:
+            out.append(val)
+            return
+        below = tables[left - 1]
+        for c in range(d):
+            if c * c > rest:
+                break
+            if rest - c * c in below:
+                walk(left - 1, rest - c * c, val * base + c)
+
+    walk(digits, norm, 0)
+    return out
 
 
 def behrend_set(limit: int) -> tuple[int, ...]:

@@ -24,7 +24,7 @@ from typing import Optional
 
 from . import addsets, coloring, verifier
 from .errors import BudgetError, UsageError
-from .hypercube import _check_dim, edge_key
+from .hypercube import _check_dim
 from .verifier import Violation
 
 EXIT_OK = 0
@@ -39,9 +39,10 @@ _HEX_MASK = re.compile(r"(?:0[xX])?[0-9a-fA-F]+")
 
 
 def save_coloring(col: coloring.EdgeColoring, path: str) -> None:
+    table = col.key_table()
     edges = [
-        {"b": hex(e.bottom), "dir": e.dir, "color": list(c)}
-        for e, c in col.items()
+        {"b": hex(key >> 5), "dir": (key & 31) + 1, "color": list(table[key])}
+        for key in sorted(table)
     ]
     doc = {
         "n": col.n,
@@ -53,8 +54,10 @@ def save_coloring(col: coloring.EdgeColoring, path: str) -> None:
         },
         "edges": edges,
     }
+    # json.dumps runs the C encoder; json.dump writes the same text in pure Python
+    text = json.dumps(doc)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+        fh.write(text)
         fh.write("\n")
 
 
@@ -101,9 +104,13 @@ def load_coloring(path: str) -> coloring.EdgeColoring:
     records = doc["edges"]
     if not isinstance(records, list):
         raise UsageError(f"{path}: edges must be a list")
+    masks: dict[str, int] = {}  # each distinct mask text is parsed once
     for rec in records:
         try:
-            bottom = _parse_mask(rec["b"])
+            text = rec["b"]
+            bottom = masks.get(text)
+            if bottom is None:
+                bottom = masks[text] = _parse_mask(text)
             direction = rec["dir"]
             d, p = rec["color"]
         except (KeyError, TypeError, ValueError) as exc:
@@ -118,7 +125,7 @@ def load_coloring(path: str) -> coloring.EdgeColoring:
             )
         if type(d) is not int or type(p) is not int:
             raise UsageError(f"{path}: color parts must be ints in {rec!r}")
-        key = edge_key(bottom, direction)
+        key = bottom << 5 | direction - 1  # edge_key, inline
         if key in table:
             raise UsageError(f"{path}: duplicate edge {rec['b']} dir {direction}")
         table[key] = (d, p)
@@ -158,12 +165,12 @@ def _check_scheme(path: str, scheme: str, n: int, k: int, params: dict, table) -
             f"{path}: k={k} and params {params} do not match the {scheme} "
             f"rebuild: k={rebuilt.k} and params {rebuilt.params}"
         )
-    for e, color in rebuilt.items():
-        stored = table[e.key()]
+    for key, color in rebuilt.key_table().items():
+        stored = table[key]
         if stored != color:
             raise UsageError(
-                f"{path}: edge {hex(e.bottom)} dir {e.dir} has color {list(stored)}, "
-                f"{scheme} with these params gives {list(color)}"
+                f"{path}: edge {hex(key >> 5)} dir {(key & 31) + 1} has color "
+                f"{list(stored)}, {scheme} with these params gives {list(color)}"
             )
 
 
@@ -200,6 +207,13 @@ def _print_violation(vio: Violation) -> None:
 
 def _cmd_construct(args) -> int:
     n, k = args.n, args.k
+    _check_dim(n)
+    if n > coloring.TABLE_DIM_LIMIT:
+        raise BudgetError(
+            f"refusing to write a coloring document for n={n}: it would hold "
+            f"{n << n - 1} edge records (limit n = {coloring.TABLE_DIM_LIMIT})",
+            kind="class",
+        )
     if args.scheme == "c2":
         if k is None:
             k = 6

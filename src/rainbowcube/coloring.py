@@ -19,7 +19,9 @@ and are not materialized eagerly; explicit colorings carry a full table.
 
 from __future__ import annotations
 
+from decimal import Decimal, localcontext
 from fractions import Fraction
+from math import log2
 from typing import Iterator, Union
 
 from .addsets import behrend_set, verify_3ap_free, verify_bt
@@ -30,6 +32,9 @@ Color = tuple[int, int]
 
 SCHEMES = ("construction1", "construction2", "explicit")
 TABLE_DIM_LIMIT = 18
+# Largest N that derive_c2_params gives construction2: behrend_set(2^20) takes
+# under a second, and the c2 color count's bitsets stay at 2^21 bits.
+C2_CAP_LIMIT = 1 << 20
 
 
 class EdgeColoring:
@@ -103,10 +108,14 @@ class EdgeColoring:
                         raise UsageError(f"coloring misses edge {Edge(bottom, d)}")
             return dict(table)
         weights = _weight_table(self.n, self.params["S"])
-        return {
-            e.key(): self._colored(e.bottom, e.dir, weights[e.bottom])
-            for e in enumerate_edges(self.n)
-        }
+        colored = self._colored
+        table = {}
+        for bottom in range(1 << self.n):
+            a = weights[bottom]
+            for d in range(1, self.n + 1):
+                if not bottom >> d - 1 & 1:
+                    table[edge_key(bottom, d)] = colored(bottom, d, a)
+        return table
 
 
 def weight_a(v: int, s) -> int:
@@ -169,24 +178,65 @@ def construction2(n: int, s, cap: int) -> EdgeColoring:
 
 
 def _iroot(value: int, degree: int) -> int:
-    """Floor of the degree-th root of a nonnegative int."""
-    if value < 2:
+    """Floor of the degree-th root of a nonnegative int, in integers only.
+
+    Newton's iteration from a power of two above the root decreases
+    monotonically until it reaches the floor.
+    """
+    bits = value.bit_length()
+    if value < 2 or degree == 1:
         return value
-    guess = int(round(value ** (1.0 / degree)))
-    while guess**degree > value:
-        guess -= 1
-    while (guess + 1) ** degree <= value:
-        guess += 1
-    return guess
+    if degree >= bits:
+        return 1
+    root = 1 << -(-bits // degree)
+    while True:
+        nxt = ((degree - 1) * root + value // root ** (degree - 1)) // degree
+        if nxt >= root:
+            return root
+        root = nxt
+
+
+def _ceil_power(n: int, expo: Fraction) -> int:
+    """ceil(n^expo) for an int n >= 1 and a rational expo = p/q > 1 whose
+    power is at most about 2^21.
+
+    n^(p/q) is an integer exactly when n is a perfect q-th power, and
+    irrational otherwise. An irrational power is placed between two
+    integers by decimal logarithms at rising precision, so no power with
+    q in its exponent is ever built.
+    """
+    p, q = expo.numerator, expo.denominator
+    root = _iroot(n, q)
+    if root**q == n:
+        return root**p
+    prec = 32
+    while prec <= 1024:
+        with localcontext() as ctx:
+            ctx.prec = prec
+            x = (Decimal(n).ln() * p / q).exp()
+            # ln, the product, the quotient and exp are each correctly
+            # rounded and the exponent is below 15, so x is within a
+            # relative 10^(3 - prec) of the power; the slack is 1000 times that
+            slack = x.scaleb(6 - prec)
+            # n^expo > n as expo > 1, which settles an eps too small to resolve
+            low, high = max(int(x - slack), n), int(x + slack)
+        if low == high:
+            return low + 1
+        prec *= 2
+    raise BudgetError(
+        f"cannot tell which integers n^(1+eps) lies between for n={n}", kind="class"
+    )
 
 
 def derive_c2_params(n: int, eps: Union[Fraction, int, float, str]):
     """Pick (S, N) for construction2: N = ceil(n^(1+eps)), S generated.
 
     The exponent is handled as an exact rational so the ceiling is exact
-    at integer boundaries. Fails with guidance when the generator cannot
-    produce n progression-free elements below N. Accepts any positive n;
-    the cube-model dimension cap only applies once a coloring is built.
+    at integer boundaries. N above C2_CAP_LIMIT is refused as a class
+    error, decided from a log estimate before any large power is built.
+    Fails with guidance when the generator cannot produce n
+    progression-free elements below N. Accepts any positive n; the
+    cube-model dimension cap only applies once a coloring is built.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise UsageError(f"n must be a positive int, got {n!r}")
@@ -197,9 +247,15 @@ def derive_c2_params(n: int, eps: Union[Fraction, int, float, str]):
     if eps <= 0:
         raise UsageError(f"eps must be positive, got {eps}")
     expo = 1 + eps
-    power = n ** expo.numerator
-    root = _iroot(power, expo.denominator)
-    cap = root if root**expo.denominator == power else root + 1
+    # log2 of the cap is expo * log2(n); past 21 the cap is surely too large
+    # and its exact value is not worked out
+    fits = n == 1 or (expo <= 21 and float(expo) * log2(n) <= 21)
+    cap = _ceil_power(n, expo) if fits else None
+    if cap is None or cap > C2_CAP_LIMIT:
+        raise BudgetError(
+            f"N = ceil(n^(1+eps)) for n={n} exceeds the limit {C2_CAP_LIMIT}",
+            kind="class",
+        )
     full = behrend_set(cap)
     if len(full) < n:
         raise UsageError(
@@ -213,8 +269,8 @@ def count_colors(coloring: EdgeColoring) -> int:
     """Number of distinct colors in the image of the coloring.
 
     Scheme colorings avoid materializing Q_n: construction2 counts the
-    reachable (sum mod 2N, level mod 3) pairs by dynamic programming over
-    the set elements, construction1 streams the edges.
+    reachable (sum mod 2N, level mod 3) pairs over the set elements,
+    construction1 streams the edges.
     """
     if coloring.scheme == "construction2" and coloring._table is None:
         return _count_c2(coloring)
@@ -228,9 +284,44 @@ def count_colors(coloring: EdgeColoring) -> int:
 
 
 def _count_c2(coloring: EdgeColoring) -> int:
+    """Distinct construction2 colors: for each direction j, the pairs
+    (a + 2 s_j mod 2N, (c + 1) mod 3) over subsets of the other elements
+    with sum a and size c.
+
+    Bitsets of 2N bits hold the reachable pairs; when 2N is 2^n or more
+    the set of pairs, at most 2^(n-1) per direction, is the smaller state.
+    """
     s = coloring.params["S"]
     mod = 2 * coloring.params["N"]
     n = coloring.n
+    if mod >> n:
+        return _count_c2_sets(s, mod, n)
+    return _count_c2_bits(s, mod, n)
+
+
+def _count_c2_bits(s, mod: int, n: int) -> int:
+    """_count_c2 on three bitsets of ``mod`` bits, one per size mod 3;
+    adding an element rotates them by it."""
+    full = (1 << mod) - 1
+
+    def rotate(bits: int, step: int) -> int:
+        return (bits << step | bits >> mod - step) & full
+
+    colors = [0, 0, 0]
+    for j in range(n):
+        reach = [1, 0, 0]
+        for i in range(n):
+            if i != j:
+                step = s[i] % mod
+                reach = [reach[c] | rotate(reach[c - 1], step) for c in range(3)]
+        off = 2 * s[j] % mod
+        for c in range(3):
+            colors[(c + 1) % 3] |= rotate(reach[c], off)
+    return sum(bits.bit_count() for bits in colors)
+
+
+def _count_c2_sets(s, mod: int, n: int) -> int:
+    """_count_c2 on a set of (sum mod ``mod``, size mod 3) pairs."""
     colors: set[Color] = set()
     for j in range(1, n + 1):
         reach = {(0, 0)}

@@ -8,7 +8,9 @@ sum from scratch at each step. The slow paths of the verifier, which walk
 every k-cycle of the library's own enumerator, serve as the ground truth
 for its translated-neighbourhood fast paths, and a DSATUR search that
 finds each pick by scanning every node is the ground truth for the
-saturation-level search of ``_try_color``.
+saturation-level search of ``_try_color``. The additive-set kernels are
+checked against the loops they replaced: sphere shells built by walking
+every digit vector, and the 3-AP check by its O(s^2) pair loop.
 """
 
 from __future__ import annotations
@@ -299,3 +301,43 @@ def digit_01_shifted(limit: int) -> list[int]:
         if x == 0:
             out.append(m + 1)
     return out
+
+
+def best_sphere_shell_enum(limit: int) -> list[int]:
+    """The largest sphere shell, by walking every digit vector of every
+    (d, digits) with (2d - 1)^digits <= limit, 2 <= d <= 64; norms ascend
+    within each, and a shell replaces the best only when strictly larger."""
+    best: list[int] = []
+    for d in range(2, 65):
+        base = 2 * d - 1
+        digits = 1
+        span = base
+        while span <= limit:
+            shells: dict[int, list[int]] = {}
+            for vec in itertools.product(range(d), repeat=digits):
+                norm = sum(c * c for c in vec)
+                if norm == 0:
+                    continue
+                val = 0
+                for c in reversed(vec):
+                    val = val * base + c
+                if val <= limit:
+                    shells.setdefault(norm, []).append(val)
+            for norm in sorted(shells):
+                if len(shells[norm]) > len(best):
+                    best = sorted(shells[norm])
+            digits += 1
+            span *= base
+    return best
+
+
+def verify_3ap_free_pairs(elems):
+    """(True, None) or (False, (x, y, 2y - x)) for the first pair x < y of
+    the sorted set, in (x, y) order, whose 2y - x is in the set."""
+    s = sorted(elems)
+    members = set(s)
+    for i, xval in enumerate(s):
+        for yval in s[i + 1 :]:
+            if 2 * yval - xval in members:
+                return False, (xval, yval, 2 * yval - xval)
+    return True, None

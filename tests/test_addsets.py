@@ -1,8 +1,12 @@
 import itertools
+import random
+import time
 
 import pytest
 
 from rainbowcube.addsets import (
+    AP_BITSET_DENSITY,
+    _best_sphere_shell,
     behrend_set,
     bose_chowla,
     conjecture_system,
@@ -136,6 +140,48 @@ class TestProgressionFree:
     def test_behrend_solutions_empty(self):
         for limit in (14, 100, 365):
             assert list(find_solutions((1, 1, -2), behrend_set(limit))) == []
+
+
+def _shell_limits():
+    """p - 1 and p for every carry-free span p = (2d - 1)^j <= 3000, where a
+    new (d, digits) pair enters the scan, and two large limits."""
+    out = {10**4, 10**5}
+    for d in range(2, 65):
+        p = 2 * d - 1
+        while p <= 3000:
+            out |= {p - 1, p}
+            p *= 2 * d - 1
+    return sorted(out)
+
+
+class TestKernelsMatchOracles:
+    def test_sphere_shell_matches_enumeration(self):
+        for limit in _shell_limits():
+            expected = oracles.best_sphere_shell_enum(limit)
+            assert _best_sphere_shell(limit) == expected, limit
+
+    def test_3ap_every_subset_of_1_14(self):
+        for mask in range(1, 1 << 14):
+            s = [v + 1 for v in range(14) if mask >> v & 1]
+            assert verify_3ap_free(s) == oracles.verify_3ap_free_pairs(s), s
+
+    @pytest.mark.parametrize("density", [4, AP_BITSET_DENSITY, 4 * AP_BITSET_DENSITY])
+    def test_3ap_random_sets_either_side_of_switch(self, density):
+        rng = random.Random(density)
+        for _ in range(300):
+            size = rng.randint(3, 40)
+            s = rng.sample(range(1, density * size + 1), size)
+            assert verify_3ap_free(s) == oracles.verify_3ap_free_pairs(s), s
+        base = behrend_set(1000)  # progression-free, so both scans run through
+        for scale in (1, density):
+            s = [scale * v for v in base]
+            assert verify_3ap_free(s) == oracles.verify_3ap_free_pairs(s) == (True, None)
+
+    def test_3ap_sparse_set_answers_at_once(self):
+        start = time.perf_counter()
+        ok, witness = verify_3ap_free([1, 10**12, 2 * 10**12 - 1])
+        assert not ok and witness == (1, 10**12, 2 * 10**12 - 1)
+        assert time.perf_counter() - start < 1
 
 
 class TestGenus:

@@ -1,3 +1,4 @@
+import io
 import json
 import time
 
@@ -95,6 +96,45 @@ class TestConstruct:
             for e, c in rebuilt.items()
         ]
         assert doc["edges"] == expected
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--n", "7", "--scheme", "c2", "--eps", "1"),
+            ("--n", "6", "--k", "12", "--scheme", "c1", "--sidon", "bose-chowla"),
+        ],
+    )
+    def test_file_matches_json_dump_rendering(self, tmp_path, flags):
+        out = tmp_path / "c.json"
+        assert run("construct", *flags, "--out", str(out)) == 0
+        col = load_coloring(str(out))
+        doc = json.loads(out.read_text())
+        doc["edges"] = [
+            {"b": hex(e.bottom), "dir": e.dir, "color": list(c)} for e, c in col.items()
+        ]
+        expected = io.StringIO()
+        json.dump(doc, expected)
+        assert out.read_bytes() == (expected.getvalue() + "\n").encode()
+
+    def test_too_large_to_write_refused_up_front(self, tmp_path):
+        out = tmp_path / "c.json"
+        start = time.monotonic()
+        assert run(
+            "construct", "--n", "24", "--k", "6", "--scheme", "c2", "--eps", "1",
+            "--out", str(out),
+        ) == 2
+        assert time.monotonic() - start < 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("eps", ["1000", "1/1000000", "10", "1e400"])
+    def test_extreme_eps_exit_usage(self, tmp_path, eps):
+        out = tmp_path / "c.json"
+        start = time.monotonic()
+        assert run(
+            "construct", "--n", "8", "--scheme", "c2", "--eps", eps, "--out", str(out)
+        ) == 2
+        assert time.monotonic() - start < 2
+        assert not out.exists()
 
     def test_save_load_roundtrip(self, tmp_path):
         s, cap, _ = derive_c2_params(3, 1)

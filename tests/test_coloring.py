@@ -1,9 +1,15 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from rainbowcube.coloring import (
+    C2_CAP_LIMIT,
     EdgeColoring,
+    _ceil_power,
+    _count_c2_bits,
+    _count_c2_sets,
+    _iroot,
     construction1,
     construction2,
     count_colors,
@@ -78,11 +84,23 @@ class TestConstruction2:
             assert len(set(colors)) == len(colors)
 
     def test_count_dp_matches_direct(self):
-        for n in (3, 4, 5):
+        for n in range(1, 9):
             s, cap, _ = derive_c2_params(n, 1)
             col = construction2(n, s, cap)
             direct = len(set(col.key_table().values()))
             assert count_colors(col) == direct
+            assert _count_c2_bits(s, 2 * cap, n) == direct
+            assert _count_c2_sets(s, 2 * cap, n) == direct
+
+    def test_count_paths_agree(self):
+        for n in range(9, 17):
+            s, cap, _ = derive_c2_params(n, 1)
+            assert _count_c2_bits(s, 2 * cap, n) == _count_c2_sets(s, 2 * cap, n)
+        rng = random.Random(8)
+        for _ in range(200):
+            n, cap = rng.randint(1, 10), rng.randint(1, 300)
+            s = [rng.randint(1, 3 * cap) for _ in range(n)]
+            assert _count_c2_bits(s, 2 * cap, n) == _count_c2_sets(s, 2 * cap, n)
 
     def test_preconditions(self):
         with pytest.raises(UsageError):
@@ -120,6 +138,40 @@ class TestDeriveC2Params:
     def test_eps_must_be_positive(self):
         with pytest.raises(UsageError):
             derive_c2_params(4, 0)
+
+    def test_cap_limit_is_inclusive(self):
+        # 32^4 = 2^20 sits on the limit; 33^4 is past it
+        assert _ceil_power(32, Fraction(4)) == C2_CAP_LIMIT
+        with pytest.raises(BudgetError):
+            derive_c2_params(33, 3)
+
+    @pytest.mark.parametrize("eps", ["1/1000000", "1e-12", "1e-400"])
+    def test_tiny_eps_advises_larger_eps(self, eps):
+        # 8^(1 + eps) is just above 8, so N = 9
+        with pytest.raises(UsageError, match="below 9; retry with a larger eps"):
+            derive_c2_params(8, eps)
+
+
+def test_iroot_is_exact_on_large_ints():
+    for value in (10**400, 3**500 - 1, 3**500, 2**4000 + 1):
+        for degree in (1, 2, 3, 7, 64, 5000):
+            r = _iroot(value, degree)
+            assert r**degree <= value < (r + 1) ** degree
+
+
+def test_ceil_power_is_exact():
+    """Against the least c with c^q >= n^p, on small powers."""
+    for n in range(1, 40):
+        for q in range(1, 7):
+            for p in range(q + 1, 4 * q + 1):
+                expo = Fraction(p, q)
+                if expo.denominator != q or n**expo > 2**21:
+                    continue
+                lo, hi = 0, 2**22  # lo^q < n^p <= hi^q
+                while hi - lo > 1:
+                    mid = (lo + hi) // 2
+                    lo, hi = (lo, mid) if mid**q >= n**p else (mid, hi)
+                assert _ceil_power(n, expo) == hi, (n, expo)
 
 
 class TestEdgeColoring:
