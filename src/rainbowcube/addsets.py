@@ -23,6 +23,11 @@ DEFAULT_SOLUTION_NODES = 5_000_000
 DEFAULT_SEARCH_NODES = 20_000_000
 EXHAUSTIVE_LIMIT = 30
 GREEDY_LIMIT = 100_000
+# Largest limit behrend_set accepts, at least C2_CAP_LIMIT (2^20), the most
+# construction2 asks for. Building is cheap (0.5 s at 10^8), but checking
+# the result for 3-APs, as the sets command does, grows faster: 1.7 s at
+# 2^22, 11 s at 10^7.
+BEHREND_LIMIT = 1 << 22
 # verify_3ap_free scans with bitsets when max(set) <= this factor times the set
 # size; the pair loop wins from about 470 up (sets of 200 to 2,048 elements)
 AP_BITSET_DENSITY = 256
@@ -403,10 +408,15 @@ def behrend_set(limit: int) -> tuple[int, ...]:
 
     Takes the better of the sphere-shell construction and the base-3
     digit fallback; the fallback wins ties. The result always passes
-    verify_3ap_free.
+    verify_3ap_free. A limit above BEHREND_LIMIT is refused as a class
+    error before anything is built.
     """
     if not isinstance(limit, int) or limit < 1:
         raise UsageError(f"limit must be a positive int, got {limit!r}")
+    if limit > BEHREND_LIMIT:
+        raise BudgetError(
+            f"behrend_set supports limit <= {BEHREND_LIMIT}", kind="class"
+        )
     fallback = _digit_fallback(limit)
     shell = _best_sphere_shell(limit)
     chosen = shell if len(shell) > len(fallback) else fallback

@@ -19,6 +19,7 @@ and are not materialized eagerly; explicit colorings carry a full table.
 
 from __future__ import annotations
 
+import re
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import log2
@@ -35,6 +36,11 @@ TABLE_DIM_LIMIT = 18
 # Largest N that derive_c2_params gives construction2: behrend_set(2^20) takes
 # under a second, and the c2 color count's bitsets stay at 2^21 bits.
 C2_CAP_LIMIT = 1 << 20
+# Decimal exponent beyond which an eps text is refused before Fraction reads
+# it: Fraction("1e1000000") builds a million-digit power of ten (0.13 s, and
+# 12.9 s for 1e10000000). 10^1000 is far past any eps that yields N.
+EPS_EXPONENT_LIMIT = 1000
+_DECIMAL_EPS = re.compile(r"\s*([+-]?(?:\d+\.?\d*|\.\d+))[eE]([+-]?)0*(\d+)\s*")
 
 
 class EdgeColoring:
@@ -236,16 +242,23 @@ def derive_c2_params(n: int, eps: Union[Fraction, int, float, str]):
     error, decided from a log estimate before any large power is built.
     Fails with guidance when the generator cannot produce n
     progression-free elements below N. Accepts any positive n; the
-    cube-model dimension cap only applies once a coloring is built.
+    cube-model dimension cap only applies once a coloring is built. A
+    decimal text whose exponent is past EPS_EXPONENT_LIMIT is refused
+    unread (``_check_eps_exponent``).
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise UsageError(f"n must be a positive int, got {n!r}")
+    # a text is echoed as given: str() of the Fraction may pass Python's
+    # 4,300-digit limit for int-to-str conversion
+    given = eps.strip() if isinstance(eps, str) else eps
+    if isinstance(eps, str):
+        _check_eps_exponent(eps)
     try:
         eps = Fraction(eps)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         raise UsageError(f"eps must be a rational number, got {eps!r}") from exc
     if eps <= 0:
-        raise UsageError(f"eps must be positive, got {eps}")
+        raise UsageError(f"eps must be positive, got {given}")
     expo = 1 + eps
     # log2 of the cap is expo * log2(n); past 21 the cap is surely too large
     # and its exact value is not worked out
@@ -263,6 +276,31 @@ def derive_c2_params(n: int, eps: Union[Fraction, int, float, str]):
             f"retry with a larger eps"
         )
     return full[:n], cap, eps
+
+
+def _check_eps_exponent(text: str) -> None:
+    """Refuse a decimal eps text like ``1e10000000`` whose exponent is past
+    EPS_EXPONENT_LIMIT, without building the power of ten: a positive
+    value that large is a class error, as for 1e400, and one that small
+    asks for a larger eps, as for 1e-400."""
+    m = _DECIMAL_EPS.fullmatch(text)
+    if m is None:
+        return
+    mantissa, sign, digits = m.groups()
+    short = len(digits) <= len(str(EPS_EXPONENT_LIMIT))  # int() stays cheap
+    if short and int(digits) <= EPS_EXPONENT_LIMIT:
+        return
+    # read the sign from the digits: a mantissa may be too long for int()
+    if mantissa.startswith("-") or not any(c in "123456789" for c in mantissa):
+        raise UsageError(f"eps must be positive, got {text.strip()}")
+    if sign == "-":
+        raise UsageError(
+            f"eps has a decimal exponent below -{EPS_EXPONENT_LIMIT}; "
+            f"retry with a larger eps"
+        )
+    raise BudgetError(
+        f"eps has a decimal exponent above {EPS_EXPONENT_LIMIT}", kind="class"
+    )
 
 
 def count_colors(coloring: EdgeColoring) -> int:

@@ -201,29 +201,46 @@ def edges_of_cycle(verts) -> tuple[Edge, ...]:
 
 
 def cycle_problem(n: int, verts) -> Optional[str]:
-    """Why ``verts`` is not a valid canonical cycle of Q_n, or None if it is."""
+    """Why ``verts`` is not a valid canonical cycle of Q_n, or None if it is.
+
+    The checks run in this order: length even and at least 4, length at
+    most 2^n, no repeated vertex, then along the walk each vertex inside
+    Q_n and adjacent to the next, then canonical form. The first failure
+    is reported.
+    """
+    return _cycle_keys_or_problem(n, verts)[1]
+
+
+def _cycle_keys_or_problem(n: int, verts) -> tuple[Optional[list[int]], Optional[str]]:
+    """``(cycle_keys(verts), None)`` when ``verts`` is a valid canonical
+    cycle of Q_n, else ``(None, why)``: ``cycle_problem`` in one walk.
+
+    A closed walk of single-bit steps uses every direction an even number
+    of times (the steps XOR to v_0 ^ v_0 = 0), so that needs no check of
+    its own. With distinct vertices the tuple is canonical exactly when
+    the first vertex is the minimum and the second is below the last.
+    """
     _check_dim(n)
     verts = tuple(verts)
     k = len(verts)
     if k < 4 or k % 2:
-        return f"length {k} is not an even number >= 4"
+        return None, f"length {k} is not an even number >= 4"
     if k > 1 << n:
-        return f"length {k} exceeds the vertex count of Q_{n}"
+        return None, f"length {k} exceeds the vertex count of Q_{n}"
     if len(set(verts)) != k:
-        return "repeated vertex"
-    dir_counts = [0] * n
-    for i, u in enumerate(verts):
-        if not 0 <= u < 1 << n:
-            return f"vertex {u:#x} outside Q_{n}"
-        d = u ^ verts[(i + 1) % k]
+        return None, "repeated vertex"
+    size = 1 << n
+    keys = []
+    for u, w in zip(verts, verts[1:] + verts[:1]):
+        if not 0 <= u < size:
+            return None, f"vertex {u:#x} outside Q_{n}"
+        d = u ^ w
         if d == 0 or d & (d - 1):
-            return f"vertices {u:#x} and {verts[(i + 1) % k]:#x} not adjacent"
-        dir_counts[d.bit_length() - 1] += 1
-    if any(c % 2 for c in dir_counts):
-        return "some direction used an odd number of times"
-    if verts != canonical_cycle(verts):
-        return "not in canonical form"
-    return None
+            return None, f"vertices {u:#x} and {w:#x} not adjacent"
+        keys.append((u & w) << 5 | d.bit_length() - 1)
+    if verts[0] != min(verts) or verts[1] > verts[-1]:
+        return None, "not in canonical form"
+    return keys, None
 
 
 def enumerate_cycles(n: int, k: int, starts=None) -> Iterator[Cycle]:
@@ -434,6 +451,11 @@ def build_cycle_same_level(n: int, k: int, e1: Edge, e2: Edge) -> Cycle:
     always the smallest unused indices. When no unused coordinates remain
     above, the construction is applied to the complemented cube and
     mirrored back.
+
+    Every argument check above comes first. The constructed cycle is then
+    checked by the rules of ``cycle_problem`` in one walk that also yields
+    its edge keys, and both edges must be among them; either failure is
+    an InternalError.
     """
     _check_dim(n)
     _check_cycle_length(n, k)
@@ -460,10 +482,9 @@ def build_cycle_same_level(n: int, k: int, e1: Edge, e2: Edge) -> Cycle:
             )
 
     cyc = _same_level_cycle(n, k, e1, e2, may_flip=True)
-    problem = cycle_problem(n, cyc)
+    keys, problem = _cycle_keys_or_problem(n, cyc)
     if problem is not None:
         raise InternalError(f"constructed cycle invalid: {problem}")
-    keys = cycle_keys(cyc)
     if e1.key() not in keys or e2.key() not in keys:
         raise InternalError("constructed cycle misses a required edge")
     return cyc

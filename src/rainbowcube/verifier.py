@@ -30,15 +30,14 @@ from .hypercube import (
     build_cycle_same_level,
     count_level_edges,
     cycle_keys,
-    cycle_problem,
     cycles_containing_pair,
     edge_key,
-    edge_level,
     edges_of_cycle,
     enumerate_cycles,
     enumerate_edges,
     _check_cycle_length,
     _check_dim,
+    _cycle_keys_or_problem,
 )
 
 VERIFY_DIM_LIMIT = 14
@@ -529,7 +528,9 @@ def lower_bound_clique(n: int, k: int) -> tuple[int, BoundCertificate]:
 
     Every two edges on level k/4 lie in a common k-cycle when n > k, so
     all of them need distinct colors in any k-rainbow coloring. Witnesses
-    are built constructively and validated; a failure aborts loudly.
+    are built by ``build_cycle_same_level``, which validates each, and
+    checked a second time here: the rules of ``cycle_problem`` and both
+    edges of the pair, on int edge keys. A failure aborts loudly.
     """
     _check_dim(n)
     if not isinstance(k, int) or k < 4 or k % 4:
@@ -537,17 +538,26 @@ def lower_bound_clique(n: int, k: int) -> tuple[int, BoundCertificate]:
     if n <= k:
         raise UsageError(f"the level argument needs n > k, got n={n}, k={k}")
     level = k // 4
-    edges = tuple(e for e in enumerate_edges(n) if edge_level(e) == level)
+    # bottoms with level - 1 ones, ascending, then free directions ascending:
+    # the level's edges in enumerate_edges order, without building the rest
+    edges = tuple(
+        Edge(b, d)
+        for b in range(1 << n)
+        if b.bit_count() == level - 1
+        for d in range(1, n + 1)
+        if not b >> d - 1 & 1
+    )
     expected = count_level_edges(n, level)
     if len(edges) != expected:
         raise InternalError(
             f"level {level} edge scan found {len(edges)}, expected {expected}"
         )
     witnesses = {}
-    for e1, e2 in combinations(edges, 2):
+    keyed = [(e, e.key()) for e in edges]
+    for (e1, key1), (e2, key2) in combinations(keyed, 2):
         cyc = build_cycle_same_level(n, k, e1, e2)
-        pair_edges = set(edges_of_cycle(cyc))
-        if cycle_problem(n, cyc) or e1 not in pair_edges or e2 not in pair_edges:
+        keys, problem = _cycle_keys_or_problem(n, cyc)
+        if problem or key1 not in keys or key2 not in keys:
             raise InternalError(f"witness for {e1} and {e2} failed validation")
         witnesses[(e1, e2)] = cyc
     return expected, BoundCertificate(level, edges, witnesses)

@@ -10,22 +10,31 @@ for its translated-neighbourhood fast paths, and a DSATUR search that
 finds each pick by scanning every node is the ground truth for the
 saturation-level search of ``_try_color``. The additive-set kernels are
 checked against the loops they replaced: sphere shells built by walking
-every digit vector, and the 3-AP check by its O(s^2) pair loop.
+every digit vector, and the 3-AP check by its O(s^2) pair loop. The
+one-walk cycle check of ``hypercube._cycle_keys_or_problem`` is checked
+against the validator it replaced, which counts each direction and
+compares with a full canonical rotation, and ``lower_bound_clique``
+against its pair loop over sets of ``Edge`` objects.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 
 import networkx as nx
 
 from rainbowcube.hypercube import (
+    build_cycle_same_level,
+    canonical_cycle,
     cycle_keys,
+    edge_level,
     edges_of_cycle,
     enumerate_cycles,
     enumerate_edges,
+    _check_dim,
 )
-from rainbowcube.verifier import Violation
+from rainbowcube.verifier import BoundCertificate, Violation
 
 
 def cube_graph(n: int) -> nx.Graph:
@@ -341,3 +350,49 @@ def verify_3ap_free_pairs(elems):
             if 2 * yval - xval in members:
                 return False, (xval, yval, 2 * yval - xval)
     return True, None
+
+
+def cycle_problem_slow(n: int, verts):
+    """Why ``verts`` is not a valid canonical cycle of Q_n, or None if it
+    is: ``cycle_problem`` with a count per direction for the parity check
+    and a comparison with ``canonical_cycle`` for canonical form. The
+    counts sit in a dict, as a step to a vertex outside Q_n can run along
+    a direction above n before that vertex's own check reports it."""
+    _check_dim(n)
+    verts = tuple(verts)
+    k = len(verts)
+    if k < 4 or k % 2:
+        return f"length {k} is not an even number >= 4"
+    if k > 1 << n:
+        return f"length {k} exceeds the vertex count of Q_{n}"
+    if len(set(verts)) != k:
+        return "repeated vertex"
+    dir_counts = collections.Counter()
+    for i, u in enumerate(verts):
+        if not 0 <= u < 1 << n:
+            return f"vertex {u:#x} outside Q_{n}"
+        d = u ^ verts[(i + 1) % k]
+        if d == 0 or d & (d - 1):
+            return f"vertices {u:#x} and {verts[(i + 1) % k]:#x} not adjacent"
+        dir_counts[d.bit_length() - 1] += 1
+    if any(c % 2 for c in dir_counts.values()):
+        return "some direction used an odd number of times"
+    if verts != canonical_cycle(verts):
+        return "not in canonical form"
+    return None
+
+
+def lower_bound_clique_edges(n: int, k: int):
+    """``lower_bound_clique`` for valid (n, k) as a pair loop over ``Edge``
+    objects: the level's edges filtered from every edge of Q_n, each
+    witness checked by ``cycle_problem_slow`` and a set of its edges."""
+    level = k // 4
+    edges = tuple(e for e in enumerate_edges(n) if edge_level(e) == level)
+    witnesses = {}
+    for e1, e2 in itertools.combinations(edges, 2):
+        cyc = build_cycle_same_level(n, k, e1, e2)
+        pair_edges = set(edges_of_cycle(cyc))
+        if cycle_problem_slow(n, cyc) or e1 not in pair_edges or e2 not in pair_edges:
+            raise AssertionError(f"witness for {e1} and {e2} failed validation")
+        witnesses[(e1, e2)] = cyc
+    return len(edges), BoundCertificate(level, edges, witnesses)

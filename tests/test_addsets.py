@@ -6,6 +6,7 @@ import pytest
 
 from rainbowcube.addsets import (
     AP_BITSET_DENSITY,
+    BEHREND_LIMIT,
     _best_sphere_shell,
     behrend_set,
     bose_chowla,
@@ -18,6 +19,7 @@ from rainbowcube.addsets import (
     verify_3ap_free,
     verify_bt,
 )
+from rainbowcube.coloring import C2_CAP_LIMIT
 from rainbowcube.errors import BudgetError, UsageError
 
 import oracles
@@ -130,6 +132,17 @@ class TestProgressionFree:
         assert s and s[-1] <= limit
         ok, _ = verify_3ap_free(s)
         assert ok
+
+    def test_behrend_limit_covers_construction2(self):
+        assert BEHREND_LIMIT >= C2_CAP_LIMIT
+
+    @pytest.mark.parametrize("limit", [BEHREND_LIMIT + 1, 10**12, 10**100])
+    def test_behrend_above_limit_is_class_error(self, limit):
+        start = time.monotonic()
+        with pytest.raises(BudgetError) as info:
+            behrend_set(limit)
+        assert info.value.kind == "class"
+        assert time.monotonic() - start < 1
 
     @pytest.mark.parametrize("limit,floor", [(10_000, 512), (100_000, 2048)])
     def test_behrend_large_sample(self, limit, floor):

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import time
@@ -135,6 +136,26 @@ class TestConstruct:
         ) == 2
         assert time.monotonic() - start < 2
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "eps", ["1e10000000", "1e-10000000", "-1e5000", "-" + "1" * 4000 + "e1000"]
+    )
+    def test_huge_eps_exponent_exit_two(self, tmp_path, eps):
+        out = tmp_path / "c.json"
+        start = time.monotonic()
+        assert run(
+            "construct", "--n", "8", "--scheme", "c2", f"--eps={eps}", "--out", str(out)
+        ) == 2
+        assert time.monotonic() - start < 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("eps", ["1/2", "1.0"])
+    def test_ordinary_eps_still_builds(self, tmp_path, eps):
+        out = tmp_path / "c.json"
+        assert run(
+            "construct", "--n", "8", "--scheme", "c2", "--eps", eps, "--out", str(out)
+        ) == 0
+        assert out.exists()
 
     def test_save_load_roundtrip(self, tmp_path):
         s, cap, _ = derive_c2_params(3, 1)
@@ -364,6 +385,21 @@ class TestSets:
         assert run("sets", "--kind", "behrend", "--N", "14") == 0
         out = capsys.readouterr().out
         assert "[1, 2, 4, 5, 10, 11, 13, 14]" in out
+
+    def test_behrend_huge_N_exit_two(self, capsys):
+        start = time.monotonic()
+        assert run("sets", "--kind", "behrend", "--N", "1000000000000") == 2
+        assert time.monotonic() - start < 2
+        assert "behrend_set supports limit" in capsys.readouterr().err
+
+    def test_behrend_output_unchanged(self, capsys):
+        # stdout of `sets --kind behrend --N 100000` before the limit existed
+        assert run("sets", "--kind", "behrend", "--N", "100000") == 0
+        out = capsys.readouterr().out
+        assert len(out) == 13733
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "511ff29b6acba910e464195cbbe6be0271559ae7fdc4ef6435ebeb1de1aff900"
+        )
 
     def test_verify_only_failure(self, tmp_path, capsys):
         path = write_json(tmp_path / "s.json", [1, 2, 3])

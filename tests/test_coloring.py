@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -145,11 +146,48 @@ class TestDeriveC2Params:
         with pytest.raises(BudgetError):
             derive_c2_params(33, 3)
 
-    @pytest.mark.parametrize("eps", ["1/1000000", "1e-12", "1e-400"])
+    @pytest.mark.parametrize("eps", ["1/1000000", "1e-12", "1e-400", "1e-1000"])
     def test_tiny_eps_advises_larger_eps(self, eps):
         # 8^(1 + eps) is just above 8, so N = 9
         with pytest.raises(UsageError, match="below 9; retry with a larger eps"):
             derive_c2_params(8, eps)
+
+    @pytest.mark.parametrize("eps", ["1e-1001", "1e-10000000", " 5.5E-0099999999 "])
+    def test_huge_negative_exponent_advises_larger_eps(self, eps):
+        start = time.monotonic()
+        with pytest.raises(UsageError, match="retry with a larger eps"):
+            derive_c2_params(8, eps)
+        assert time.monotonic() - start < 1
+
+    @pytest.mark.parametrize(
+        "eps",
+        ["1e400", "1e1000", "1e1001", "1e10000000", "2.E+0010000", "9" * 5000 + "e2000"],
+    )
+    def test_huge_positive_exponent_is_class_error(self, eps):
+        start = time.monotonic()
+        with pytest.raises(BudgetError) as info:
+            derive_c2_params(8, eps)
+        assert info.value.kind == "class"
+        assert time.monotonic() - start < 1
+
+    @pytest.mark.parametrize(
+        "eps", ["0e99999999", "-1e5000", "-.5e-10000000", "+00.000e2000", "-0e-2000"]
+    )
+    def test_huge_exponent_still_needs_positive_eps(self, eps):
+        with pytest.raises(UsageError, match="eps must be positive"):
+            derive_c2_params(8, eps)
+
+    @pytest.mark.parametrize("eps", ["1/2e99999999", "1e99999999x", "e99999999"])
+    def test_non_decimal_text_is_not_rational(self, eps):
+        with pytest.raises(UsageError, match="rational number"):
+            derive_c2_params(8, eps)
+
+    @pytest.mark.parametrize(
+        "eps,expected",
+        [("1/2", Fraction(1, 2)), ("1.0", 1), ("2.5e-0000000001", Fraction(1, 4))],
+    )
+    def test_exponent_guard_keeps_ordinary_values(self, eps, expected):
+        assert derive_c2_params(8, eps) == derive_c2_params(8, expected)
 
 
 def test_iroot_is_exact_on_large_ints():

@@ -1,8 +1,11 @@
 import itertools
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from rainbowcube.errors import UsageError
+from rainbowcube import hypercube
+from rainbowcube.errors import InternalError, UsageError
 from rainbowcube.hypercube import (
     Edge,
     build_cycle_same_level,
@@ -18,6 +21,8 @@ from rainbowcube.hypercube import (
     edges_of_cycle,
     enumerate_cycles,
     enumerate_edges,
+    _cycle_keys_or_problem,
+    _walk,
 )
 
 import oracles
@@ -174,6 +179,113 @@ def test_cycle_problem_catches_breakage():
     assert cycle_problem(3, (0, 1, 3, 5)) is not None  # 5 not adjacent to 0
     assert cycle_problem(3, (0, 1, 0, 1)) is not None  # repeats
     assert cycle_problem(3, (1, 3, 2, 0)) is not None  # not canonical
+
+
+@lru_cache(maxsize=None)
+def _cycles(n, k):
+    return tuple(enumerate_cycles(n, k))
+
+
+@st.composite
+def perturbed_cycles(draw):
+    """A canonical cycle of Q_n (3 <= n <= 5) with up to three of: one
+    vertex bit flipped (bit n leaves the cube), a rotation, a reversal, a
+    repeated vertex, a vertex dropped or inserted (odd length) and a
+    vertex moved outside [0, 2^n)."""
+    n = draw(st.integers(3, 5))
+    k = draw(st.sampled_from((4, 6, 8)))
+    cycles = _cycles(n, k)
+    verts = list(cycles[draw(st.integers(0, len(cycles) - 1))])
+    for kind in draw(st.lists(st.sampled_from(
+        ("flip", "rotate", "reverse", "repeat", "odd", "outside")
+    ), max_size=3)):
+        i = draw(st.integers(0, len(verts) - 1))
+        if kind == "flip":
+            verts[i] ^= 1 << draw(st.integers(0, n))
+        elif kind == "rotate":
+            verts = verts[i:] + verts[:i]
+        elif kind == "reverse":
+            verts.reverse()
+        elif kind == "repeat":
+            verts[i] = draw(st.sampled_from(verts))
+        elif kind == "odd" and draw(st.booleans()):
+            del verts[i]
+        elif kind == "odd":
+            verts.insert(i, draw(st.integers(0, (1 << n) - 1)))
+        else:
+            verts[i] = draw(
+                st.sampled_from((-1, -verts[i] - 1, 1 << n, verts[i] + (1 << n)))
+            )
+    return n, tuple(verts)
+
+
+class TestOneWalkCycleCheck:
+    """``_cycle_keys_or_problem`` against the validator it replaced."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(perturbed_cycles())
+    def test_matches_slow_validator(self, case):
+        n, verts = case
+        want = oracles.cycle_problem_slow(n, verts)
+        assert cycle_problem(n, verts) == want
+        keys, problem = _cycle_keys_or_problem(n, verts)
+        assert problem == want
+        assert keys == (cycle_keys(verts) if want is None else None)
+
+    def test_step_to_outside_along_a_direction_above_n(self):
+        # 1 -> 9 is a single-bit step of Q_4; the check once indexed its
+        # per-direction counts with it and raised IndexError
+        assert cycle_problem(3, (1, 9, 3, 2)) == "vertex 0x9 outside Q_3"
+
+    @pytest.mark.parametrize("n,k", [(3, 4), (3, 6), (3, 8), (4, 6), (4, 8)])
+    def test_every_cycle_and_its_rotations(self, n, k):
+        for cyc in enumerate_cycles(n, k):
+            assert _cycle_keys_or_problem(n, cyc) == (cycle_keys(cyc), None)
+            for i in range(1, k):
+                turned = cyc[i:] + cyc[:i]
+                assert cycle_problem(n, turned) == oracles.cycle_problem_slow(
+                    n, turned
+                ) == "not in canonical form"
+            assert cycle_problem(n, cyc[::-1]) == "not in canonical form"
+
+
+class TestSameLevelWitnessCheck:
+    """A broken cycle from the router must not get past the validation in
+    ``build_cycle_same_level``."""
+
+    e1, e2 = Edge(0, 1), Edge(0, 2)
+
+    def break_router(self, monkeypatch, breakage):
+        route = hypercube._same_level_cycle
+
+        def broken(*args, **kwargs):
+            return breakage(route(*args, **kwargs))
+
+        monkeypatch.setattr(hypercube, "_same_level_cycle", broken)
+
+    def test_router_output_is_valid_unpatched(self):
+        cyc = hypercube._same_level_cycle(9, 8, self.e1, self.e2, may_flip=True)
+        assert cycle_problem(9, cyc) is None
+        assert {self.e1, self.e2} <= set(edges_of_cycle(cyc))
+
+    def test_non_adjacent_step(self, monkeypatch):
+        self.break_router(monkeypatch, lambda c: c[:2] + (c[2] ^ 1 << 8,) + c[3:])
+        with pytest.raises(InternalError, match="not adjacent"):
+            build_cycle_same_level(9, 8, self.e1, self.e2)
+
+    def test_non_canonical_rotation(self, monkeypatch):
+        self.break_router(monkeypatch, lambda c: c[1:] + c[:1])
+        with pytest.raises(InternalError, match="not in canonical form"):
+            build_cycle_same_level(9, 8, self.e1, self.e2)
+
+    def test_valid_cycle_missing_an_edge(self, monkeypatch):
+        other = canonical_cycle(_walk(0, [1, 4, 8, 16, 1, 4, 8, 16])[:-1])
+        assert cycle_problem(9, other) is None
+        assert self.e1 in edges_of_cycle(other)
+        assert self.e2 not in edges_of_cycle(other)
+        self.break_router(monkeypatch, lambda c: other)
+        with pytest.raises(InternalError, match="misses a required edge"):
+            build_cycle_same_level(9, 8, self.e1, self.e2)
 
 
 class TestCyclesContainingPair:

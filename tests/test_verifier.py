@@ -15,7 +15,7 @@ from rainbowcube.coloring import (
     derive_c2_params,
 )
 from rainbowcube import verifier
-from rainbowcube.errors import BudgetError, UsageError
+from rainbowcube.errors import BudgetError, InternalError, UsageError
 from rainbowcube.hypercube import (
     Edge,
     cycle_keys,
@@ -620,6 +620,34 @@ class TestLowerBoundClique:
     def test_requires_k_divisible_by_four(self):
         with pytest.raises(UsageError):
             lower_bound_clique(9, 6)
+
+    @pytest.mark.parametrize(
+        "n,k", [(5, 4), (6, 4), (7, 4), (8, 4), (9, 8), (10, 8), (11, 8), (13, 12)]
+    )
+    def test_matches_edge_set_oracle(self, n, k):
+        def fingerprint(count, cert):
+            # witness items hashed in order, so two 367,653-pair
+            # certificates of (13, 12) are never held at once
+            items = tuple(cert.witnesses.items())
+            return count, cert.level, cert.edges, len(items), hash(items)
+
+        want = fingerprint(*oracles.lower_bound_clique_edges(n, k))
+        assert fingerprint(*lower_bound_clique(n, k)) == want
+
+    @pytest.mark.parametrize(
+        "cycle",
+        [
+            (0, 4, 12, 8),  # a valid 4-cycle through neither edge of the pair
+            (4, 12, 8, 0),  # the same cycle, not canonical
+            (0, 1, 3, 6),  # 3 and 6 not adjacent
+        ],
+    )
+    def test_second_witness_check_is_live(self, monkeypatch, cycle):
+        monkeypatch.setattr(
+            verifier, "build_cycle_same_level", lambda n, k, e1, e2: cycle
+        )
+        with pytest.raises(InternalError, match="failed validation"):
+            lower_bound_clique(5, 4)
 
 
 class TestQ3Equivalence:
