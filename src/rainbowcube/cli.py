@@ -8,9 +8,12 @@ printed), 2 usage or format error, 3 budget exceeded.
 Coloring document (JSON): {"n", "k", "scheme", "params", "edges"}, where
 edges is a list of {"b": "<hex bottom mask>", "dir": <1-based int>,
 "color": [d, p]} covering every edge of Q_n exactly once; a mask is hex
-digits with an optional 0x prefix. Equation files
-hold {"equations": [[a1, ..., ak], ...]} with nonzero int coefficients.
-Set files hold a sorted int array, bare or under an "elements" key.
+digits with an optional 0x prefix. A document may not repeat a
+top-level key. Documents of Q_n above n = 14 are refused by verify
+(exit 2), from the header when "n" precedes "edges", else after
+decoding. Equation files hold {"equations": [[a1, ..., ak], ...]} with
+nonzero int coefficients. Set files hold a sorted int array, bare or
+under an "elements" key.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import json
 import re
 import sys
 from math import comb
-from typing import Optional
+from typing import Callable, Optional
 
 from . import addsets, coloring, verifier
 from .errors import BudgetError, UsageError
@@ -36,6 +39,11 @@ EXIT_BUDGET = 3
 REBUILD_SCAN_LIMIT = 10**6
 
 _HEX_MASK = re.compile(r"(?:0[xX])?[0-9a-fA-F]+")
+# JSON whitespace, as the json module skips it, and the separators around it
+_WS = re.compile(r"[ \t\n\r]*")
+_COLON = re.compile(r"[ \t\n\r]*:[ \t\n\r]*")
+_NEXT = re.compile(r"[ \t\n\r]*([,}])[ \t\n\r]*")
+_DECODER = json.JSONDecoder()
 
 
 def save_coloring(col: coloring.EdgeColoring, path: str) -> None:
@@ -61,14 +69,60 @@ def save_coloring(col: coloring.EdgeColoring, path: str) -> None:
         fh.write("\n")
 
 
-def _read_json(path: str):
+def _read_json(path: str, peek: Optional[Callable[[str, dict], None]] = None):
     """The parsed document; undecodable, malformed or too deeply nested
-    input is a UsageError."""
+    input, and an object that repeats a top-level key, is a UsageError.
+
+    A top-level object is decoded one member at a time, and
+    ``peek(key, members)`` runs before each member's value is decoded,
+    with the members read so far, so a caller can refuse a document from
+    its header before a large value is decoded. Other documents are
+    decoded whole.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            text = fh.read()
+        pos = _WS.match(text).end()
+        if not text.startswith("{", pos):
+            return json.loads(text)
+        return _read_members(text, pos + 1, peek)
+    except UsageError:  # raised by peek; a ValueError, but not a decoding error
+        raise
     except (ValueError, RecursionError) as exc:
         raise UsageError(f"{path}: not valid JSON: {exc}") from exc
+
+
+def _read_members(text: str, pos: int, peek) -> dict:
+    """The object whose members start at text[pos], which must end the
+    text; keys go through the stdlib string scanner and values through
+    its C scanner, so every member decodes as ``json.loads`` decodes it."""
+    members: dict = {}
+    pos = _WS.match(text, pos).end()
+    closed = text.startswith("}", pos)
+    if closed:
+        pos = _WS.match(text, pos + 1).end()
+    while not closed:
+        if not text.startswith('"', pos):
+            raise json.JSONDecodeError(
+                "Expecting property name enclosed in double quotes", text, pos
+            )
+        key, end = json.decoder.scanstring(text, pos + 1)
+        if key in members:
+            raise json.JSONDecodeError(f"repeated key {key!r}", text, pos)
+        colon = _COLON.match(text, end)
+        if colon is None:
+            raise json.JSONDecodeError("Expecting ':' delimiter", text, end)
+        if peek is not None:
+            peek(key, members)
+        members[key], end = _DECODER.raw_decode(text, colon.end())
+        sep = _NEXT.match(text, end)
+        if sep is None:
+            raise json.JSONDecodeError("Expecting ',' delimiter", text, end)
+        pos = sep.end()
+        closed = sep[1] == "}"
+    if pos != len(text):
+        raise json.JSONDecodeError("Extra data", text, pos)
+    return members
 
 
 def _parse_mask(text) -> int:
@@ -78,8 +132,28 @@ def _parse_mask(text) -> int:
     return int(text, 16)
 
 
-def load_coloring(path: str) -> coloring.EdgeColoring:
-    doc = _read_json(path)
+def _check_size(path: str, n: int, max_dim: int) -> None:
+    _check_dim(n)
+    if n > max_dim:
+        raise BudgetError(
+            f"{path}: a coloring of Q_{n} is outside the supported n <= {max_dim}",
+            kind="class",
+        )
+
+
+def load_coloring(
+    path: str, max_dim: int = coloring.TABLE_DIM_LIMIT
+) -> coloring.EdgeColoring:
+    """The coloring a document holds; documents of Q_n with n above
+    ``max_dim`` are refused with a class BudgetError, before the edge list
+    is decoded when ``n`` precedes ``edges``."""
+
+    def refuse_early(key: str, head: dict) -> None:
+        n = head.get("n")
+        if key == "edges" and type(n) is int:
+            _check_size(path, n, max_dim)
+
+    doc = _read_json(path, refuse_early)
     if not isinstance(doc, dict):
         raise UsageError(f"{path}: top level must be an object")
     for field in ("n", "k", "scheme", "edges"):
@@ -88,7 +162,7 @@ def load_coloring(path: str) -> coloring.EdgeColoring:
     n, k = doc["n"], doc["k"]
     if type(n) is not int or type(k) is not int:
         raise UsageError(f"{path}: n and k must be ints")
-    _check_dim(n)
+    _check_size(path, n, max_dim)
     if doc["scheme"] not in coloring.SCHEMES:
         raise UsageError(f"{path}: unknown scheme {doc['scheme']!r}")
     params = doc.get("params", {})
@@ -257,7 +331,7 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    col = load_coloring(args.coloring)
+    col = load_coloring(args.coloring, verifier.VERIFY_DIM_LIMIT)
     k = args.k if args.k is not None else col.k
     vio = verifier.verify_rainbow(col, k)
     if vio is None:

@@ -46,6 +46,9 @@ VERIFY_DIM_LIMIT = 14
 CONFLICT_GRAPH_BYTES = 128 << 20
 # Seconds ``exact_min_colors`` runs when no time limit is given.
 EXACT_TIME_LIMIT = 20.0
+# Most level-edge pairs ``lower_bound_clique`` holds a witness for:
+# (13, 12) with 367,653 pairs builds, (16, 12) with 1.41M is refused.
+CLIQUE_PAIR_LIMIT = 500_000
 
 
 @dataclass(frozen=True)
@@ -530,7 +533,9 @@ def lower_bound_clique(n: int, k: int) -> tuple[int, BoundCertificate]:
     all of them need distinct colors in any k-rainbow coloring. Witnesses
     are built by ``build_cycle_same_level``, which validates each, and
     checked a second time here: the rules of ``cycle_problem`` and both
-    edges of the pair, on int edge keys. A failure aborts loudly.
+    edges of the pair, on int edge keys. A failure aborts loudly. A
+    certificate of more than ``CLIQUE_PAIR_LIMIT`` pairs is refused with a
+    class BudgetError before any witness is built.
     """
     _check_dim(n)
     if not isinstance(k, int) or k < 4 or k % 4:
@@ -538,6 +543,14 @@ def lower_bound_clique(n: int, k: int) -> tuple[int, BoundCertificate]:
     if n <= k:
         raise UsageError(f"the level argument needs n > k, got n={n}, k={k}")
     level = k // 4
+    expected = count_level_edges(n, level)
+    pairs = math.comb(expected, 2)
+    if pairs > CLIQUE_PAIR_LIMIT:
+        raise BudgetError(
+            f"a level-{level} certificate for n={n}, k={k} holds {pairs} "
+            f"witness cycles (limit {CLIQUE_PAIR_LIMIT})",
+            kind="class",
+        )
     # bottoms with level - 1 ones, ascending, then free directions ascending:
     # the level's edges in enumerate_edges order, without building the rest
     edges = tuple(
@@ -547,7 +560,6 @@ def lower_bound_clique(n: int, k: int) -> tuple[int, BoundCertificate]:
         for d in range(1, n + 1)
         if not b >> d - 1 & 1
     )
-    expected = count_level_edges(n, level)
     if len(edges) != expected:
         raise InternalError(
             f"level {level} edge scan found {len(edges)}, expected {expected}"

@@ -2,10 +2,13 @@ import hashlib
 import io
 import json
 import time
+import tracemalloc
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from rainbowcube.cli import load_coloring, main, save_coloring
+from rainbowcube.cli import _read_json, load_coloring, main, save_coloring
+from rainbowcube.errors import UsageError
 from rainbowcube.coloring import construction2, derive_c2_params
 from rainbowcube.hypercube import enumerate_edges
 
@@ -30,6 +33,20 @@ def monochrome_doc(n, k):
             for e in enumerate_edges(n)
         ],
     }
+
+
+def blank_text(n, n_first=True):
+    """A one-color coloring document of Q_n, with n before or after edges."""
+    records = ", ".join(
+        f'{{"b": "{b:#x}", "dir": {d}, "color": [0, 0]}}'
+        for b in range(1 << n)
+        for d in range(1, n + 1)
+        if not b >> (d - 1) & 1
+    )
+    head = '"k": 6, "scheme": "explicit", "params": {}'
+    if n_first:
+        return f'{{"n": {n}, {head}, "edges": [{records}]}}\n'
+    return f'{{{head}, "edges": [{records}], "n": {n}}}\n'
 
 
 class TestConstruct:
@@ -241,6 +258,44 @@ class TestVerify:
         assert run("verify", "--coloring", path) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_oversized_refused_from_header(self, tmp_path, capsys):
+        path = tmp_path / "q15.json"
+        path.write_text(blank_text(15))
+        size = path.stat().st_size
+        start = time.monotonic()
+        assert run("verify", "--coloring", str(path)) == 2
+        assert time.monotonic() - start < 1
+        assert capsys.readouterr().err.startswith("budget exceeded: ")
+        # decoding the 245,760 records peaks near 8.6 times the file size
+        tracemalloc.start()
+        try:
+            assert run("verify", "--coloring", str(path)) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * size
+
+    def test_oversized_with_n_last_refused_after_decoding(self, tmp_path, capsys):
+        path = tmp_path / "q15.json"
+        path.write_text(blank_text(15, n_first=False))
+        assert run("verify", "--coloring", str(path)) == 2
+        assert capsys.readouterr().err.startswith("budget exceeded: ")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"n": 2, "k": 4, "n": 2, "scheme": "explicit", "edges": []}',
+            '{"n": 16, "k": 4, "scheme": "explicit", "n": 2, "edges": []}',
+            '{"n": 2, "k": 4, "scheme": "explicit", "edges": [], "edges": []}',
+        ],
+    )
+    def test_repeated_top_level_key_exit_two(self, tmp_path, capsys, text):
+        path = tmp_path / "dup.json"
+        path.write_text(text)
+        assert run("verify", "--coloring", str(path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "repeated key" in err
+
     def test_mask_forms_accepted(self, tmp_path):
         doc = monochrome_doc(2, 4)
         for i, (rec, b) in enumerate(zip(doc["edges"], ("0", "0X0", "1", "0x2"))):
@@ -338,6 +393,78 @@ def test_unreadable_json_exit_two(tmp_path, capsys, command, content):
     path.write_bytes(content)
     assert run(*command, str(path)) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+VALID_TEXT = json.dumps(
+    {
+        "n": 2,
+        "k": 4,
+        "scheme": "explicit",
+        "params": {},
+        "edges": [
+            {"b": hex(e.bottom), "dir": e.dir, "color": [i, 0]}
+            for i, e in enumerate(enumerate_edges(2))
+        ],
+    }
+).encode()
+
+
+@st.composite
+def edited_text(draw):
+    """VALID_TEXT cut short, or with one byte replaced, deleted or inserted."""
+    text = VALID_TEXT
+    i = draw(st.integers(0, len(text)))
+    op = draw(st.sampled_from(["truncate", "replace", "delete", "insert"]))
+    if op == "truncate":
+        return text[:i]
+    byte = bytes([draw(st.integers(0, 255))])
+    if op == "insert":
+        return text[:i] + byte + text[i:]
+    i = min(i, len(text) - 1)
+    if op == "delete":
+        return text[:i] + text[i + 1:]
+    return text[:i] + byte + text[i + 1:]
+
+
+def _top_level_repeats(text):
+    """Whether json.loads(text)'s top-level object repeats a key."""
+    seen = []
+
+    def hook(pairs):
+        seen.append(len({key for key, _ in pairs}) != len(pairs))
+        return dict(pairs)
+
+    json.loads(text, object_pairs_hook=hook)
+    return seen[-1]
+
+
+@settings(
+    max_examples=400,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=edited_text())
+@example(data=VALID_TEXT + b"}")
+@example(data=VALID_TEXT.replace(b'"k"', b'"n"'))
+@example(data=VALID_TEXT.replace(b'"k"', b'"\\u006b"'))
+@example(data=VALID_TEXT.replace(b'"k"', b'"\\u006e"'))
+def test_edited_documents_never_raise(tmp_path, data):
+    path = tmp_path / "edited.json"
+    path.write_bytes(data)
+    assert main(["verify", "--coloring", str(path)]) in (0, 1, 2)
+    try:
+        text = data.decode("utf-8")
+        want = json.loads(text)
+    except ValueError:
+        with pytest.raises(UsageError):
+            _read_json(str(path))
+        return
+    if isinstance(want, dict) and _top_level_repeats(text):
+        with pytest.raises(UsageError, match="repeated key"):
+            _read_json(str(path))
+        return
+    # repr compares key order and types, where == would not
+    assert repr(_read_json(str(path))) == repr(want)
 
 
 class TestExact:

@@ -634,6 +634,18 @@ class TestLowerBoundClique:
         want = fingerprint(*oracles.lower_bound_clique_edges(n, k))
         assert fingerprint(*lower_bound_clique(n, k)) == want
 
+    @pytest.mark.parametrize("n,k", [(16, 12), (17, 16)])
+    def test_oversized_certificate_refused_at_once(self, monkeypatch, n, k):
+        def never(*args):
+            raise AssertionError("a witness was built")
+
+        monkeypatch.setattr(verifier, "build_cycle_same_level", never)
+        start = time.monotonic()
+        with pytest.raises(BudgetError, match="witness cycles") as info:
+            lower_bound_clique(n, k)
+        assert info.value.kind == "class"
+        assert time.monotonic() - start < 0.5
+
     @pytest.mark.parametrize(
         "cycle",
         [
