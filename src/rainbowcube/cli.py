@@ -9,9 +9,9 @@ Coloring document (JSON): {"n", "k", "scheme", "params", "edges"}, where
 edges is a list of {"b": "<hex bottom mask>", "dir": <1-based int>,
 "color": [d, p]} covering every edge of Q_n exactly once; a mask is hex
 digits with an optional 0x prefix. A document may not repeat a
-top-level key. Documents of Q_n above n = 14 are refused by verify
-(exit 2), from the header when "n" precedes "edges", else after
-decoding. Equation files hold {"equations": [[a1, ..., ak], ...]} with
+top-level key. Documents of Q_n above n = 14, which verify does not
+support, are refused on loading (exit 2): from the header when "n"
+precedes "edges", else after decoding. Equation files hold {"equations": [[a1, ..., ak], ...]} with
 nonzero int coefficients. Set files hold a sorted int array, bare or
 under an "elements" key.
 """
@@ -132,26 +132,26 @@ def _parse_mask(text) -> int:
     return int(text, 16)
 
 
-def _check_size(path: str, n: int, max_dim: int) -> None:
+def _check_size(path: str, n: int) -> None:
     _check_dim(n)
-    if n > max_dim:
+    if n > verifier.VERIFY_DIM_LIMIT:
         raise BudgetError(
-            f"{path}: a coloring of Q_{n} is outside the supported n <= {max_dim}",
+            f"{path}: a coloring of Q_{n} is outside the supported "
+            f"n <= {verifier.VERIFY_DIM_LIMIT}",
             kind="class",
         )
 
 
-def load_coloring(
-    path: str, max_dim: int = coloring.TABLE_DIM_LIMIT
-) -> coloring.EdgeColoring:
-    """The coloring a document holds; documents of Q_n with n above
-    ``max_dim`` are refused with a class BudgetError, before the edge list
-    is decoded when ``n`` precedes ``edges``."""
+def load_coloring(path: str) -> coloring.EdgeColoring:
+    """The coloring a document holds; documents of Q_n that ``verify``
+    cannot check (n above ``VERIFY_DIM_LIMIT``) are refused with a class
+    BudgetError, before the edge list is decoded when ``n`` precedes
+    ``edges``."""
 
     def refuse_early(key: str, head: dict) -> None:
         n = head.get("n")
         if key == "edges" and type(n) is int:
-            _check_size(path, n, max_dim)
+            _check_size(path, n)
 
     doc = _read_json(path, refuse_early)
     if not isinstance(doc, dict):
@@ -162,7 +162,7 @@ def load_coloring(
     n, k = doc["n"], doc["k"]
     if type(n) is not int or type(k) is not int:
         raise UsageError(f"{path}: n and k must be ints")
-    _check_size(path, n, max_dim)
+    _check_size(path, n)
     if doc["scheme"] not in coloring.SCHEMES:
         raise UsageError(f"{path}: unknown scheme {doc['scheme']!r}")
     params = doc.get("params", {})
@@ -331,7 +331,7 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    col = load_coloring(args.coloring, verifier.VERIFY_DIM_LIMIT)
+    col = load_coloring(args.coloring)
     k = args.k if args.k is not None else col.k
     vio = verifier.verify_rainbow(col, k)
     if vio is None:
