@@ -9,6 +9,17 @@ Integer sets are plain sorted tuples of distinct positive ints. Linear
 equations are tuples of nonzero coefficients (a_1, ..., a_k) representing
 a_1 x_1 + ... + a_k x_k = 0; an equation system is a nonempty sequence of
 equations.
+
+A solution-free subset is grown one candidate at a time, and each
+candidate is checked by a depth-first search over the assignments that
+use it. The search visits one assignment per orbit under permutations
+of positions with equal coefficients: such a permutation changes neither
+the sum, nor triviality, nor the values used (the proof is in the
+docstring of ``_creates_solution``). Its node budget counts the values
+tried at each position of one equation, so it counts far fewer nodes
+than a scan over every assignment would, and a check that such a scan
+would abandon may finish. The sets found, and every ``optimal`` flag, are
+those the full scan gives.
 """
 
 from __future__ import annotations
@@ -22,6 +33,9 @@ MAX_EQUATION_ARITY = 12
 DEFAULT_SOLUTION_NODES = 5_000_000
 DEFAULT_SEARCH_NODES = 20_000_000
 EXHAUSTIVE_LIMIT = 30
+# Most elements, over all size-t multisets of the set, that verify_bt sums
+# and whose sums greedy_bt collects
+BT_SCAN_LIMIT = 10**6
 GREEDY_LIMIT = 100_000
 # Largest limit behrend_set accepts, at least C2_CAP_LIMIT (2^20), the most
 # construction2 asks for. Building is cheap (0.5 s at 10^8), but checking
@@ -64,16 +78,38 @@ def _as_system(eqs) -> tuple[tuple[int, ...], ...]:
 # B_t sets
 
 
+def _check_bt_scan(size: int, t: int) -> None:
+    """Refuse, as a class error, B_t work over the size-t multisets of a
+    set of ``size`` elements when they hold more than BT_SCAN_LIMIT
+    elements in all: t * C(size + t - 1, t)."""
+    # C(size + t - 1, r) as C(n - r + i, i) for i = 1..r, r = min(t, size - 1):
+    # each step at least doubles, so the loop stops within ~20 steps
+    r = min(t, size - 1)
+    count = 1
+    for i in range(1, r + 1):
+        count = count * (size + t - 1 - r + i) // i
+        if t * count > BT_SCAN_LIMIT:
+            break
+    if t * count > BT_SCAN_LIMIT:
+        raise BudgetError(
+            f"the size-{t} multisets of {size} elements hold more than "
+            f"{BT_SCAN_LIMIT} elements",
+            kind="class",
+        )
+
+
 def verify_bt(elems, t: int):
     """Check that all size-t multiset sums from the set are distinct.
 
     Returns (True, None) or (False, witness) where the witness is the
     lexicographically smallest pair of distinct size-t multisets with
-    equal sums.
+    equal sums. Multisets of more than BT_SCAN_LIMIT elements in all are
+    a class error.
     """
     s = _as_intset(elems)
     if not isinstance(t, int) or t < 1:
         raise UsageError(f"t must be a positive int, got {t!r}")
+    _check_bt_scan(len(s), t)
     first: dict[int, tuple[int, ...]] = {}
     best: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None
     for multi in itertools.combinations_with_replacement(s, t):
@@ -92,16 +128,24 @@ def greedy_bt(t: int, size: int) -> tuple[int, ...]:
     """Greedy B_t set: start at 1, append the smallest int keeping B_t.
 
     For t = 2 this is the Mian-Chowla sequence 1, 2, 4, 8, 13, ...
+    A result whose size-t multisets hold more than BT_SCAN_LIMIT elements
+    in all is a class error. The scan's sum tests are counted, and more
+    than DEFAULT_SEARCH_NODES of them raises BudgetError: the candidates
+    to scan grow like size^t, which no class limit on the result bounds.
     """
     if not isinstance(t, int) or t < 1:
         raise UsageError(f"t must be a positive int, got {t!r}")
     if not isinstance(size, int) or size < 1:
         raise UsageError(f"size must be a positive int, got {size!r}")
+    _check_bt_scan(size, t)
+    if size == 1:  # t alone may be up to BT_SCAN_LIMIT; build no t sum sets
+        return (1,)
     elems = [1]
     # sums of r-multisets for r < t, and the full t-multiset sums
     subs: list[set[int]] = [{0}] + [{1 * r} for r in range(1, t)]
     full = {t}
     cand = 1
+    tests = 0
     while len(elems) < size:
         cand += 1
         fresh: set[int] = set()
@@ -116,6 +160,12 @@ def greedy_bt(t: int, size: int) -> tuple[int, ...]:
                 fresh.add(val)
             if not ok:
                 break
+        tests += len(fresh) + 1  # the sums tested, and the candidate
+        if tests > DEFAULT_SEARCH_NODES:
+            raise BudgetError(
+                f"greedy B_{t} scan exceeded {DEFAULT_SEARCH_NODES} sum tests "
+                f"at {len(elems)} of {size} elements"
+            )
         if not ok:
             continue
         full |= fresh
@@ -252,13 +302,18 @@ def bose_chowla(t: int, q: int) -> tuple[int, ...]:
     """
     if not isinstance(t, int) or t < 2:
         raise UsageError(f"t must be an int >= 2, got {t!r}")
-    if not isinstance(q, int) or not _is_prime(q):
+    if not isinstance(q, int) or q < 2:
         raise UsageError(f"q must be prime, got {q!r}")
-    order = q**t - 1
-    if order + 1 > BOSE_CHOWLA_TABLE_LIMIT:
+    # the size check comes before the primality test, whose trial division
+    # of a large q takes unbounded time, and q^t is built only for small q, t
+    limit = BOSE_CHOWLA_TABLE_LIMIT
+    if q > limit or t >= limit.bit_length() or q**t > limit:
         raise BudgetError(
-            f"q^t = {order + 1} exceeds the discrete-log table limit", kind="class"
+            f"q^t = {q}^{t} exceeds the discrete-log table limit", kind="class"
         )
+    order = q**t - 1
+    if not _is_prime(q):
+        raise UsageError(f"q must be prime, got {q!r}")
     modpoly = _smallest_irreducible(t, q)
     one = tuple([1] + [0] * (t - 1))
     factors = _prime_factors(order)
@@ -573,34 +628,58 @@ def _creates_solution(system, kept: list, cand: int, max_nodes: int) -> bool:
 
     Only assignments using ``cand`` at least once are searched; solutions
     avoiding it were ruled out when earlier elements were admitted.
+
+    The search visits one assignment per orbit under permutations of
+    positions with equal coefficients. Such a permutation keeps the sum
+    a_1 x_1 + ... + a_k x_k, since it only swaps equal terms a x_i and
+    a x_j; it keeps the coefficient sum of each value class, so it keeps
+    triviality (``_is_trivial``); and it keeps the set of values used, so
+    it keeps whether ``cand`` is used. The answer is therefore the same on
+    a whole orbit. The positions are sorted by coefficient, so equal
+    coefficients form runs, and within a run each position takes a value
+    at least that of the position before it: sorting the values within
+    each run maps every assignment to exactly one such representative of
+    its orbit.
+
+    A node is one value tried at one position; ``max_nodes`` bounds the
+    nodes of each equation, and exceeding it raises BudgetError. The
+    answer does not depend on the order of the search, but the node count
+    does, and it is usually far below that of a scan over every
+    assignment: admitting 8 after 1, 2 against ``conjecture_system(22)``
+    takes 2,185 nodes here and 176,271 in such a scan. So a check that
+    the scan would abandon at ``max_nodes`` may now finish.
     """
     values = sorted(kept + [cand])
-    for eq in system:
+    for coeffs in system:
+        eq = sorted(coeffs)
         k = len(eq)
         suffix_min, suffix_max = _suffix_bounds(eq, values[0], values[-1])
+        # run_start[pos]: whether pos begins a run of equal coefficients
+        run_start = [pos == 0 or eq[pos] != eq[pos - 1] for pos in range(k)]
         assignment = [0] * k
         nodes = 0
 
-        def rec(pos: int, partial: int, used: bool) -> bool:
+        def rec(pos: int, partial: int, used: bool, first: int) -> bool:
             nonlocal nodes
             if pos == k:
                 return partial == 0 and used and not _is_trivial(eq, assignment)
             a = eq[pos]
-            for val in values:
+            for idx in range(0 if run_start[pos] else first, len(values)):
                 nodes += 1
                 if nodes > max_nodes:
                     raise BudgetError(
                         f"solution check exceeded {max_nodes} nodes"
                     )
+                val = values[idx]
                 nxt = partial + a * val
                 if nxt + suffix_min[pos + 1] > 0 or nxt + suffix_max[pos + 1] < 0:
                     continue
                 assignment[pos] = val
-                if rec(pos + 1, nxt, used or val == cand):
+                if rec(pos + 1, nxt, used or val == cand, idx):
                     return True
             return False
 
-        if rec(0, 0, False):
+        if rec(0, 0, False, 0):
             return True
     return False
 

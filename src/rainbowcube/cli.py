@@ -22,7 +22,6 @@ import argparse
 import json
 import re
 import sys
-from math import comb
 from typing import Callable, Optional
 
 from . import addsets, coloring, verifier
@@ -34,9 +33,6 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
-
-# Most size-t multisets a construction1 rebuild may scan in its B_t check.
-REBUILD_SCAN_LIMIT = 10**6
 
 _HEX_MASK = re.compile(r"(?:0[xX])?[0-9a-fA-F]+")
 # JSON whitespace, as the json module skips it, and the separators around it
@@ -214,15 +210,9 @@ def load_coloring(path: str) -> coloring.EdgeColoring:
 
 def _check_scheme(path: str, scheme: str, n: int, k: int, params: dict, table) -> None:
     """Rebuild a scheme document from its params; it must match k, the
-    params and every edge color."""
-    t = k // 4 - 1
-    scan = comb(n + t - 1, t) if scheme == "construction1" and t > 0 else 0
-    if scan > REBUILD_SCAN_LIMIT:
-        raise BudgetError(
-            f"{path}: rebuilding construction1 for n={n}, k={k} checks "
-            f"{scan} multisets of {t} elements",
-            kind="class",
-        )
+    params and every edge color. A construction1 rebuild whose B_t check
+    would sum more than ``addsets.BT_SCAN_LIMIT`` multiset elements is
+    refused by that check as a class error."""
     try:
         if scheme == "construction1":
             rebuilt = coloring.construction1(n, k, params["S"])
@@ -407,6 +397,17 @@ def _cmd_genus(args) -> int:
     if (args.eqs is None) == (args.conjecture is None):
         raise UsageError("needs exactly one of --eqs or --conjecture")
     if args.conjecture is not None:
+        # conjecture_system(K) has equations of 2m, 2m + 1 and 2m variables,
+        # m = K // 4; genus refuses each above MAX_EQUATION_ARITY, so refuse
+        # here before building them, as building costs memory linear in K
+        m = args.conjecture // 4
+        if args.conjecture % 4 == 2 and 2 * m + 1 > addsets.MAX_EQUATION_ARITY:
+            refused = 2 * m if 2 * m > addsets.MAX_EQUATION_ARITY else 2 * m + 1
+            raise BudgetError(
+                f"genus search supports up to {addsets.MAX_EQUATION_ARITY} "
+                f"variables, got {refused}",
+                kind="class",
+            )
         system = addsets.conjecture_system(args.conjecture)
     else:
         system = load_equations(args.eqs)

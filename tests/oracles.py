@@ -14,7 +14,9 @@ every digit vector, and the 3-AP check by its O(s^2) pair loop. The
 one-walk cycle check of ``hypercube._cycle_keys_or_problem`` is checked
 against the validator it replaced, which counts each direction and
 compares with a full canonical rotation, and ``lower_bound_clique``
-against its pair loop over sets of ``Edge`` objects.
+against its pair loop over sets of ``Edge`` objects. The orbit search
+of ``addsets._creates_solution`` is checked against the scan over every
+assignment that it replaced.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from rainbowcube.hypercube import (
     enumerate_edges,
     _check_dim,
 )
+from rainbowcube.errors import BudgetError
 from rainbowcube.verifier import BoundCertificate, Violation
 
 
@@ -396,3 +399,48 @@ def lower_bound_clique_edges(n: int, k: int):
             raise AssertionError(f"witness for {e1} and {e2} failed validation")
         witnesses[(e1, e2)] = cyc
     return len(edges), BoundCertificate(level, edges, witnesses)
+
+
+def creates_solution_scan(system, kept, cand: int, max_nodes: int) -> bool:
+    """``addsets._creates_solution`` as a scan over every assignment: each
+    position, in the equation's own order, tries every value of the kept
+    set with ``cand``, pruned only by the least and greatest sums the
+    remaining positions can reach. ``max_nodes`` bounds the values tried
+    per equation, and exceeding it raises BudgetError."""
+    values = sorted(list(kept) + [cand])
+    for eq in system:
+        k = len(eq)
+        suffix_min = [0] * (k + 1)
+        suffix_max = [0] * (k + 1)
+        for i in range(k - 1, -1, -1):
+            lo, hi = sorted((eq[i] * values[0], eq[i] * values[-1]))
+            suffix_min[i] = suffix_min[i + 1] + lo
+            suffix_max[i] = suffix_max[i + 1] + hi
+        assignment = [0] * k
+        nodes = 0
+
+        def trivial() -> bool:
+            classes = collections.Counter()
+            for a, v in zip(eq, assignment):
+                classes[v] += a
+            return not any(classes.values())
+
+        def rec(pos: int, partial: int, used: bool) -> bool:
+            nonlocal nodes
+            if pos == k:
+                return partial == 0 and used and not trivial()
+            for val in values:
+                nodes += 1
+                if nodes > max_nodes:
+                    raise BudgetError(f"solution check exceeded {max_nodes} nodes")
+                nxt = partial + eq[pos] * val
+                if nxt + suffix_min[pos + 1] > 0 or nxt + suffix_max[pos + 1] < 0:
+                    continue
+                assignment[pos] = val
+                if rec(pos + 1, nxt, used or val == cand):
+                    return True
+            return False
+
+        if rec(0, 0, False):
+            return True
+    return False

@@ -3,11 +3,15 @@ import random
 import time
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
+import rainbowcube.addsets as addsets
 from rainbowcube.addsets import (
     AP_BITSET_DENSITY,
     BEHREND_LIMIT,
+    BT_SCAN_LIMIT,
     _best_sphere_shell,
+    _creates_solution,
     behrend_set,
     bose_chowla,
     conjecture_system,
@@ -84,6 +88,44 @@ class TestGreedyBt:
         assert ok
 
 
+class TestBtLimits:
+    @pytest.mark.parametrize(
+        "size,t",
+        [(1, BT_SCAN_LIMIT + 1), (2, 10**9), (10**9, 2), (4, 199), (10**30, 10**30)],
+    )
+    def test_oversized_greedy_is_class_error_at_once(self, size, t):
+        start = time.monotonic()
+        with pytest.raises(BudgetError) as info:
+            greedy_bt(t, size)
+        assert info.value.kind == "class"
+        assert time.monotonic() - start < 1
+
+    @pytest.mark.parametrize("size,t", [(1, BT_SCAN_LIMIT + 1), (2, 10**9), (4, 199)])
+    def test_oversized_check_is_class_error_at_once(self, size, t):
+        start = time.monotonic()
+        with pytest.raises(BudgetError) as info:
+            verify_bt(range(1, size + 1), t)
+        assert info.value.kind == "class"
+        assert time.monotonic() - start < 1
+
+    def test_limit_counts_every_element_of_every_multiset(self):
+        # 2 * C(1001, 2) = 1,001,000 elements; 2 * C(1000, 2) = 999,000
+        with pytest.raises(BudgetError):
+            verify_bt(range(1, 1001), 2)
+        assert verify_bt(range(1, 1000), 2)[0] is False
+
+    def test_single_element_with_large_t(self):
+        assert greedy_bt(BT_SCAN_LIMIT, 1) == (1,)
+        assert verify_bt([7], 1000) == (True, None)
+
+    def test_greedy_scan_budget(self, monkeypatch):
+        monkeypatch.setattr(addsets, "DEFAULT_SEARCH_NODES", 1000)
+        assert greedy_bt(2, 10) == tuple(oracles.greedy_bt_oracle(2, 10))
+        with pytest.raises(BudgetError) as info:
+            greedy_bt(2, 40)
+        assert info.value.kind == "budget"
+
+
 class TestBoseChowla:
     @pytest.mark.parametrize("t", [2, 3])
     @pytest.mark.parametrize("q", [3, 5, 7, 11, 13])
@@ -109,6 +151,17 @@ class TestBoseChowla:
     def test_t_below_two_rejected(self):
         with pytest.raises(UsageError):
             bose_chowla(1, 5)
+
+    @pytest.mark.parametrize(
+        "t,q", [(2, 2**61 - 1), (2, 10**30), (10**9, 3), (21, 2), (3, 127)]
+    )
+    def test_oversized_table_refused_before_primality(self, t, q):
+        # 2^61 - 1 is prime: trial division would run ~7.6e8 steps
+        start = time.monotonic()
+        with pytest.raises(BudgetError) as info:
+            bose_chowla(t, q)
+        assert info.value.kind == "class"
+        assert time.monotonic() - start < 1
 
 
 class TestProgressionFree:
@@ -310,6 +363,82 @@ class TestEquationFreeSubset:
         with pytest.raises(BudgetError) as info:
             equation_free_subset([(1, 1, -2)], 24, mode="exhaustive", max_nodes=10)
         assert info.value.best is not None
+
+
+@st.composite
+def solution_checks(draw):
+    """(system, kept, cand): 1 to 3 equations of arity 2..7 with
+    coefficients in +-1..+-3, a kept set and a candidate outside it. Half
+    the draws plant a solution of the first equation that uses cand."""
+    coeff = st.sampled_from((-3, -2, -1, 1, 2, 3))
+    eq = st.lists(coeff, min_size=2, max_size=7).map(tuple)
+    system = draw(st.lists(eq, min_size=1, max_size=3))
+    kept = draw(st.sets(st.integers(1, 30), max_size=5))
+    first = system[0]
+    if draw(st.booleans()) and first[-1] in (-1, 1):
+        head = draw(st.lists(st.integers(1, 12), min_size=len(first) - 1,
+                             max_size=len(first) - 1))
+        last = -first[-1] * sum(a * x for a, x in zip(first, head))
+        if last >= 1:
+            cand = draw(st.sampled_from(head + [last]))
+            return system, sorted((kept | set(head) | {last}) - {cand}), cand
+    cand = draw(st.integers(1, 30).filter(lambda c: c not in kept))
+    return system, sorted(kept), cand
+
+
+class TestCreatesSolution:
+    @settings(max_examples=300, deadline=None)
+    @given(solution_checks())
+    @example((((1, 1, -1, -1),), [1, 2, 3], 4))  # 1 + 4 = 2 + 3
+    @example((((1, 1, 1, -1, -1, -1),), [1, 2, 4, 5], 6))  # 1 + 4 + 6 = 2 + 4 + 5
+    @example((((1, 1, 1, 1, -1, -1, -2),), [1, 2], 3))  # 1 + 1 + 1 + 3 = 2 + 2 + 2 * 1
+    @example((((1, 1, -2), (1, -1)), [1, 2, 4, 5], 7))  # only the 3-AP 1, 4, 7
+    @example((((2, -1, -1),), [3, 5], 4))  # the 3-AP 3, 4, 5, cand in the middle
+    @example((((1, 1, -1, -1),), [1, 2, 4, 8], 16))  # powers of two stay Sidon
+    def test_matches_scan_oracle(self, case):
+        system, kept, cand = case
+        try:
+            expected = oracles.creates_solution_scan(system, kept, cand, 10**6)
+        except BudgetError:
+            assume(False)
+        assert _creates_solution(system, kept, cand, 10**6) is expected
+
+    def test_true_examples_are_true(self):
+        # the explicit examples above include both answers
+        assert _creates_solution(((1, 1, -1, -1),), [1, 2, 3], 4, 10**6)
+        assert _creates_solution(((1, 1, -2), (1, -1)), [1, 2, 4, 5], 7, 10**6)
+        assert not _creates_solution(((1, 1, -1, -1),), [1, 2, 4, 8], 16, 10**6)
+
+    def test_budget_still_raises(self):
+        with pytest.raises(BudgetError):
+            _creates_solution(conjecture_system(14), list(range(1, 30)), 30, 10)
+
+    def test_orbit_search_finishes_where_the_scan_gives_up(self):
+        # admitting 8 after 1, 2 takes the scan 176,271 nodes on one
+        # equation and the orbit search 2,185
+        system = conjecture_system(22)
+        with pytest.raises(BudgetError):
+            oracles.creates_solution_scan(system, [1, 2], 8, 10_000)
+        assert _creates_solution(system, [1, 2], 8, 10_000) is False
+
+
+class TestConjectureGolden:
+    """Sets and optimal flags computed by the scan over every assignment."""
+
+    @pytest.mark.parametrize(
+        "k,limit,mode,expected,optimal",
+        [
+            (14, 40, "greedy", (1, 2, 6, 22), False),
+            (14, 12, "exhaustive", (1, 2, 6), True),
+            (14, 200, "greedy", (1, 2, 6, 22, 56, 154), False),
+            (10, 400, "greedy", (1, 2, 5, 14, 33, 72, 113, 168, 259, 352), False),
+            (18, 60, "greedy", (1, 2, 7, 32), False),
+            (22, 40, "greedy", (1, 2, 8), False),
+        ],
+    )
+    def test_golden(self, k, limit, mode, expected, optimal):
+        got = equation_free_subset(conjecture_system(k), limit, mode=mode)
+        assert got == (expected, optimal)
 
 
 class TestConjectureSystem:

@@ -7,9 +7,15 @@ import tracemalloc
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from rainbowcube.addsets import behrend_set, greedy_bt
 from rainbowcube.cli import _read_json, load_coloring, main, save_coloring
 from rainbowcube.errors import UsageError
-from rainbowcube.coloring import construction2, derive_c2_params
+from rainbowcube.coloring import (
+    EdgeColoring,
+    construction1,
+    construction2,
+    derive_c2_params,
+)
 from rainbowcube.hypercube import enumerate_edges
 
 
@@ -376,6 +382,19 @@ class TestSchemeDocuments:
         assert run("verify", "--coloring", write_json(out, doc)) == 2
         assert capsys.readouterr().err.startswith("budget exceeded: ")
 
+    def test_one_element_rebuild_with_huge_t_refused(self, tmp_path, capsys):
+        # the rebuild's B_t check would build one tuple of 999,999,999 ones
+        k = 4 * 10**9
+        doc = {
+            "n": 1, "k": k, "scheme": "construction1",
+            "params": {"S": [1], "M": k // 4 + 1},
+            "edges": [{"b": "0x0", "dir": 1, "color": [k // 4 + 1, 1]}],
+        }
+        start = time.monotonic()
+        assert run("verify", "--coloring", write_json(tmp_path / "q1.json", doc)) == 2
+        assert time.monotonic() - start < 1
+        assert capsys.readouterr().err.startswith("budget exceeded: ")
+
 
 @pytest.mark.parametrize(
     "command",
@@ -576,6 +595,27 @@ class TestGenus:
     def test_wrong_conjecture_k(self):
         assert run("genus", "--conjecture", "8") == 2
 
+    @pytest.mark.parametrize("k,arity", [(26, 13), (30, 14), (10**9 + 2, 500_000_000)])
+    def test_conjecture_above_arity_refused_before_building(self, capsys, k, arity):
+        tracemalloc.start()
+        start = time.monotonic()
+        try:
+            assert run("genus", "--conjecture", str(k), "--freeset", "10") == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.monotonic() - start < 1
+        assert peak < 1 << 20
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            f"budget exceeded: genus search supports up to 12 variables, got {arity}\n"
+        )
+
+    def test_largest_conjecture_still_runs(self, capsys):
+        assert run("genus", "--conjecture", "22", "--freeset", "12") == 0
+        assert "[1, 2, 8]" in capsys.readouterr().out
+
     def test_needs_exactly_one_source(self, tmp_path):
         assert run("genus") == 2
         path = write_json(tmp_path / "e.json", {"equations": [[1, -1]]})
@@ -584,3 +624,125 @@ class TestGenus:
 
 def test_unknown_command_exit_two():
     assert run("frobnicate") == 2
+
+
+@st.composite
+def saved_colorings(draw):
+    """An explicit table on Q_n, n <= 5, with random int colors, or a c1 or
+    c2 coloring from a random affine image of a subset of a B_t or 3-AP-free
+    set (a x + b keeps both properties)."""
+    n = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["explicit", "c1", "c2"]))
+    if kind == "explicit":
+        color = st.tuples(st.integers(-(10**20), 10**20), st.integers(-5, 5))
+        table = {e.key(): draw(color) for e in enumerate_edges(n)}
+        return EdgeColoring(n, draw(st.integers(4, 16)), "explicit", {}, table)
+    t = draw(st.sampled_from([1, 2]))
+    base = greedy_bt(t, 7) if kind == "c1" else behrend_set(30)
+    picked = draw(st.lists(st.sampled_from(base), min_size=n, unique=True))
+    a, b = draw(st.integers(1, 40)), draw(st.integers(0, 100))
+    s = sorted(a * x + b for x in picked)
+    if kind == "c1":
+        return construction1(n, 4 * (t + 1), s)
+    return construction2(n, s, s[-1] + draw(st.integers(0, 50)))
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(col=saved_colorings())
+def test_save_load_round_trip(tmp_path, col):
+    path = str(tmp_path / "saved.json")
+    save_coloring(col, path)
+    back = load_coloring(path)
+    assert (back.n, back.k) == (col.n, col.k)
+    assert back.key_table() == col.key_table()
+
+
+INT_FLAGS = ("--t", "--q", "--size", "--N", "--conjecture", "--freeset")
+# values argparse's int() rejects
+NOT_INTS = ["x", "2.5", "", "0x10", "1e3", "--", "3 4", "-"]
+# values each command refuses before any work: out of range, a non-prime
+# q, a wrong k, or above a size class
+REFUSED = {
+    "--t": ["0", "-1", str(10**9), str(10**30)],
+    "--q": ["0", "1", "4", "9", str(2**61 - 1), str(10**30)],
+    "--size": ["0", "-3", str(10**9), str(10**30)],
+    "--N": ["0", "-5", str(2**22 + 1), str(10**30)],
+    "--conjecture": ["8", "12", "6", "-2", "26", str(10**9 + 2), str(10**30 + 2)],
+    "--freeset": ["0", "-1", str(10**30)],
+}
+CHEAP_ARGV = [
+    ["sets", "--kind", "bt", "--t", "2", "--size", "6"],
+    ["sets", "--kind", "bt", "--t", "3", "--q", "5"],
+    ["sets", "--kind", "bt", "--t", "2", "--verify-only", "SET"],
+    ["sets", "--kind", "behrend", "--N", "100"],
+    ["sets", "--kind", "behrend", "--verify-only", "SET"],
+    ["genus", "--conjecture", "10", "--freeset", "12"],
+    ["genus", "--conjecture", "14", "--freeset", "8", "--mode", "exhaustive"],
+    ["genus", "--eqs", "EQS", "--freeset", "10"],
+]
+
+
+@st.composite
+def malformed_argv(draw):
+    """A cheap valid genus or sets argument list (SET and EQS stand for
+    input files) with one defect."""
+    argv = list(draw(st.sampled_from(CHEAP_ARGV)))
+    slots = [i for i in range(2, len(argv)) if argv[i - 1] in INT_FLAGS]
+    defect = draw(st.sampled_from(
+        ["not-int", "refused", "drop", "other", "unknown", "choice", "no-file"]
+    ))
+    if defect in ("not-int", "refused") and slots:
+        i = draw(st.sampled_from(slots))
+        argv[i] = draw(st.sampled_from(
+            NOT_INTS if defect == "not-int" else REFUSED[argv[i - 1]]
+        ))
+    elif defect == "drop":  # a flag, leaving its value stray, or a value
+        del argv[draw(st.integers(1, len(argv) - 1))]
+    elif defect == "unknown":
+        flag = draw(st.sampled_from(["--bogus", "-z"]))
+        argv.insert(draw(st.integers(1, len(argv))), flag)
+    elif defect == "choice":
+        if argv[0] == "sets":
+            argv[2] = draw(st.sampled_from(["sidon", "", "BT"]))
+        else:
+            argv += ["--mode", draw(st.sampled_from(["fast", "", "GREEDY"]))]
+    elif defect == "no-file":
+        for i, arg in enumerate(argv):
+            if arg in ("SET", "EQS"):
+                argv[i] = "MISSING"
+        if "MISSING" not in argv:
+            argv += ["--verify-only" if argv[0] == "sets" else "--eqs", "MISSING"]
+    else:  # a flag of the other kind or a second equation source
+        argv += {"bt": ["--N", "50"], "behrend": ["--t", "2"]}.get(
+            argv[2], ["--eqs", "EQS"] if "--conjecture" in argv else ["--conjecture", "10"]
+        )
+    return argv
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(argv=malformed_argv())
+@example(argv=["genus", "--conjecture", str(10**9 + 2)])
+@example(argv=["sets", "--kind", "bt", "--t", "2", "--q", str(2**61 - 1)])
+@example(argv=["sets", "--kind", "bt", "--t", str(10**9), "--size", "1"])
+@example(argv=["sets", "--kind", "bt", "--t", "2", "--size", str(10**9)])
+@example(argv=["sets", "--kind", "bt", "--t", str(10**9), "--verify-only", "SET"])
+def test_malformed_arguments_exit_two(tmp_path, capsys, argv):
+    files = {
+        "SET": write_json(tmp_path / "set.json", [1, 2, 5]),
+        "EQS": write_json(tmp_path / "eqs.json", {"equations": [[1, 1, -2]]}),
+        "MISSING": str(tmp_path / "missing.json"),
+    }
+    capsys.readouterr()
+    start = time.monotonic()
+    assert main([files.get(arg, arg) for arg in argv]) == 2
+    assert time.monotonic() - start < 5
+    err = capsys.readouterr().err
+    assert err.startswith(("error: ", "budget exceeded: ", "usage: ")), err
