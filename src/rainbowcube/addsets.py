@@ -15,11 +15,12 @@ candidate is checked by a depth-first search over the assignments that
 use it. The search visits one assignment per orbit under permutations
 of positions with equal coefficients: such a permutation changes neither
 the sum, nor triviality, nor the values used (the proof is in the
-docstring of ``_creates_solution``). Its node budget counts the values
-tried at each position of one equation, so it counts far fewer nodes
-than a scan over every assignment would, and a check that such a scan
-would abandon may finish. The sets found, and every ``optimal`` flag, are
-those the full scan gives.
+docstring of ``_solution_search``). Its node budget counts the values
+tried at each position, so it counts far fewer nodes than a scan over
+every assignment would, and a check that such a scan would abandon may
+finish. A greedy scan charges the nodes of all its checks to one budget,
+so its time is bounded as a whole. The sets found, and every ``optimal``
+flag, are those the full scan gives.
 """
 
 from __future__ import annotations
@@ -624,7 +625,16 @@ def _solution_gen(
 
 
 def _creates_solution(system, kept: list, cand: int, max_nodes: int) -> bool:
-    """Whether adding ``cand`` to the kept set yields a nontrivial solution.
+    """Whether adding ``cand`` to the kept set yields a nontrivial solution
+    of an equation of the system; ``max_nodes`` bounds the search nodes of
+    each equation (``_solution_search``), and exceeding it raises
+    BudgetError."""
+    return any(_solution_search((eq,), kept, cand, max_nodes)[0] for eq in system)
+
+
+def _solution_search(system, kept: list, cand: int, budget: int) -> tuple[bool, int]:
+    """(whether adding ``cand`` to the kept set yields a nontrivial
+    solution, search nodes visited).
 
     Only assignments using ``cand`` at least once are searched; solutions
     avoiding it were ruled out when earlier elements were admitted.
@@ -641,15 +651,16 @@ def _creates_solution(system, kept: list, cand: int, max_nodes: int) -> bool:
     each run maps every assignment to exactly one such representative of
     its orbit.
 
-    A node is one value tried at one position; ``max_nodes`` bounds the
-    nodes of each equation, and exceeding it raises BudgetError. The
-    answer does not depend on the order of the search, but the node count
-    does, and it is usually far below that of a scan over every
+    A node is one value tried at one position; ``budget`` bounds the
+    nodes of all equations together, and exceeding it raises BudgetError.
+    The answer does not depend on the order of the search, but the node
+    count does, and it is usually far below that of a scan over every
     assignment: admitting 8 after 1, 2 against ``conjecture_system(22)``
     takes 2,185 nodes here and 176,271 in such a scan. So a check that
-    the scan would abandon at ``max_nodes`` may now finish.
+    the scan would abandon at ``budget`` may now finish.
     """
     values = sorted(kept + [cand])
+    spent = 0
     for coeffs in system:
         eq = sorted(coeffs)
         k = len(eq)
@@ -658,6 +669,7 @@ def _creates_solution(system, kept: list, cand: int, max_nodes: int) -> bool:
         run_start = [pos == 0 or eq[pos] != eq[pos - 1] for pos in range(k)]
         assignment = [0] * k
         nodes = 0
+        cap = budget - spent
 
         def rec(pos: int, partial: int, used: bool, first: int) -> bool:
             nonlocal nodes
@@ -666,10 +678,8 @@ def _creates_solution(system, kept: list, cand: int, max_nodes: int) -> bool:
             a = eq[pos]
             for idx in range(0 if run_start[pos] else first, len(values)):
                 nodes += 1
-                if nodes > max_nodes:
-                    raise BudgetError(
-                        f"solution check exceeded {max_nodes} nodes"
-                    )
+                if nodes > cap:
+                    raise BudgetError(f"solution check exceeded {budget} nodes")
                 val = values[idx]
                 nxt = partial + a * val
                 if nxt + suffix_min[pos + 1] > 0 or nxt + suffix_max[pos + 1] < 0:
@@ -679,9 +689,11 @@ def _creates_solution(system, kept: list, cand: int, max_nodes: int) -> bool:
                     return True
             return False
 
-        if rec(0, 0, False, 0):
-            return True
-    return False
+        found = rec(0, 0, False, 0)
+        spent += nodes
+        if found:
+            return True, spent
+    return False, spent
 
 
 def equation_free_subset(
@@ -693,9 +705,12 @@ def equation_free_subset(
     """Subset of [1, limit] with no nontrivial solution to any equation.
 
     Greedy mode scans 1..limit and keeps an element whenever it stays
-    solution-free; exhaustive mode backtracks to a maximum-size subset.
-    Returns (elements, optimal_flag). A blown node budget raises
-    BudgetError carrying the best set found so far.
+    solution-free; the search nodes of all its candidate checks share the
+    one budget ``max_nodes``. Exhaustive mode backtracks to a maximum-size
+    subset; ``max_nodes`` bounds its backtracking nodes and, separately,
+    each equation of each candidate check. Returns (elements,
+    optimal_flag). A blown node budget raises BudgetError carrying the
+    best set found so far.
     """
     sys_ = _as_system(system)
     if not isinstance(limit, int) or limit < 1:
@@ -713,13 +728,16 @@ def equation_free_subset(
 
     if mode == "greedy":
         kept: list[int] = []
+        left = max_nodes
         for cand in range(1, limit + 1):
             try:
-                conflict = _creates_solution(sys_, kept, cand, max_nodes)
+                conflict, nodes = _solution_search(sys_, kept, cand, left)
             except BudgetError as exc:
                 raise BudgetError(
-                    str(exc), best=(tuple(kept), False), kind="budget"
+                    f"greedy scan exceeded {max_nodes} nodes",
+                    best=(tuple(kept), False),
                 ) from exc
+            left -= nodes
             if not conflict:
                 kept.append(cand)
         return tuple(kept), False

@@ -22,7 +22,8 @@ import argparse
 import json
 import re
 import sys
-from typing import Callable, Optional
+from itertools import islice
+from typing import Callable, Iterator, Optional
 
 from . import addsets, coloring, verifier
 from .errors import BudgetError, UsageError
@@ -40,15 +41,26 @@ _WS = re.compile(r"[ \t\n\r]*")
 _COLON = re.compile(r"[ \t\n\r]*:[ \t\n\r]*")
 _NEXT = re.compile(r"[ \t\n\r]*([,}])[ \t\n\r]*")
 _DECODER = json.JSONDecoder()
+# edge records per write in save_coloring
+SAVE_CHUNK = 4096
 
 
 def save_coloring(col: coloring.EdgeColoring, path: str) -> None:
-    table = col.key_table()
-    edges = [
-        {"b": hex(key >> 5), "dir": (key & 31) + 1, "color": list(table[key])}
-        for key in sorted(table)
-    ]
-    doc = {
+    """Write the coloring document, the text ``json.dumps`` gives it plus a
+    newline, streaming the edge records in chunks of SAVE_CHUNK.
+
+    Everything that can refuse the coloring runs before the file is
+    opened, so a refused coloring leaves the path untouched: the size
+    class, the first chunk, which runs an explicit table's totality
+    check, and every record of an explicit table, whose colors may be
+    any value. Scheme records after the first chunk are rendered as they
+    are written.
+    """
+    if col.n > coloring.TABLE_DIM_LIMIT:
+        raise BudgetError(
+            f"refusing to write a coloring document for n={col.n}", kind="class"
+        )
+    head = json.dumps({
         "n": col.n,
         "k": col.k,
         "scheme": col.scheme,
@@ -56,13 +68,33 @@ def save_coloring(col: coloring.EdgeColoring, path: str) -> None:
             key: (list(val) if isinstance(val, tuple) else val)
             for key, val in col.params.items()
         },
-        "edges": edges,
-    }
-    # json.dumps runs the C encoder; json.dump writes the same text in pure Python
-    text = json.dumps(doc)
+    })
+    records = _records(col._rows())
+    if col.scheme == "explicit":
+        first = list(records)
+    else:
+        first = list(islice(records, SAVE_CHUNK))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        fh.write("\n")
+        fh.write(head[:-1] + ', "edges": [' + ", ".join(first))
+        while chunk := list(islice(records, SAVE_CHUNK)):
+            fh.write(", " + ", ".join(chunk))
+        fh.write("]}\n")
+
+
+def _records(rows) -> Iterator[str]:
+    """Edge records as ``json.dumps`` renders {"b", "dir", "color"}; a color
+    other than a pair of plain ints goes through ``json.dumps`` itself."""
+    last = None
+    for bottom, d, color in rows:
+        if type(color) is tuple and len(color) == 2:
+            c, p = color
+            if type(c) is int and type(p) is int:
+                if bottom != last:  # rows come grouped by bottom
+                    last = bottom
+                    lead = f'{{"b": "{bottom:#x}", "dir": '
+                yield f'{lead}{d}, "color": [{c}, {p}]}}'
+                continue
+        yield json.dumps({"b": hex(bottom), "dir": d, "color": list(color)})
 
 
 def _read_json(path: str, peek: Optional[Callable[[str, dict], None]] = None):

@@ -23,7 +23,7 @@ import re
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import log2
-from typing import Iterator, Union
+from typing import Iterator, Optional, Union
 
 from .addsets import behrend_set, verify_3ap_free, verify_bt
 from .errors import BudgetError, UsageError
@@ -75,25 +75,47 @@ class EdgeColoring:
                 return self._table[e.key()]
             except KeyError:
                 raise UsageError(f"no color stored for edge {e}") from None
-        return self._colored(e.bottom, e.dir, weight_a(e.bottom, self.params["S"]))
+        return next(c for _, d, c in self._rows(e.bottom) if d == e.dir)
 
     def items(self) -> Iterator[tuple[Edge, Color]]:
         """(edge, color) pairs in enumeration order, streamed."""
-        if self._table is not None:
-            for e in enumerate_edges(self.n):
-                yield e, self.color_of(e)
-            return
-        weights = _weight_table(self.n, self.params["S"])
-        for e in enumerate_edges(self.n):
-            yield e, self._colored(e.bottom, e.dir, weights[e.bottom])
+        for bottom, d, color in self._rows():
+            yield Edge(bottom, d), color
 
-    def _colored(self, bottom: int, direction: int, a: int) -> Color:
-        """Scheme color of the edge (bottom, direction); ``a`` is a(bottom)."""
-        level = bottom.bit_count() + 1
+    def _rows(self, only: Optional[int] = None) -> Iterator[tuple[int, int, Color]]:
+        """(bottom, direction, color) of every edge, bottom ascending, then
+        direction: the order of ``sorted(key_table())``. An explicit table
+        is read through ``key_table``, so it must be total. A scheme walk
+        with ``only`` set covers the edges of that one bottom.
+
+        A scheme gives the edge with bottom v and direction j the color
+        (a(v) + off_j, (|v| + 1) mod levels), its first part reduced mod 2N
+        in construction2: off_j is M * j in construction1, 2 * s_j in
+        construction2.
+        """
+        if self._table is not None:
+            table = self.key_table()
+            for key in sorted(table):
+                yield key >> 5, (key & 31) + 1, table[key]
+            return
+        n, s = self.n, self.params["S"]
         if self.scheme == "construction1":
-            return a + self.params["M"] * direction, level % (self.k // 2)
-        mod = 2 * self.params["N"]
-        return (a + 2 * self.params["S"][direction - 1]) % mod, level % 3
+            offsets = [self.params["M"] * j for j in range(1, n + 1)]
+            mod, levels = 0, self.k // 2
+        else:
+            offsets = [2 * x for x in s[:n]]
+            mod, levels = 2 * self.params["N"], 3
+        dirs = [(d, 1 << d - 1, off) for d, off in enumerate(offsets, 1)]
+        if only is None:
+            bottoms, weights = range(1 << n), _weight_table(n, s)
+        else:
+            bottoms, weights = (only,), {only: weight_a(only, s)}
+        for bottom in bottoms:
+            a = weights[bottom]
+            level = (bottom.bit_count() + 1) % levels
+            for d, bit, off in dirs:
+                if not bottom & bit:
+                    yield bottom, d, ((a + off) % mod if mod else a + off, level)
 
     def key_table(self) -> dict[int, Color]:
         """Full table keyed by Edge.key(); validates explicit totality."""
@@ -113,15 +135,8 @@ class EdgeColoring:
                     if not bottom >> d - 1 & 1 and edge_key(bottom, d) not in table:
                         raise UsageError(f"coloring misses edge {Edge(bottom, d)}")
             return dict(table)
-        weights = _weight_table(self.n, self.params["S"])
-        colored = self._colored
-        table = {}
-        for bottom in range(1 << self.n):
-            a = weights[bottom]
-            for d in range(1, self.n + 1):
-                if not bottom >> d - 1 & 1:
-                    table[edge_key(bottom, d)] = colored(bottom, d, a)
-        return table
+        # edge_key, inline
+        return {bottom << 5 | d - 1: color for bottom, d, color in self._rows()}
 
 
 def weight_a(v: int, s) -> int:
@@ -318,7 +333,7 @@ def count_colors(coloring: EdgeColoring) -> int:
         raise BudgetError(
             f"refusing to stream {coloring.n << coloring.n - 1} edges", kind="class"
         )
-    return len({color for _, color in coloring.items()})
+    return len({color for _, _, color in coloring._rows()})
 
 
 def _count_c2(coloring: EdgeColoring) -> int:

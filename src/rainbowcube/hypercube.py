@@ -9,7 +9,8 @@ edge whose bottom vertex has j ones sits on level j + 1.
 Color tables and conflict graphs key edges by the dense int
 ``bottom << 5 | dir - 1`` (five bits hold a direction up to MAX_DIM).
 ``edge_key`` and ``cycle_keys`` build it; ``cli.load_coloring`` builds it
-inline, once per record of a coloring file.
+inline, once per record of a coloring file, and so does
+``EdgeColoring.key_table``, once per edge of a scheme coloring.
 
 Cycles are canonical vertex tuples: the minimum vertex comes first and the
 orientation is chosen so the second vertex is smaller than the last. Cycle

@@ -16,13 +16,16 @@ against the validator it replaced, which counts each direction and
 compares with a full canonical rotation, and ``lower_bound_clique``
 against its pair loop over sets of ``Edge`` objects. The orbit search
 of ``addsets._creates_solution`` is checked against the scan over every
-assignment that it replaced.
+assignment that it replaced. The streaming ``cli.save_coloring`` is
+checked byte for byte against one ``json.dumps`` of the whole document,
+with scheme colors taken from the paper's formulas edge by edge.
 """
 
 from __future__ import annotations
 
 import collections
 import itertools
+import json
 
 import networkx as nx
 
@@ -34,6 +37,7 @@ from rainbowcube.hypercube import (
     edges_of_cycle,
     enumerate_cycles,
     enumerate_edges,
+    edge_key,
     _check_dim,
 )
 from rainbowcube.errors import BudgetError
@@ -444,3 +448,46 @@ def creates_solution_scan(system, kept, cand: int, max_nodes: int) -> bool:
         if rec(0, 0, False):
             return True
     return False
+
+
+def scheme_color_table(col) -> dict:
+    """Edge key -> color of a construction1 or construction2 coloring,
+    from the formulas edge by edge: (a(v) + M j, (|v| + 1) mod k/2) and
+    ((a(v) + 2 s_j) mod 2N, (|v| + 1) mod 3)."""
+    s = col.params["S"]
+    table = {}
+    for e in enumerate_edges(col.n):
+        a = sum(s[i] for i in range(col.n) if e.bottom >> i & 1)
+        level = bin(e.bottom).count("1") + 1
+        if col.scheme == "construction1":
+            color = (a + col.params["M"] * e.dir, level % (col.k // 2))
+        else:
+            color = ((a + 2 * s[e.dir - 1]) % (2 * col.params["N"]), level % 3)
+        table[edge_key(e.bottom, e.dir)] = color
+    return table
+
+
+def save_coloring_dumps(col, path: str) -> None:
+    """``cli.save_coloring`` as it was before it streamed: one dict per
+    edge record and one ``json.dumps`` of the whole document."""
+    if col.scheme == "explicit":
+        table = col.key_table()
+    else:
+        table = scheme_color_table(col)
+    edges = [
+        {"b": hex(key >> 5), "dir": (key & 31) + 1, "color": list(table[key])}
+        for key in sorted(table)
+    ]
+    doc = {
+        "n": col.n,
+        "k": col.k,
+        "scheme": col.scheme,
+        "params": {
+            key: (list(val) if isinstance(val, tuple) else val)
+            for key, val in col.params.items()
+        },
+        "edges": edges,
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(doc))
+        fh.write("\n")

@@ -359,6 +359,26 @@ class TestEquationFreeSubset:
         with pytest.raises(BudgetError):
             equation_free_subset([(1, 1, -2)], 100_001, mode="greedy")
 
+    def test_greedy_budget_covers_the_whole_scan(self):
+        # the scan to 200 visits 463,731 nodes; no equation of one candidate
+        # check takes more than 14,935, so only a scan-wide budget stops it
+        system = conjecture_system(14)
+        golden = (1, 2, 6, 22, 56, 154)
+        assert equation_free_subset(system, 200, max_nodes=10**6) == (golden, False)
+        with pytest.raises(BudgetError) as info:
+            equation_free_subset(system, 200, max_nodes=20_000)
+        best, optimal = info.value.best
+        assert info.value.kind == "budget" and not optimal
+        assert best == golden[: len(best)] and len(best) >= 3
+
+    def test_tiny_budget_stops_the_longest_scan(self):
+        start = time.monotonic()
+        with pytest.raises(BudgetError) as info:
+            equation_free_subset(conjecture_system(22), 100_000, max_nodes=1000)
+        assert time.monotonic() - start < 1
+        assert info.value.kind == "budget"
+        assert info.value.best == ((1, 2), False)
+
     def test_node_budget_carries_best(self):
         with pytest.raises(BudgetError) as info:
             equation_free_subset([(1, 1, -2)], 24, mode="exhaustive", max_nodes=10)

@@ -7,8 +7,9 @@ import tracemalloc
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+import oracles
 from rainbowcube.addsets import behrend_set, greedy_bt
-from rainbowcube.cli import _read_json, load_coloring, main, save_coloring
+from rainbowcube.cli import SAVE_CHUNK, _read_json, load_coloring, main, save_coloring
 from rainbowcube.errors import UsageError
 from rainbowcube.coloring import (
     EdgeColoring,
@@ -17,6 +18,7 @@ from rainbowcube.coloring import (
     derive_c2_params,
 )
 from rainbowcube.hypercube import enumerate_edges
+from rainbowcube.verifier import exact_min_colors
 
 
 def run(*args):
@@ -661,6 +663,95 @@ def test_save_load_round_trip(tmp_path, col):
     assert back.key_table() == col.key_table()
 
 
+@st.composite
+def odd_tables(draw):
+    """An explicit table on Q_n, n <= 4, whose color parts may be bools,
+    floats (inf and nan too), ints past 64 bits or lists."""
+    n = draw(st.integers(1, 4))
+    part = st.one_of(
+        st.integers(-5, 5), st.booleans(), st.floats(),
+        st.integers(-(10**30), 10**30), st.just(None),
+    )
+    color = st.one_of(
+        st.tuples(part, part), st.lists(part, min_size=1, max_size=3).map(tuple),
+        st.lists(part, min_size=2, max_size=2),
+    )
+    table = {e.key(): draw(color) for e in enumerate_edges(n)}
+    return EdgeColoring(n, draw(st.integers(4, 16)), "explicit", {}, table)
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(col=st.one_of(saved_colorings(), odd_tables()))
+def test_save_matches_dumps_oracle(tmp_path, col):
+    save_coloring(col, str(tmp_path / "streamed.json"))
+    oracles.save_coloring_dumps(col, str(tmp_path / "dumped.json"))
+    assert (tmp_path / "streamed.json").read_bytes() == (
+        tmp_path / "dumped.json"
+    ).read_bytes()
+
+
+class TestStreamedSave:
+    def test_exact_document_matches_dumps_oracle(self, tmp_path):
+        out = tmp_path / "exact.json"
+        assert run("exact", "--n", "5", "--k", "4", "--out", str(out)) == 0
+        _, col = exact_min_colors(5, 4)
+        oracles.save_coloring_dumps(col, str(tmp_path / "dumped.json"))
+        assert out.read_bytes() == (tmp_path / "dumped.json").read_bytes()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--n", "12", "--scheme", "c2", "--eps", "1"),
+            ("--n", "11", "--k", "8", "--scheme", "c1"),
+        ],
+    )
+    def test_several_chunks_match_dumps_oracle(self, tmp_path, flags):
+        out = tmp_path / "c.json"
+        assert run("construct", *flags, "--out", str(out)) == 0
+        doc = json.loads(out.read_text())
+        assert len(doc["edges"]) > 2 * SAVE_CHUNK
+        if doc["scheme"] == "construction2":
+            rebuilt = construction2(doc["n"], doc["params"]["S"], doc["params"]["N"])
+        else:
+            rebuilt = construction1(doc["n"], doc["k"], doc["params"]["S"])
+        oracles.save_coloring_dumps(rebuilt, str(tmp_path / "dumped.json"))
+        assert out.read_bytes() == (tmp_path / "dumped.json").read_bytes()
+
+    @pytest.mark.parametrize("where", ["missing edge", "unrenderable last color"])
+    def test_refused_table_leaves_the_file_untouched(self, tmp_path, where):
+        n = 10  # 5,120 edges, more than one chunk
+        table = {e.key(): (0, 0) for e in enumerate_edges(n)}
+        last = max(table)
+        if where == "missing edge":
+            del table[last]
+            error = UsageError
+        else:
+            table[last] = (object(), 0)
+            error = TypeError
+        path = tmp_path / "kept.json"
+        path.write_bytes(b"earlier bytes\n")
+        with pytest.raises(error):
+            save_coloring(EdgeColoring(n, 6, "explicit", {}, table), str(path))
+        assert path.read_bytes() == b"earlier bytes\n"
+
+    def test_c2_n14_memory_stays_flat(self, tmp_path):
+        # one dict per edge and the whole text peaked at 62 MB here
+        s, cap, _ = derive_c2_params(14, 1)
+        col = construction2(14, s, cap)
+        tracemalloc.start()
+        try:
+            save_coloring(col, str(tmp_path / "c2.json"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        assert (tmp_path / "c2.json").stat().st_size > 5 * 10**6
+
+
 INT_FLAGS = ("--t", "--q", "--size", "--N", "--conjecture", "--freeset")
 # values argparse's int() rejects
 NOT_INTS = ["x", "2.5", "", "0x10", "1e3", "--", "3 4", "-"]
@@ -739,6 +830,103 @@ def test_malformed_arguments_exit_two(tmp_path, capsys, argv):
         "SET": write_json(tmp_path / "set.json", [1, 2, 5]),
         "EQS": write_json(tmp_path / "eqs.json", {"equations": [[1, 1, -2]]}),
         "MISSING": str(tmp_path / "missing.json"),
+    }
+    capsys.readouterr()
+    start = time.monotonic()
+    assert main([files.get(arg, arg) for arg in argv]) == 2
+    assert time.monotonic() - start < 5
+    err = capsys.readouterr().err
+    assert err.startswith(("error: ", "budget exceeded: ", "usage: ")), err
+
+
+# cheap valid construct, verify and exact argument lists; COL stands for a
+# Q_4 coloring file and OUT for an output path
+CHEAP_COLORING_ARGV = [
+    ["construct", "--n", "6", "--scheme", "c2", "--eps", "1", "--out", "OUT"],
+    ["construct", "--n", "6", "--k", "8", "--scheme", "c1", "--out", "OUT"],
+    ["construct", "--n", "5", "--k", "12", "--scheme", "c1", "--sidon", "bose-chowla",
+     "--out", "OUT"],
+    ["verify", "--coloring", "COL"],
+    ["verify", "--coloring", "COL", "--k", "6"],
+    ["exact", "--n", "4", "--k", "4"],
+    ["exact", "--n", "3", "--k", "6", "--timeout", "5", "--out", "OUT"],
+]
+# values each argument list above refuses before any search
+REFUSED_VALUES = {
+    ("construct", "--n"): ["0", "-1", "19", "33", str(10**30)],
+    ("construct", "--k"): ["0", "-8", "4", "7", "10", str(10**30)],
+    ("construct", "--eps"): ["0", "-1", "x", "", "nan", "inf", "1/0", "10", "1e10000000"],
+    ("verify", "--k"): ["0", "3", "5", "-6", "1000", str(10**30)],
+    ("exact", "--n"): ["0", "-1", "1", "33", str(10**30)],
+    ("exact", "--k"): ["0", "3", "5", "-4", "1000", str(10**30)],
+    ("exact", "--timeout"): ["nan", "inf", "-inf", "x", ""],
+}
+# a flag another command takes, or one that contradicts the argument list
+FOREIGN = {
+    "construct": [["--coloring", "COL"], ["--timeout", "1"], ["--t", "2"]],
+    "verify": [["--n", "4"], ["--out", "OUT"], ["--scheme", "c2"]],
+    "exact": [["--scheme", "c2"], ["--coloring", "COL"], ["--eps", "1"]],
+}
+
+
+@st.composite
+def malformed_coloring_argv(draw):
+    """A cheap valid construct, verify or exact argument list with one
+    defect."""
+    argv = list(draw(st.sampled_from(CHEAP_COLORING_ARGV)))
+    cmd = argv[0]
+    slots = [i for i in range(2, len(argv)) if (cmd, argv[i - 1]) in REFUSED_VALUES]
+    defect = draw(st.sampled_from(
+        ["not-int", "refused", "drop", "other", "unknown", "choice", "no-file"]
+    ))
+    int_slots = [i for i in slots if argv[i - 1] in ("--n", "--k")]
+    if defect == "not-int" and int_slots:
+        argv[draw(st.sampled_from(int_slots))] = draw(st.sampled_from(NOT_INTS))
+    elif defect == "refused" and slots:
+        i = draw(st.sampled_from(slots))
+        argv[i] = draw(st.sampled_from(REFUSED_VALUES[cmd, argv[i - 1]]))
+    elif defect == "drop":
+        del argv[draw(st.integers(1, len(argv) - 1))]
+    elif defect == "choice" and "--scheme" in argv:
+        i = argv.index("--scheme") + 1
+        argv[i] = draw(st.sampled_from(["c3", "", "C2", "construction2"]))
+    elif defect == "choice" and "--sidon" in argv:
+        argv[argv.index("--sidon") + 1] = draw(st.sampled_from(["fast", "", "Greedy"]))
+    elif defect == "no-file":
+        if "COL" in argv:
+            argv[argv.index("COL")] = "MISSING"
+        elif "OUT" in argv:
+            argv[argv.index("OUT")] = "NODIR"
+        else:
+            argv += ["--out", "NODIR"]
+    elif defect == "other":
+        argv += draw(st.sampled_from(FOREIGN[cmd]))
+    else:
+        flag = draw(st.sampled_from(["--bogus", "-z", "--sets"]))
+        argv.insert(draw(st.integers(1, len(argv))), flag)
+    return argv
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(argv=malformed_coloring_argv())
+@example(argv=["construct", "--n", "19", "--scheme", "c2", "--eps", "1", "--out", "OUT"])
+@example(argv=["exact", "--n", "17", "--k", "4", "--timeout", "5"])
+@example(argv=["construct", "--n", "6", "--scheme", "c2", "--eps", "1", "--sidon",
+               "greedy", "--out", "OUT"])
+def test_malformed_coloring_arguments_exit_two(tmp_path, capsys, argv):
+    col = tmp_path / "col.json"
+    if not col.exists():
+        assert main(["construct", "--n", "4", "--scheme", "c2", "--eps", "1",
+                     "--out", str(col)]) == 0
+    files = {
+        "COL": str(col),
+        "OUT": str(tmp_path / "out.json"),
+        "MISSING": str(tmp_path / "missing.json"),
+        "NODIR": str(tmp_path / "no-such-dir" / "out.json"),
     }
     capsys.readouterr()
     start = time.monotonic()

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
+from rainbowcube.addsets import behrend_set, greedy_bt
 from rainbowcube.coloring import (
     C2_CAP_LIMIT,
     EdgeColoring,
@@ -222,6 +224,21 @@ class TestEdgeColoring:
         col = construction1(4, 8, [1, 2, 3, 4])
         edges = [e for e, _ in col.items()]
         assert edges == list(enumerate_edges(4))
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_walk_matches_formula_oracle(self, n):
+        schemes = [
+            construction1(n, 8, greedy_bt(1, n)),
+            construction1(n, 12, [3 * x + 7 for x in greedy_bt(2, n)]),
+            construction2(n, behrend_set(40)[:n], 41),
+        ]
+        for col in schemes:
+            expected = oracles.scheme_color_table(col)
+            assert col.key_table() == expected
+            pairs = list(col.items())
+            assert [e for e, _ in pairs] == list(enumerate_edges(n))
+            assert all(c == expected[e.key()] == col.color_of(e) for e, c in pairs)
+            assert count_colors(col) == len(set(expected.values()))
 
     def test_explicit_requires_table(self):
         with pytest.raises(UsageError):
