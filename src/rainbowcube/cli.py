@@ -451,14 +451,22 @@ def _cmd_genus(args) -> int:
             shown = " ".join("{" + ",".join(map(str, part)) + "}" for part in parts)
             print(f"equation {idx}: {list(eq)} genus {g} partition {shown}")
     if args.freeset is not None:
-        elems, optimal = addsets.equation_free_subset(
-            system, args.freeset, mode=args.mode
-        )
-        print(
-            f"solution-free subset of [1, {args.freeset}]: {list(elems)} "
-            f"(size {len(elems)}, optimal {str(optimal).lower()})"
-        )
+        try:
+            found = addsets.equation_free_subset(system, args.freeset, mode=args.mode)
+        except BudgetError as exc:
+            # a blown node budget still shows the set kept so far (exit 3)
+            if exc.best is not None:
+                _print_free_subset(args.freeset, *exc.best)
+            raise
+        _print_free_subset(args.freeset, *found)
     return EXIT_OK
+
+
+def _print_free_subset(limit: int, elems, optimal: bool) -> None:
+    print(
+        f"solution-free subset of [1, {limit}]: {list(elems)} "
+        f"(size {len(elems)}, optimal {str(optimal).lower()})"
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -482,7 +482,9 @@ def build_cycle_same_level(n: int, k: int, e1: Edge, e2: Edge) -> Cycle:
                 "bottom vertices too far apart: need |v xor x| <= k/2 - 2"
             )
 
-    cyc = _same_level_cycle(n, k, e1, e2, may_flip=True)
+    cyc = _same_level_cycle(
+        n, k, e1.bottom, 1 << e1.dir - 1, e2.bottom, 1 << e2.dir - 1, True
+    )
     keys, problem = _cycle_keys_or_problem(n, cyc)
     if problem is not None:
         raise InternalError(f"constructed cycle invalid: {problem}")
@@ -491,19 +493,23 @@ def build_cycle_same_level(n: int, k: int, e1: Edge, e2: Edge) -> Cycle:
     return cyc
 
 
-def _same_level_cycle(n: int, k: int, e1: Edge, e2: Edge, may_flip: bool) -> Cycle:
+def _same_level_cycle(
+    n: int, k: int, v: int, bi: int, x: int, bj: int, may_flip: bool
+) -> Cycle:
+    """The routing of ``build_cycle_same_level`` for the edges with bottoms
+    ``v`` and ``x`` and direction bits ``bi`` and ``bj`` (1 << dir - 1).
+
+    Nothing is checked here: the caller stands for the preconditions of
+    ``build_cycle_same_level`` and validates the cycle it gets back.
+    """
     full = (1 << n) - 1
-    v, x = e1.bottom, e2.bottom
-    w, y = e1.top, e2.top
-    bi = 1 << e1.dir - 1
-    bj = 1 << e2.dir - 1
+    w, y = v | bi, x | bj
 
     def flipped() -> Cycle:
         if not may_flip:
             raise UsageError("not enough unused coordinates to route the cycle")
-        mirror = _same_level_cycle(
-            n, k, complement_edge(n, e1), complement_edge(n, e2), may_flip=False
-        )
+        # complementing the cube maps the edge (v, bi) to (full ^ w, bi)
+        mirror = _same_level_cycle(n, k, full ^ w, bi, full ^ y, bj, False)
         return canonical_cycle(tuple(full ^ u for u in mirror))
 
     if v == x:

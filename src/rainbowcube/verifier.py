@@ -27,7 +27,11 @@ from .coloring import Color, EdgeColoring
 from .errors import BudgetError, InternalError, UsageError
 from .hypercube import (
     Edge,
-    build_cycle_same_level,
+    # Not called here: lower_bound_clique calls _same_level_cycle directly.
+    # Kept as a name of this module because perfbench/spans.py wraps
+    # verifier.build_cycle_same_level, and its installer raises KeyError
+    # when the name is missing.
+    build_cycle_same_level,  # noqa: F401
     count_level_edges,
     cycle_keys,
     cycles_containing_pair,
@@ -38,6 +42,7 @@ from .hypercube import (
     _check_cycle_length,
     _check_dim,
     _cycle_keys_or_problem,
+    _same_level_cycle,
 )
 
 VERIFY_DIM_LIMIT = 14
@@ -530,12 +535,32 @@ def lower_bound_clique(n: int, k: int) -> tuple[int, BoundCertificate]:
     """Edge count of level k/4 with a witness k-cycle for every pair.
 
     Every two edges on level k/4 lie in a common k-cycle when n > k, so
-    all of them need distinct colors in any k-rainbow coloring. Witnesses
-    are built by ``build_cycle_same_level``, which validates each, and
-    checked a second time here: the rules of ``cycle_problem`` and both
-    edges of the pair, on int edge keys. A failure aborts loudly. A
-    certificate of more than ``CLIQUE_PAIR_LIMIT`` pairs is refused with a
-    class BudgetError before any witness is built.
+    all of them need distinct colors in any k-rainbow coloring. The
+    certificate lists the level's edges in ``enumerate_edges`` order and
+    maps each pair (e1, e2), e1 first in that order, to the cycle
+    ``build_cycle_same_level(n, k, e1, e2)`` returns.
+
+    Each witness comes from the router of ``build_cycle_same_level``,
+    ``hypercube._same_level_cycle``, called on int bottoms and direction
+    bits, and is checked once: the rules of ``cycle_problem`` and both
+    edge keys of the pair among its edges, in one walk on int keys. A
+    failure is an InternalError. The router checks nothing, and it needs
+    none of the argument checks of ``build_cycle_same_level``, as the
+    level scan already ensures each of them:
+
+    - 1 <= n <= MAX_DIM by ``_check_dim``; 4 | k and 4 <= k < n by the
+      checks below, so k is even and k <= 2^n;
+    - each edge has a bottom below 2^n with its direction bit clear and a
+      direction in [1, n], so it lies inside Q_n;
+    - the two edges of a pair are distinct, as ``combinations`` pairs
+      distinct positions of a list without repeats;
+    - both edges sit on level k/4, as every bottom has k/4 - 1 ones;
+    - for a disjoint pair, k is divisible by 4, and two bottoms of
+      k/4 - 1 ones each differ in at most 2(k/4 - 1) = k/2 - 2
+      coordinates, so |v xor x| <= k/2 - 2.
+
+    A certificate of more than ``CLIQUE_PAIR_LIMIT`` pairs is refused with
+    a class BudgetError before any witness is built.
     """
     _check_dim(n)
     if not isinstance(k, int) or k < 4 or k % 4:
@@ -565,9 +590,9 @@ def lower_bound_clique(n: int, k: int) -> tuple[int, BoundCertificate]:
             f"level {level} edge scan found {len(edges)}, expected {expected}"
         )
     witnesses = {}
-    keyed = [(e, e.key()) for e in edges]
-    for (e1, key1), (e2, key2) in combinations(keyed, 2):
-        cyc = build_cycle_same_level(n, k, e1, e2)
+    routed = [(e, e.key(), e.bottom, 1 << e.dir - 1) for e in edges]
+    for (e1, key1, v, bi), (e2, key2, x, bj) in combinations(routed, 2):
+        cyc = _same_level_cycle(n, k, v, bi, x, bj, True)
         keys, problem = _cycle_keys_or_problem(n, cyc)
         if problem or key1 not in keys or key2 not in keys:
             raise InternalError(f"witness for {e1} and {e2} failed validation")

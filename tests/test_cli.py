@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import oracles
+from rainbowcube import cli
 from rainbowcube.addsets import behrend_set, greedy_bt
 from rainbowcube.cli import SAVE_CHUNK, _read_json, load_coloring, main, save_coloring
 from rainbowcube.errors import UsageError
@@ -617,6 +618,29 @@ class TestGenus:
     def test_largest_conjecture_still_runs(self, capsys):
         assert run("genus", "--conjecture", "22", "--freeset", "12") == 0
         assert "[1, 2, 8]" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "mode,best,why",
+        [
+            ("greedy", [1, 2, 5], "greedy scan"),
+            ("exhaustive", [1, 2, 5, 16, 25], "exhaustive search"),
+        ],
+    )
+    def test_budget_exit_prints_best_set(self, monkeypatch, capsys, mode, best, why):
+        search = cli.addsets.equation_free_subset
+        monkeypatch.setattr(
+            cli.addsets,
+            "equation_free_subset",
+            lambda *args, **kwargs: search(*args, max_nodes=2000, **kwargs),
+        )
+        argv = ("genus", "--conjecture", "10", "--freeset", "30", "--mode", mode)
+        assert run(*argv) == 3
+        out, err = capsys.readouterr()
+        assert out.splitlines()[-1] == (
+            f"solution-free subset of [1, 30]: {best} "
+            f"(size {len(best)}, optimal false)"
+        )
+        assert err == f"budget exceeded: {why} exceeded 2000 nodes\n"
 
     def test_needs_exactly_one_source(self, tmp_path):
         assert run("genus") == 2

@@ -2,7 +2,7 @@ import itertools
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from rainbowcube import hypercube
 from rainbowcube.errors import InternalError, UsageError
@@ -264,7 +264,7 @@ class TestSameLevelWitnessCheck:
         monkeypatch.setattr(hypercube, "_same_level_cycle", broken)
 
     def test_router_output_is_valid_unpatched(self):
-        cyc = hypercube._same_level_cycle(9, 8, self.e1, self.e2, may_flip=True)
+        cyc = hypercube._same_level_cycle(9, 8, 0, 0b1, 0, 0b10, True)
         assert cycle_problem(9, cyc) is None
         assert {self.e1, self.e2} <= set(edges_of_cycle(cyc))
 
@@ -286,6 +286,99 @@ class TestSameLevelWitnessCheck:
         self.break_router(monkeypatch, lambda c: other)
         with pytest.raises(InternalError, match="misses a required edge"):
             build_cycle_same_level(9, 8, self.e1, self.e2)
+
+
+def _route_branch(n, k, v, bi, x, bj):
+    """(branch, mirrored): the case of ``_same_level_cycle`` a pair takes,
+    and whether it runs out of free coordinates and routes in the
+    complemented cube."""
+    w, y = v | bi, x | bj
+    if v == x:
+        branch, used, need = "bottom", w | y, k // 2 - 2
+    elif w == y:
+        branch, used, need = "top" if k > 4 else "top k=4", w, k // 2 - 2
+    else:
+        pad = k // 4 - 1 - (v ^ x).bit_count() // 2
+        down = pad <= (v & x).bit_count()
+        branch, used = "pads down" if down else "pads up", w | y
+        need = k // 4 - (w ^ y).bit_count() // 2 + (0 if down else pad)
+    return branch, n - used.bit_count() < need
+
+
+@st.composite
+def same_level_pairs(draw, branch, mirrored):
+    """(n, k, e1, e2): two distinct same-level edges of Q_n, n > k, that
+    meet the preconditions of ``build_cycle_same_level`` and take
+    ``branch`` of the router, mirrored or not. Edges near the top of the
+    cube leave too few free coordinates and reach the mirrored case."""
+    if branch == "top k=4":
+        k = 4
+    elif branch in ("pads down", "pads up"):
+        # disjoint pairs need 4 | k; pads go up only below level k/4
+        k = draw(st.sampled_from((12, 16) if branch == "pads up" else (8, 12, 16)))
+    else:
+        k = 2 * draw(st.integers(3 if mirrored else 2, 8))
+    n = draw(st.integers(k + 1, k + 6))
+    order = draw(st.permutations(range(n)))
+    bit = [1 << d for d in order]
+    if branch == "bottom":
+        # pool n - ones - 2 against k/2 - 2 fresh coordinates
+        lo, hi = (n - k // 2 + 1, n - 2) if mirrored else (0, n - k // 2)
+        ones = draw(st.integers(lo, hi))
+        v = x = sum(bit[:ones])
+        bi, bj = bit[ones], bit[ones + 1]
+    elif branch in ("top", "top k=4"):
+        # pool n - |top| against k/2 - 2 fresh coordinates
+        lo, hi = (n - k // 2 + 3, n) if mirrored else (2, min(n, n - k // 2 + 2))
+        top = sum(bit[: draw(st.integers(lo, hi))])
+        bi, bj = bit[0], bit[1]
+        v, x = top ^ bi, top ^ bj
+    else:
+        # x trades t of the ones of v for t others: |v ^ x| = 2t <= k/2 - 2
+        up = branch == "pads up"
+        t = draw(st.integers(1, k // 4 - (2 if up else 1)))
+        if up:
+            lo, hi = t, k // 4 - 2
+        else:
+            # near the top, v | x leaves at most two coordinates free
+            lo, hi = (n - t - 2 if mirrored else max(t, k // 4 - 1)), n - t - 1
+        ones = draw(st.integers(lo, hi))
+        v = sum(bit[:ones])
+        x = v ^ sum(bit[:t]) ^ sum(bit[ones : ones + t])
+        bi = draw(st.sampled_from([b for b in bit if not v & b]))
+        bj = draw(st.sampled_from([b for b in bit if not x & b]))
+        assume(v | bi != x | bj)
+    assume(_route_branch(n, k, v, bi, x, bj) == (branch, mirrored))
+    return n, k, Edge(v, bi.bit_length()), Edge(x, bj.bit_length())
+
+
+class TestSameLevelRouter:
+    """The int router against the ``Edge``-based routing it replaced."""
+
+    @pytest.mark.parametrize(
+        "branch,mirrored",
+        [
+            ("bottom", False),
+            ("bottom", True),
+            ("top", False),
+            ("top", True),
+            ("top k=4", False),
+            ("pads down", False),
+            ("pads down", True),
+            # pads go up only below level k/4, where coordinates never run out
+            ("pads up", False),
+        ],
+    )
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_edge_oracle(self, branch, mirrored, data):
+        n, k, e1, e2 = data.draw(same_level_pairs(branch, mirrored))
+        for a, b in ((e1, e2), (e2, e1)):
+            got = hypercube._same_level_cycle(
+                n, k, a.bottom, 1 << a.dir - 1, b.bottom, 1 << b.dir - 1, True
+            )
+            assert got == oracles.same_level_cycle_edges(n, k, a, b, True)
+            assert got == build_cycle_same_level(n, k, a, b)
 
 
 class TestCyclesContainingPair:

@@ -639,7 +639,7 @@ class TestLowerBoundClique:
         def never(*args):
             raise AssertionError("a witness was built")
 
-        monkeypatch.setattr(verifier, "build_cycle_same_level", never)
+        monkeypatch.setattr(verifier, "_same_level_cycle", never)
         start = time.monotonic()
         with pytest.raises(BudgetError, match="witness cycles") as info:
             lower_bound_clique(n, k)
@@ -654,9 +654,10 @@ class TestLowerBoundClique:
             (0, 1, 3, 6),  # 3 and 6 not adjacent
         ],
     )
-    def test_second_witness_check_is_live(self, monkeypatch, cycle):
+    def test_witness_check_is_live(self, monkeypatch, cycle):
+        # the router checks nothing, so its output reaches the one check
         monkeypatch.setattr(
-            verifier, "build_cycle_same_level", lambda n, k, e1, e2: cycle
+            verifier, "_same_level_cycle", lambda n, k, v, bi, x, bj, may_flip: cycle
         )
         with pytest.raises(InternalError, match="failed validation"):
             lower_bound_clique(5, 4)
