@@ -209,20 +209,21 @@ def cycle_problem(n: int, verts) -> Optional[str]:
     Q_n and adjacent to the next, then canonical form. The first failure
     is reported.
     """
-    return _cycle_keys_or_problem(n, verts)[1]
+    _check_dim(n)
+    return _cycle_keys_or_problem(n, tuple(verts))[1]
 
 
 def _cycle_keys_or_problem(n: int, verts) -> tuple[Optional[list[int]], Optional[str]]:
-    """``(cycle_keys(verts), None)`` when ``verts`` is a valid canonical
-    cycle of Q_n, else ``(None, why)``: ``cycle_problem`` in one walk.
+    """``(cycle_keys(verts), None)`` when the tuple ``verts`` is a valid
+    canonical cycle of Q_n, else ``(None, why)``: ``cycle_problem`` in one
+    walk, for an ``n`` the caller has checked.
 
     A closed walk of single-bit steps uses every direction an even number
     of times (the steps XOR to v_0 ^ v_0 = 0), so that needs no check of
     its own. With distinct vertices the tuple is canonical exactly when
-    the first vertex is the minimum and the second is below the last.
+    the first vertex is the minimum and the second is below the last. The
+    walk stops at the first vertex outside Q_n, if min/max finds one.
     """
-    _check_dim(n)
-    verts = tuple(verts)
     k = len(verts)
     if k < 4 or k % 2:
         return None, f"length {k} is not an even number >= 4"
@@ -230,16 +231,20 @@ def _cycle_keys_or_problem(n: int, verts) -> tuple[Optional[list[int]], Optional
         return None, f"length {k} exceeds the vertex count of Q_{n}"
     if len(set(verts)) != k:
         return None, "repeated vertex"
-    size = 1 << n
+    lo, end = min(verts), k
+    if lo < 0 or max(verts) >> n:
+        end = next(i for i, u in enumerate(verts) if not 0 <= u < 1 << n)
     keys = []
-    for u, w in zip(verts, verts[1:] + verts[:1]):
-        if not 0 <= u < size:
-            return None, f"vertex {u:#x} outside Q_{n}"
+    u = verts[0]
+    for w in (verts[1:] + verts[:1])[:end]:
         d = u ^ w
         if d == 0 or d & (d - 1):
             return None, f"vertices {u:#x} and {w:#x} not adjacent"
         keys.append((u & w) << 5 | d.bit_length() - 1)
-    if verts[0] != min(verts) or verts[1] > verts[-1]:
+        u = w
+    if end < k:
+        return None, f"vertex {verts[end]:#x} outside Q_{n}"
+    if verts[0] != lo or verts[1] > verts[-1]:
         return None, "not in canonical form"
     return keys, None
 

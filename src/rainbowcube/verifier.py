@@ -10,7 +10,8 @@ Verification groups the edges by color and tests each class pair by
 pair, or, for a class larger than a conflict neighbourhood, scans each
 member's translated neighbourhood, a Hamming ball around the edge. If
 some edges clash, the canonical witness is the smallest cycle through a
-clashing pair. Exact minimum color counts come from branch-and-bound
+clashing pair, from one pass over the pairs that keeps only the best
+cycle so far. Exact minimum color counts come from branch-and-bound
 chromatic search on the conflict graph, built from the same
 neighbourhoods.
 """
@@ -27,23 +28,21 @@ from .coloring import Color, EdgeColoring
 from .errors import BudgetError, InternalError, UsageError
 from .hypercube import (
     Edge,
-    # Not called here: lower_bound_clique calls _same_level_cycle directly.
-    # Kept as a name of this module because perfbench/spans.py wraps
-    # verifier.build_cycle_same_level, and its installer raises KeyError
-    # when the name is missing.
-    build_cycle_same_level,  # noqa: F401
     count_level_edges,
-    cycle_keys,
     cycles_containing_pair,
     edge_key,
     edges_of_cycle,
-    enumerate_cycles,
     enumerate_edges,
     _check_cycle_length,
     _check_dim,
     _cycle_keys_or_problem,
     _same_level_cycle,
 )
+
+# Not called here. perfbench/spans.py wraps verifier.build_cycle_same_level
+# and verifier.enumerate_cycles, and its installer raises KeyError when
+# either name is missing from this module.
+from .hypercube import build_cycle_same_level, enumerate_cycles  # noqa: F401
 
 VERIFY_DIM_LIMIT = 14
 # Adjacency bytes (one m-bit int per edge) a conflict graph may take:
@@ -224,61 +223,44 @@ def _clashes(n: int, half: int, classes) -> Iterator[tuple[int, int]]:
                     yield a, b
 
 
-def _smallest_violation(
-    n: int, k: int, table: dict, pairs: Optional[list], bottoms: set[int]
-) -> Optional[tuple]:
-    """The canonically smallest non-rainbow k-cycle.
+def _smallest_cycle(n: int, k: int) -> tuple:
+    """The canonically smallest k-cycle of Q_n, 4 <= k <= 2^n, k even.
 
-    It holds a clashing pair, and every cycle through a clashing pair is
-    non-rainbow. So with the clashing ``pairs`` at hand (at most n) it is
-    the least of the smallest cycles through each pair. Otherwise
-    (``pairs`` None) the cycles are enumerated in ascending start blocks,
-    only from the possible minimum vertices of a cycle through a clashing
-    edge (of bottom in ``bottoms``), up to the first block that holds a
-    non-rainbow cycle.
+    Its vertices begin 0, 1, 3, 2, each the least a cycle can take after
+    the ones before it, as some k-cycle begins so: take a path P of
+    k/2 - 1 steps from 0, first to 1, in the subcube with coordinate 2
+    clear (a Gray code of its 2^(n-1) vertices has room, as k <= 2^n).
+    P and then P with coordinate 2 set walked back is a k-cycle through
+    3, 2, 0, 1; XOR by 3 maps it to one through 0, 1, 3, 2. So the
+    smallest k-cycle is the smallest one through the edges (0, 1) and
+    (2, 1).
     """
-    if pairs is not None:
-        witnesses = [
-            cycles_containing_pair(
-                n, k, Edge(a >> 5, (a & 31) + 1), Edge(b >> 5, (b & 31) + 1)
-            )[1]
-            for a, b in pairs
-        ]
-        return None if None in witnesses else min(witnesses)
-    worst: Optional[tuple] = None
-    starts = _candidate_starts(sorted(bottoms), k // 2)
-    for cyc in enumerate_cycles(n, k, starts=starts):
-        if worst is not None and cyc[0] > worst[0]:
-            break
-        if len({table[key] for key in cycle_keys(cyc)}) < k and (
-            worst is None or cyc < worst
-        ):
-            worst = cyc
-    return worst
-
-
-def _candidate_starts(bottoms: list[int], half: int) -> Iterator[int]:
-    """Ascending vertices s with s <= x and popcount(s ^ x) <= ``half`` for
-    some x in the ascending list ``bottoms``: every k-cycle through such
-    an x (k = 2 * half) has its minimum vertex among them."""
-    lo = 0
-    for s in range(bottoms[-1] + 1):
-        while bottoms[lo] < s:
-            lo += 1
-        if any((s ^ bottoms[i]).bit_count() <= half for i in range(lo, len(bottoms))):
-            yield s
+    return cycles_containing_pair(n, k, Edge(0, 1), Edge(2, 1))[1]
 
 
 def verify_rainbow(coloring: EdgeColoring, k: int) -> Optional[Violation]:
-    """None when every k-cycle is rainbow, else the canonical violation.
+    """None when every k-cycle is rainbow, else the canonical violation:
+    the canonically smallest offending cycle and its lexicographically
+    first pair of equally colored edges.
 
-    The reported violation carries the canonically smallest offending
-    cycle and its lexicographically first pair of equally colored edges.
-    A coloring is k-rainbow when no two equally colored edges share a
-    k-cycle (see ``_clashes``). Clashing pairs are kept while there are
-    at most n of them, after that only the set of their bottoms, so
-    memory stays bounded however dense the clashes (see
-    ``_smallest_violation``).
+    Two equally colored edges clash when they share a k-cycle (see
+    ``_clashes``). Every cycle through a clashing pair is non-rainbow and
+    every non-rainbow cycle holds one, so the witness is the least of the
+    smallest cycles through each pair (``cycles_containing_pair``). One
+    pass keeps only the least so far, ``worst``, so memory stays O(1)
+    however dense the clashes; two rules spare most searches.
+
+    Floor. Let the pair be (x, d) and (y, e), and s its span: the bits of
+    x ^ y and both directions. A k-cycle through both flips each
+    coordinate it uses an even number of times, so it uses at most k/2,
+    s among them, and its vertices agree with x on the others. So its
+    minimum vertex is at least x with the bits of s and then its highest
+    k/2 - |s| remaining ones cleared; a pair whose floor lies above
+    ``worst[0]`` is skipped.
+
+    Stop. No cycle is smaller than ``_smallest_cycle``, so the pass ends
+    once ``worst`` is that cycle. It is looked up only when a pair passes
+    the floor while ``worst`` starts at 0, so one clash never pays for it.
     """
     n = coloring.n
     _check_k(n, k)
@@ -288,20 +270,28 @@ def verify_rainbow(coloring: EdgeColoring, k: int) -> Optional[Violation]:
     classes: dict = {}
     for key, color in table.items():
         classes.setdefault(color, []).append(key)
-    pairs: Optional[list[tuple[int, int]]] = []
-    bottoms: set[int] = set()
+    worst = first = None
     for a, b in _clashes(n, k // 2, classes.values()):
-        bottoms.add(a >> 5)
-        bottoms.add(b >> 5)
-        if pairs is not None:
-            pairs.append((a, b))
-            if len(pairs) > n:
-                pairs = None
-    if not bottoms:
-        return None
-    worst = _smallest_violation(n, k, table, pairs, bottoms)
+        x = a >> 5
+        span = x ^ b >> 5 | 1 << (a & 31) | 1 << (b & 31)
+        floor = x & ~span
+        for _ in range(min(k // 2 - span.bit_count(), floor.bit_count())):
+            floor ^= 1 << floor.bit_length() - 1
+        if worst and floor > worst[0]:
+            continue
+        if worst and not worst[0]:
+            first = first or _smallest_cycle(n, k)
+            if worst == first:
+                break
+        cyc = cycles_containing_pair(
+            n, k, Edge(x, (a & 31) + 1), Edge(b >> 5, (b & 31) + 1)
+        )[1]
+        if cyc is None:
+            raise InternalError("clashing edges share no k-cycle")
+        if worst is None or cyc < worst:
+            worst = cyc
     if worst is None:
-        raise InternalError("clashing edges share no k-cycle")
+        return None
     ordered = sorted(edges_of_cycle(worst))
     for e1, e2 in combinations(ordered, 2):
         c1 = table[e1.key()]

@@ -538,6 +538,22 @@ def scheme_color_table(col) -> dict:
     return table
 
 
+def k10_mod_table(n: int) -> dict:
+    """Edge key -> color of the k=10 analogue of construction 2 that is
+    not 10-rainbow for n = 6..10: with S the greedy
+    ``conjecture_system(10)``-free set cut to n elements and N = max S,
+    edge (v, d) gets ((a(v) + 2 s_d) mod 2N, (|v| + 1) mod 5)."""
+    s = (1, 2, 5, 14, 33, 72, 113, 168, 259, 352)[:n]
+    table = {}
+    for e in enumerate_edges(n):
+        a = sum(s[i] for i in range(n) if e.bottom >> i & 1)
+        table[edge_key(e.bottom, e.dir)] = (
+            (a + 2 * s[e.dir - 1]) % (2 * s[-1]),
+            (e.bottom.bit_count() + 1) % 5,
+        )
+    return table
+
+
 def save_coloring_dumps(col, path: str) -> None:
     """``cli.save_coloring`` as it was before it streamed: one dict per
     edge record and one ``json.dumps`` of the whole document."""

@@ -206,6 +206,24 @@ class TestVerify:
         assert run("verify", "--coloring", str(out)) == 0
         assert time.monotonic() - start < 10
 
+    def test_dense_clashes_verify_in_seconds(self, tmp_path):
+        # a monochrome Q_12 at k=6 and a k=10 table with 32 clashing pairs:
+        # the witness search looks only at the clashing pairs
+        mono = tmp_path / "mono.json"
+        mono.write_text(blank_text(12))
+        table = oracles.k10_mod_table(8)
+        k10 = write_json(tmp_path / "k10.json", {
+            "n": 8, "k": 10, "scheme": "explicit", "params": {},
+            "edges": [
+                {"b": hex(key >> 5), "dir": (key & 31) + 1, "color": list(color)}
+                for key, color in sorted(table.items())
+            ],
+        })
+        for path in (str(mono), k10):
+            start = time.monotonic()
+            assert run("verify", "--coloring", path) == 1
+            assert time.monotonic() - start < 5
+
     def test_violation_prints_witness(self, tmp_path, capsys):
         path = write_json(tmp_path / "bad.json", monochrome_doc(3, 6))
         assert run("verify", "--coloring", path) == 1

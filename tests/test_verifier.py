@@ -31,7 +31,7 @@ from rainbowcube.verifier import (
     _greedy_clique,
     _neighbourhood_size,
     _neighbourhoods,
-    _smallest_violation,
+    _smallest_cycle,
     _try_color,
     conflict_graph,
     exact_min_colors,
@@ -213,7 +213,7 @@ class TestFastPathMatchesEnumeration:
     @pytest.mark.parametrize("n,k", [(4, 6), (5, 6), (4, 8), (5, 8)])
     def test_edge_with_more_than_n_partners(self, n, k):
         # n + 1 neighbours of one edge take its color: more than n clashing
-        # pairs, so the witness comes from the start-block walk
+        # pairs, all through that edge
         rng = random.Random(f"hub {n} {k}")
         col = random_coloring(n, k, 10**9, rng)
         assert verify_rainbow(col, k) is None
@@ -255,22 +255,56 @@ class TestFastPathMatchesEnumeration:
         assert vio == oracles.verify_rainbow_enum(col, k)
 
     @pytest.mark.parametrize("n,k", [(4, 6), (5, 6), (4, 8), (5, 8), (4, 12)])
-    def test_pair_and_block_witness_agree(self, n, k):
-        # the at-most-n-pairs witness equals the start-block walk's
-        rng = random.Random(f"witness {n} {k}")
-        m = n << n - 1
-        for palette in (3 * m, 10 * m, 50 * m):
-            table = random_coloring(n, k, palette, rng).key_table()
-            classes = {}
-            for key, color in table.items():
-                classes.setdefault(color, []).append(key)
-            pairs = list(_clashes(n, k // 2, classes.values()))
-            if not pairs:
-                continue
-            bottoms = {key >> 5 for pair in pairs for key in pair}
-            assert _smallest_violation(n, k, table, pairs, bottoms) == (
-                _smallest_violation(n, k, table, None, bottoms)
-            )
+    def test_near_monochrome(self, n, k):
+        # one color but on the smallest k-cycle, whose edges are rainbow:
+        # the floor prunes, and the stop rule never fires, as the smallest
+        # cycle is no witness
+        table = {e.key(): (0, 0) for e in enumerate_edges(n)}
+        for i, key in enumerate(cycle_keys(min(enumerate_cycles(n, k)))):
+            table[key] = (i + 1, 0)
+        col = explicit(n, k, table)
+        vio = verify_rainbow(col, k)
+        assert vio is not None
+        assert vio == oracles.verify_rainbow_enum(col, k)
+
+    def test_k10_table_with_more_than_n_clashing_pairs(self):
+        # the oracle takes seconds here, so its witness is written out
+        col = explicit(6, 10, oracles.k10_mod_table(6))
+        classes = {}
+        for key, color in col.key_table().items():
+            classes.setdefault(color, []).append(key)
+        assert len(list(_clashes(6, 5, classes.values()))) == 8
+        assert verify_rainbow(col, 10) == Violation(
+            (0, 1, 3, 2, 6, 4, 36, 32, 40, 8), Edge(1, 2), Edge(4, 6), (5, 2)
+        )
+
+
+@st.composite
+def few_color_tables(draw):
+    """(coloring, k): an explicit table on Q_n, n <= 4, in 1 to 4 colors,
+    and an even k <= 2^n. Hypothesis leans to tiny draws, so the table
+    comes from a seeded generator."""
+    n = draw(st.integers(2, 4))
+    k = draw(st.sampled_from(range(4, (1 << n) + 1, 2)))
+    palette = draw(st.integers(1, 4))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return random_coloring(n, k, palette, rng), k
+
+
+@settings(max_examples=150, deadline=None)
+@given(few_color_tables())
+def test_witness_matches_enumeration_on_few_color_tables(case):
+    col, k = case
+    assert verify_rainbow(col, k) == oracles.verify_rainbow_enum(col, k)
+
+
+@pytest.mark.parametrize(
+    "n,k",
+    [(n, k) for n in range(2, 6) for k in range(4, 13, 2) if k <= 1 << n]
+    + [(6, k) for k in (4, 6, 8)],
+)
+def test_smallest_cycle(n, k):
+    assert _smallest_cycle(n, k) == min(enumerate_cycles(n, k))
 
 
 NEIGHBOURHOOD_CLASSES = SMALL_CLASSES + [(6, 8), (6, 10), (7, 6), (8, 6), (9, 8)]
