@@ -39,12 +39,13 @@ EXHAUSTIVE_LIMIT = 30
 BT_SCAN_LIMIT = 10**6
 GREEDY_LIMIT = 100_000
 # Largest limit behrend_set accepts, at least C2_CAP_LIMIT (2^20), the most
-# construction2 asks for. Building is cheap (0.5 s at 10^8), but checking
-# the result for 3-APs, as the sets command does, grows faster: 1.7 s at
-# 2^22, 11 s at 10^7.
+# construction2 asks for. Building is cheap (25 ms at 10^8), but checking
+# the result for 3-APs, as the sets command does, grows faster: 1.2 s at
+# 2^22, 8.6 s at 10^7.
 BEHREND_LIMIT = 1 << 22
 # verify_3ap_free scans with bitsets when max(set) <= this factor times the set
-# size; the pair loop wins from about 470 up (sets of 200 to 2,048 elements)
+# size; the pair loop wins from about 700 to 1,000 up (sets of 105 to 2,048
+# elements), so up to this factor the bitsets win with room to spare
 AP_BITSET_DENSITY = 256
 
 
@@ -346,6 +347,8 @@ def bose_chowla(t: int, q: int) -> tuple[int, ...]:
 
 def _bitset(ascending) -> int:
     """The int with bit v set for each v of an ascending list of ints >= 0."""
+    if not ascending:
+        return 0
     buf = bytearray((ascending[-1] >> 3) + 1)
     for v in ascending:
         buf[v >> 3] |= 1 << (v & 7)
@@ -358,21 +361,26 @@ def verify_3ap_free(elems):
     Returns (True, None) or (False, (x, y, z)) with the first witness in
     ascending (x, y) order.
 
-    Dense sets are scanned with big-int bitsets: with M = sum 2^v and
-    D = sum 2^(2v) over the set, bit z - x - 1 of ((D >> x) & M) >> (x + 1)
-    is set exactly when z = 2y - x is in the set for some y > x, and its
-    lowest bit gives the smallest such y. Sparse sets, whose bitsets could
-    be arbitrarily long, keep the pair loop.
+    Dense sets are scanned with big-int bitsets of at most max(set) + 1
+    bits. Let M = sum 2^v over the set and, for each parity p,
+    H_p = sum 2^(v >> 1) over the elements v = p (mod 2). For x < y the
+    third term z = 2y - x has the parity of x, and z >> 1 = y - c with
+    c = (x + 1) >> 1, the ceiling of x / 2. So bit y of H_(x & 1) << c
+    is set exactly when z is in the set, and bit y - x - 1 of
+    (M & (H_(x & 1) << c)) >> (x + 1) is set exactly when y and z are in
+    the set for some y > x. Its lowest bit gives the smallest such y, so
+    the witness order is that of a scan over x, then y. Sparse sets,
+    whose bitsets could be arbitrarily long, keep the pair loop.
     """
     s = _as_intset(elems)
     if s and s[-1] <= AP_BITSET_DENSITY * len(s):
         members = _bitset(s)
-        doubles = _bitset([2 * v for v in s])
+        halves = [_bitset([v >> 1 for v in s if v & 1 == p]) for p in (0, 1)]
         for xval in s:
-            hit = ((doubles >> xval) & members) >> (xval + 1)
+            hit = (members & (halves[xval & 1] << ((xval + 1) >> 1))) >> (xval + 1)
             if hit:
-                zval = xval + (hit & -hit).bit_length()
-                return False, (xval, (xval + zval) // 2, zval)
+                yval = xval + (hit & -hit).bit_length()
+                return False, (xval, yval, 2 * yval - xval)
         return True, None
     members = set(s)
     for i, xval in enumerate(s):
@@ -383,48 +391,60 @@ def verify_3ap_free(elems):
 
 
 def _digit_fallback(limit: int) -> list[int]:
-    """{ m + 1 : base-3 digits of m are all 0 or 1, m + 1 <= limit }."""
-    out = []
-    powers = []
-    p = 1
-    while p <= limit:
-        powers.append(p)
-        p *= 3
-    for mask in range(1 << len(powers)):
-        val = 1
-        rest = mask
-        idx = 0
-        while rest:
-            if rest & 1:
-                val += powers[idx]
-            rest >>= 1
-            idx += 1
-        if val <= limit:
-            out.append(val)
-    return sorted(out)
+    """{ m + 1 : base-3 digits of m are all 0 or 1, m + 1 <= limit },
+    ascending: the binary digits of i = 0, 1, 2, ... read in base 3.
+
+    The elements built from the digits below 3^j are at most
+    1 + (3^j - 1) / 2, so adding 3^j to each of them, in order, appends
+    larger elements in ascending order."""
+    out = [1]
+    power = 1
+    while power < limit:
+        out += [v + power for v in out if v + power <= limit]
+        power *= 3
+    return out
 
 
-def _best_sphere_shell(limit: int) -> list[int]:
-    """Largest sphere shell over digit vectors in a carry-free base.
+def _best_sphere_shell(limit: int, floor: int = 0) -> list[int]:
+    """Largest sphere shell over digit vectors in a carry-free base, or []
+    when no shell has more than ``floor`` elements.
 
     Digits x_i in [0, d-1] are read in base 2d - 1, so adding two such
     numbers never carries; a shell of constant sum of squares then has no
     3-term progression. Scans 2 <= d <= 64 and every digit count whose
     base power stays within the limit, norms ascending within each; a
-    shell replaces the best only when strictly larger.
+    shell replaces the best (at first ``floor`` elements) only when
+    strictly larger.
 
     Every vector's value is below base^digits <= limit, so no vector is
     ever out of range and a shell's size is the number of digit vectors
     with that sum of squares. Those counts are extended one digit at a
     time, and only the winning shell is built.
+
+    A shell of D digits has at most d^(D-1) elements: once D - 1 digits
+    are fixed, the last digit c must satisfy c^2 = norm - (the squares of
+    the others), which at most one c >= 0 does. The bound grows with D,
+    so a d whose largest digit count D_max gives d^(D_max - 1) <= best
+    holds no shell that could replace the best, and its count tables are
+    never built. Skipping it leaves the result unchanged: the first
+    largest shell of the full scan lies in a d whose bound is at least
+    its size, which is above every best met before it.
     """
-    best = (0, 0, 0, 0, ())  # size, d, digits, norm, count tables
+    best = (floor, 0, 0, 0, ())  # size, d, digits, norm, count tables
     for d in range(2, 65):
         base = 2 * d - 1
-        squares = [c * c for c in range(d)]
-        tables = [{0: 1}]  # tables[j][norm] = vectors of j digits with that norm
+        digits = 0
         span = base
         while span <= limit:
+            digits += 1
+            span *= base
+        if not digits:  # nor for any larger d
+            break
+        if d ** (digits - 1) <= best[0]:
+            continue
+        squares = [c * c for c in range(d)]
+        tables = [{0: 1}]  # tables[j][norm] = vectors of j digits with that norm
+        for _ in range(digits):
             grown: dict[int, int] = {}
             for norm, count in tables[-1].items():
                 for sq in squares:
@@ -433,9 +453,8 @@ def _best_sphere_shell(limit: int) -> list[int]:
             for norm in sorted(grown):
                 if norm and grown[norm] > best[0]:
                     best = (grown[norm], d, len(tables) - 1, norm, tables)
-            span *= base
     size, d, digits, norm, tables = best
-    return _shell(d, digits, norm, tables) if size else []
+    return _shell(d, digits, norm, tables) if d else []
 
 
 def _shell(d: int, digits: int, norm: int, tables) -> list[int]:
@@ -463,7 +482,10 @@ def behrend_set(limit: int) -> tuple[int, ...]:
     """A 3-AP-free subset of [1, limit].
 
     Takes the better of the sphere-shell construction and the base-3
-    digit fallback; the fallback wins ties. The result always passes
+    digit fallback; the fallback wins ties. The shell search starts from
+    the fallback's size, so it builds no count table for a digit range
+    whose shells cannot beat it: for every limit up to BEHREND_LIMIT that
+    is all of them, and the fallback is the result. The result always passes
     verify_3ap_free. A limit above BEHREND_LIMIT is refused as a class
     error before anything is built.
     """
@@ -474,9 +496,7 @@ def behrend_set(limit: int) -> tuple[int, ...]:
             f"behrend_set supports limit <= {BEHREND_LIMIT}", kind="class"
         )
     fallback = _digit_fallback(limit)
-    shell = _best_sphere_shell(limit)
-    chosen = shell if len(shell) > len(fallback) else fallback
-    return tuple(chosen)
+    return tuple(_best_sphere_shell(limit, len(fallback)) or fallback)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,9 @@ edges is a list of {"b": "<hex bottom mask>", "dir": <1-based int>,
 digits with an optional 0x prefix. A document may not repeat a
 top-level key. Documents of Q_n above n = 14, which verify does not
 support, are refused on loading (exit 2): from the header when "n"
-precedes "edges", else after decoding. Equation files hold {"equations": [[a1, ..., ak], ...]} with
+precedes "edges", else after decoding. A header that ends within the
+first HEAD_CHARS characters is refused without reading the rest of the
+file. Equation files hold {"equations": [[a1, ..., ak], ...]} with
 nonzero int coefficients. Set files hold a sorted int array, bare or
 under an "elements" key.
 """
@@ -43,6 +45,9 @@ _NEXT = re.compile(r"[ \t\n\r]*([,}])[ \t\n\r]*")
 _DECODER = json.JSONDecoder()
 # edge records per write in save_coloring
 SAVE_CHUNK = 4096
+# characters _read_json reads before it walks a document's header; a whole
+# coloring document of Q_8 (44 KB for c2) fits in this first read
+HEAD_CHARS = 1 << 16
 
 
 def save_coloring(col: coloring.EdgeColoring, path: str) -> None:
@@ -106,11 +111,26 @@ def _read_json(path: str, peek: Optional[Callable[[str, dict], None]] = None):
     with the members read so far, so a caller can refuse a document from
     its header before a large value is decoded. Other documents are
     decoded whole.
+
+    The first HEAD_CHARS characters are read first. A document that ends
+    within them is walked once. A longer one has its members walked, with
+    ``peek``, up to the first value the prefix cuts off; only then is the
+    whole text read and walked, so ``peek`` may run twice on a member and
+    a document ``peek`` refuses from its header is never read in full.
     """
     try:
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-        pos = _WS.match(text).end()
+            text = fh.read(HEAD_CHARS)
+            pos = _WS.match(text).end()
+            if len(text) == HEAD_CHARS:
+                if peek is not None and text.startswith("{", pos):
+                    try:
+                        _read_members(text, pos + 1, peek)
+                    except json.JSONDecodeError:
+                        pass  # the cut, or an error the full walk reports
+                fh.seek(0)
+                text = fh.read()
+                pos = _WS.match(text).end()
         if not text.startswith("{", pos):
             return json.loads(text)
         return _read_members(text, pos + 1, peek)

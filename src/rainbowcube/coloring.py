@@ -34,7 +34,7 @@ Color = tuple[int, int]
 SCHEMES = ("construction1", "construction2", "explicit")
 TABLE_DIM_LIMIT = 18
 # Largest N that derive_c2_params gives construction2: behrend_set(2^20) takes
-# under a second, and the c2 color count's bitsets stay at 2^21 bits.
+# about a millisecond, and the c2 color count's bitsets stay at 2^21 bits.
 C2_CAP_LIMIT = 1 << 20
 # Decimal exponent beyond which an eps text is refused before Fraction reads
 # it: Fraction("1e1000000") builds a million-digit power of ten (0.13 s, and

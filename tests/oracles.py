@@ -10,7 +10,8 @@ for its translated-neighbourhood fast paths, and a DSATUR search that
 finds each pick by scanning every node is the ground truth for the
 saturation-level search of ``_try_color``. The additive-set kernels are
 checked against the loops they replaced: sphere shells built by walking
-every digit vector, and the 3-AP check by its O(s^2) pair loop. The
+every digit vector, and the 3-AP check by its O(s^2) pair loop and by
+the bitset scan over doubled elements that its parity split replaced. The
 one-walk cycle check of ``hypercube._cycle_keys_or_problem`` is checked
 against the validator it replaced, which counts each direction and
 compares with a full canonical rotation, and ``lower_bound_clique``
@@ -363,6 +364,23 @@ def verify_3ap_free_pairs(elems):
         for yval in s[i + 1 :]:
             if 2 * yval - xval in members:
                 return False, (xval, yval, 2 * yval - xval)
+    return True, None
+
+
+def verify_3ap_free_doubles(elems):
+    """The bitset scan that the parity split of ``verify_3ap_free``
+    replaced: with M = sum 2^v and D = sum 2^(2v) over the set, bit
+    z - x - 1 of ((D >> x) & M) >> (x + 1) is set exactly when z = 2y - x
+    is in the set for some y > x; x ascends, and the lowest bit gives the
+    smallest z, hence the smallest y."""
+    s = sorted(elems)
+    members = sum(1 << v for v in s)
+    doubles = sum(1 << 2 * v for v in s)
+    for xval in s:
+        hit = ((doubles >> xval) & members) >> (xval + 1)
+        if hit:
+            zval = xval + (hit & -hit).bit_length()
+            return False, (xval, (xval + zval) // 2, zval)
     return True, None
 
 

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 import time
@@ -12,6 +13,7 @@ from rainbowcube.addsets import (
     BT_SCAN_LIMIT,
     _best_sphere_shell,
     _creates_solution,
+    _digit_fallback,
     behrend_set,
     bose_chowla,
     conjecture_system,
@@ -229,7 +231,58 @@ class TestKernelsMatchOracles:
     def test_3ap_every_subset_of_1_14(self):
         for mask in range(1, 1 << 14):
             s = [v + 1 for v in range(14) if mask >> v & 1]
-            assert verify_3ap_free(s) == oracles.verify_3ap_free_pairs(s), s
+            want = oracles.verify_3ap_free_pairs(s)
+            assert verify_3ap_free(s) == oracles.verify_3ap_free_doubles(s) == want, s
+
+    def test_3ap_parity_split_matches_doubles_kernel(self):
+        rng = random.Random(15)
+        free = 0
+        for _ in range(150):
+            size = rng.randint(3, 2000)
+            s = set(rng.sample(range(1, rng.randint(2, 64) * size + 1), size))
+            assert verify_3ap_free(s) == oracles.verify_3ap_free_doubles(s), sorted(s)
+        # progression-free sets, alone and with one or two planted elements,
+        # so that the first witness may lie anywhere in the scan
+        for limit in (1000, 3000, 10_000, 60_000):
+            scale, shift = rng.randint(1, 3), rng.randint(0, 5)  # affine: stays free
+            base = [scale * v + shift for v in behrend_set(limit)]
+            for extra in range(40):
+                s = set(base) | {rng.randint(1, base[-1]) for _ in range(extra % 3)}
+                got = verify_3ap_free(s)
+                assert got == oracles.verify_3ap_free_doubles(s), (limit, extra)
+                free += got[0]
+        assert 0 < free < 160
+
+    def test_behrend_matches_unpruned_rule(self):
+        for limit in [*range(1, 3001), 10**4, 10**5, 1 << 20]:
+            fallback = _digit_fallback(limit)
+            shell = _best_sphere_shell(limit)
+            want = shell if len(shell) > len(fallback) else fallback
+            assert behrend_set(limit) == tuple(want), limit
+            if limit <= 3000:
+                assert fallback == oracles.digit_01_shifted(limit), limit
+
+    def test_shell_count_bound(self):
+        # at most d^(D-1) digit vectors share one sum of squares
+        for d in range(2, 65):
+            digits = 1
+            while (2 * d - 1) ** digits <= 10**5:
+                counts = collections.Counter(
+                    sum(c * c for c in vec)
+                    for vec in itertools.product(range(d), repeat=digits)
+                )
+                assert max(counts.values()) <= d ** (digits - 1), (d, digits)
+                digits += 1
+
+    def test_no_shell_beats_the_fallback_in_range(self):
+        # the bound d^(D-1) never exceeds the fallback's size where D digits
+        # first fit, so behrend_set builds no count table up to its limit
+        for d in range(2, 65):
+            base = 2 * d - 1
+            digits, span = 1, base
+            while span <= BEHREND_LIMIT:
+                assert d ** (digits - 1) <= len(_digit_fallback(span)), (d, digits)
+                digits, span = digits + 1, span * base
 
     @pytest.mark.parametrize("density", [4, AP_BITSET_DENSITY, 4 * AP_BITSET_DENSITY])
     def test_3ap_random_sets_either_side_of_switch(self, density):

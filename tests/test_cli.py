@@ -11,7 +11,7 @@ import oracles
 from rainbowcube import cli
 from rainbowcube.addsets import behrend_set, greedy_bt
 from rainbowcube.cli import SAVE_CHUNK, _read_json, load_coloring, main, save_coloring
-from rainbowcube.errors import UsageError
+from rainbowcube.errors import BudgetError, UsageError
 from rainbowcube.coloring import (
     EdgeColoring,
     construction1,
@@ -302,6 +302,19 @@ class TestVerify:
             tracemalloc.stop()
         assert peak < 3 * size
 
+    def test_oversized_refused_within_the_prefix(self, tmp_path, capsys):
+        # a byte that is not UTF-8, well past the first read and its
+        # look-ahead: reading the whole file would fail on it (a UsageError)
+        text = blank_text(15).encode()
+        cut = 4 * cli.HEAD_CHARS
+        path = tmp_path / "q15.json"
+        path.write_bytes(text[:cut] + b"\xff" + text[cut:])
+        with pytest.raises(BudgetError) as info:
+            load_coloring(str(path))
+        assert info.value.kind == "class"
+        assert run("verify", "--coloring", str(path)) == 2
+        assert capsys.readouterr().err.startswith("budget exceeded: ")
+
     def test_oversized_with_n_last_refused_after_decoding(self, tmp_path, capsys):
         path = tmp_path / "q15.json"
         path.write_text(blank_text(15, n_first=False))
@@ -505,6 +518,32 @@ def test_edited_documents_never_raise(tmp_path, data):
         return
     # repr compares key order and types, where == would not
     assert repr(_read_json(str(path))) == repr(want)
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=edited_text(), cut=st.integers(1, len(VALID_TEXT) + 1))
+@example(data=VALID_TEXT, cut=VALID_TEXT.index(b'"edges"') + 3)
+def test_edited_documents_read_past_a_short_prefix(tmp_path, monkeypatch, data, cut):
+    """A first read of ``cut`` characters, then the whole text, gives the
+    document, or the error, of a single read."""
+    path = tmp_path / "edited.json"
+    path.write_bytes(data)
+
+    def outcome():
+        keys = []
+        try:
+            doc = _read_json(str(path), lambda key, members: keys.append(key))
+        except UsageError as exc:
+            return "error", str(exc)
+        return repr(doc), list(dict.fromkeys(keys))
+
+    whole = outcome()
+    monkeypatch.setattr(cli, "HEAD_CHARS", cut)
+    assert outcome() == whole
 
 
 class TestExact:
