@@ -46,7 +46,6 @@ from .verifier import (
     conflict_graph,
     exact_min_colors,
     lower_bound_clique,
-    verify_q3_equivalence,
     verify_rainbow,
 )
 
@@ -89,7 +88,6 @@ __all__ = [
     "lower_bound_clique",
     "verify_3ap_free",
     "verify_bt",
-    "verify_q3_equivalence",
     "verify_rainbow",
     "weight_a",
 ]

@@ -1,9 +1,10 @@
 """Additive set constructions and predicates.
 
 Covers B_t sets (all size-t multiset sums distinct), the Bose-Chowla
-finite-field construction, progression-free sets (sphere shells in a
-carry-free base plus a base-3 digit fallback), the genus of a linear
-equation, trivial-solution detection, and solution-free subset search.
+finite-field construction, progression-free sets (the base-3 digit set,
+which no sphere shell beats in the supported range), the genus of a
+linear equation, trivial-solution detection, and solution-free subset
+search.
 
 Integer sets are plain sorted tuples of distinct positive ints. Linear
 equations are tuples of nonzero coefficients (a_1, ..., a_k) representing
@@ -39,14 +40,16 @@ EXHAUSTIVE_LIMIT = 30
 BT_SCAN_LIMIT = 10**6
 GREEDY_LIMIT = 100_000
 # Largest limit behrend_set accepts, at least C2_CAP_LIMIT (2^20), the most
-# construction2 asks for. Building is cheap (25 ms at 10^8), but checking
-# the result for 3-APs, as the sets command does, grows faster: 1.2 s at
-# 2^22, 8.6 s at 10^7.
+# construction2 asks for. Up to it no sphere shell beats the digit set (see
+# behrend_set). Building is cheap (1.2 ms at 2^22), but checking the result
+# for 3-APs, as the sets command does, grows faster: 1.2 s at 2^22, 8.6 s
+# at 10^7.
 BEHREND_LIMIT = 1 << 22
 # verify_3ap_free scans with bitsets when max(set) <= this factor times the set
-# size; the pair loop wins from about 700 to 1,000 up (sets of 105 to 2,048
-# elements), so up to this factor the bitsets win with room to spare
-AP_BITSET_DENSITY = 256
+# size. On progression-free sets of 64 to 2,048 elements (Python 3.11, one
+# process) the bitsets win 1.4-2.5x at max/size ~ 512, and the pair loop
+# takes over between about 730 and 1,000 (near 750 at 2,048 elements)
+AP_BITSET_DENSITY = 512
 
 
 def _as_intset(elems, what: str = "set") -> tuple[int, ...]:
@@ -390,104 +393,28 @@ def verify_3ap_free(elems):
     return True, None
 
 
-def _digit_fallback(limit: int) -> list[int]:
-    """{ m + 1 : base-3 digits of m are all 0 or 1, m + 1 <= limit },
-    ascending: the binary digits of i = 0, 1, 2, ... read in base 3.
+def behrend_set(limit: int) -> tuple[int, ...]:
+    """A 3-AP-free subset of [1, limit]: { m + 1 : every base-3 digit of m
+    is 0 or 1 }, ascending, the binary digits of i = 0, 1, 2, ... read in
+    base 3. Adding two such m never carries, so x + z = 2y forces x = y = z.
 
     The elements built from the digits below 3^j are at most
     1 + (3^j - 1) / 2, so adding 3^j to each of them, in order, appends
-    larger elements in ascending order."""
-    out = [1]
-    power = 1
-    while power < limit:
-        out += [v + power for v in out if v + power <= limit]
-        power *= 3
-    return out
+    larger elements in ascending order.
 
+    The paper's construction, a sphere shell over digit vectors in a
+    carry-free base, is absent because no shell beats this set for any
+    limit up to BEHREND_LIMIT. Digits x_i in [0, d-1] read in base 2d - 1
+    fit D of them when (2d - 1)^D <= limit, and a shell of D digits has at
+    most d^(D-1) elements: once D - 1 digits are fixed, the last digit c
+    must satisfy c^2 = norm - (the squares of the others), which at most
+    one c >= 0 does. That bound, taken where D digits first fit, never
+    exceeds the size of this set there, for every d and D in range. The
+    shell search stays in the tests as
+    ``tests/oracles.py::best_sphere_shell_enum``.
 
-def _best_sphere_shell(limit: int, floor: int = 0) -> list[int]:
-    """Largest sphere shell over digit vectors in a carry-free base, or []
-    when no shell has more than ``floor`` elements.
-
-    Digits x_i in [0, d-1] are read in base 2d - 1, so adding two such
-    numbers never carries; a shell of constant sum of squares then has no
-    3-term progression. Scans 2 <= d <= 64 and every digit count whose
-    base power stays within the limit, norms ascending within each; a
-    shell replaces the best (at first ``floor`` elements) only when
-    strictly larger.
-
-    Every vector's value is below base^digits <= limit, so no vector is
-    ever out of range and a shell's size is the number of digit vectors
-    with that sum of squares. Those counts are extended one digit at a
-    time, and only the winning shell is built.
-
-    A shell of D digits has at most d^(D-1) elements: once D - 1 digits
-    are fixed, the last digit c must satisfy c^2 = norm - (the squares of
-    the others), which at most one c >= 0 does. The bound grows with D,
-    so a d whose largest digit count D_max gives d^(D_max - 1) <= best
-    holds no shell that could replace the best, and its count tables are
-    never built. Skipping it leaves the result unchanged: the first
-    largest shell of the full scan lies in a d whose bound is at least
-    its size, which is above every best met before it.
-    """
-    best = (floor, 0, 0, 0, ())  # size, d, digits, norm, count tables
-    for d in range(2, 65):
-        base = 2 * d - 1
-        digits = 0
-        span = base
-        while span <= limit:
-            digits += 1
-            span *= base
-        if not digits:  # nor for any larger d
-            break
-        if d ** (digits - 1) <= best[0]:
-            continue
-        squares = [c * c for c in range(d)]
-        tables = [{0: 1}]  # tables[j][norm] = vectors of j digits with that norm
-        for _ in range(digits):
-            grown: dict[int, int] = {}
-            for norm, count in tables[-1].items():
-                for sq in squares:
-                    grown[norm + sq] = grown.get(norm + sq, 0) + count
-            tables.append(grown)
-            for norm in sorted(grown):
-                if norm and grown[norm] > best[0]:
-                    best = (grown[norm], d, len(tables) - 1, norm, tables)
-    size, d, digits, norm, tables = best
-    return _shell(d, digits, norm, tables) if d else []
-
-
-def _shell(d: int, digits: int, norm: int, tables) -> list[int]:
-    """Ascending values in base 2d - 1 of the digit vectors with the given
-    sum of squares; ``tables`` prunes every prefix that cannot complete."""
-    base = 2 * d - 1
-    out: list[int] = []
-
-    def walk(left: int, rest: int, val: int) -> None:
-        if not left:
-            out.append(val)
-            return
-        below = tables[left - 1]
-        for c in range(d):
-            if c * c > rest:
-                break
-            if rest - c * c in below:
-                walk(left - 1, rest - c * c, val * base + c)
-
-    walk(digits, norm, 0)
-    return out
-
-
-def behrend_set(limit: int) -> tuple[int, ...]:
-    """A 3-AP-free subset of [1, limit].
-
-    Takes the better of the sphere-shell construction and the base-3
-    digit fallback; the fallback wins ties. The shell search starts from
-    the fallback's size, so it builds no count table for a digit range
-    whose shells cannot beat it: for every limit up to BEHREND_LIMIT that
-    is all of them, and the fallback is the result. The result always passes
-    verify_3ap_free. A limit above BEHREND_LIMIT is refused as a class
-    error before anything is built.
+    A limit above BEHREND_LIMIT is refused as a class error before
+    anything is built.
     """
     if not isinstance(limit, int) or limit < 1:
         raise UsageError(f"limit must be a positive int, got {limit!r}")
@@ -495,8 +422,12 @@ def behrend_set(limit: int) -> tuple[int, ...]:
         raise BudgetError(
             f"behrend_set supports limit <= {BEHREND_LIMIT}", kind="class"
         )
-    fallback = _digit_fallback(limit)
-    return tuple(_best_sphere_shell(limit, len(fallback)) or fallback)
+    out = [1]
+    power = 1
+    while power < limit:
+        out += [v + power for v in out if v + power <= limit]
+        power *= 3
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

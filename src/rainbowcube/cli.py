@@ -406,6 +406,8 @@ def _cmd_sets(args) -> int:
         if args.N is not None:
             raise UsageError("--N applies to --kind behrend")
         if args.verify_only:
+            if args.q is not None or args.size is not None:
+                raise UsageError("--q/--size do not apply to --verify-only")
             elems = load_set(args.verify_only)
             ok, witness = addsets.verify_bt(elems, args.t)
             print(f"elements: {sorted(elems)}")
@@ -428,6 +430,8 @@ def _cmd_sets(args) -> int:
     if args.t is not None or args.q is not None or args.size is not None:
         raise UsageError("--t/--q/--size apply to --kind bt")
     if args.verify_only:
+        if args.N is not None:
+            raise UsageError("--N does not apply to --verify-only")
         elems = load_set(args.verify_only)
         ok, witness = addsets.verify_3ap_free(elems)
         print(f"elements: {sorted(elems)}")

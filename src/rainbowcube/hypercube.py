@@ -8,15 +8,17 @@ edge whose bottom vertex has j ones sits on level j + 1.
 
 Color tables and conflict graphs key edges by the dense int
 ``bottom << 5 | dir - 1`` (five bits hold a direction up to MAX_DIM).
-``edge_key`` and ``cycle_keys`` build it; ``cli.load_coloring`` builds it
-inline, once per record of a coloring file, and so does
-``EdgeColoring.key_table``, once per edge of a scheme coloring.
+``edge_key`` builds it, and ``_cycle_keys_or_problem`` for the edges of a
+cycle; ``cli.load_coloring`` builds it inline, once per record of a
+coloring file, and so does ``EdgeColoring.key_table``, once per edge of a
+scheme coloring.
 
 Cycles are canonical vertex tuples: the minimum vertex comes first and the
 orientation is chosen so the second vertex is smaller than the last. Cycle
-enumeration is a depth-first search from each candidate minimum vertex,
-pruned by the Hamming distance back to the start; the start/orientation
-rule makes every cycle appear exactly once, in a deterministic order.
+enumeration is a depth-first search from each vertex in ascending order,
+as the minimum vertex, pruned by the Hamming distance back to the start;
+the start/orientation rule makes every cycle appear exactly once, in a
+deterministic order.
 """
 
 from __future__ import annotations
@@ -99,16 +101,6 @@ def edge_key(bottom: int, dir: int) -> int:
     return bottom << 5 | dir - 1
 
 
-def cycle_keys(cyc) -> list[int]:
-    """Edge keys of a vertex cycle in walk order, as ``edges_of_cycle`` gives them."""
-    keys = []
-    prev = cyc[0]
-    for u in cyc[1:] + cyc[:1]:
-        keys.append((prev & u) << 5 | (prev ^ u).bit_length() - 1)
-        prev = u
-    return keys
-
-
 def validate_edge(n: int, e: Edge) -> None:
     """Check that ``e`` fits inside Q_n."""
     _check_dim(n)
@@ -152,13 +144,6 @@ def _edge_gen(n: int) -> Iterator[Edge]:
         for d in range(1, n + 1):
             if not bottom >> (d - 1) & 1:
                 yield Edge(bottom, d)
-
-
-def complement_edge(n: int, e: Edge) -> Edge:
-    """Image of an edge under complementing every vertex of Q_n."""
-    validate_edge(n, e)
-    full = (1 << n) - 1
-    return Edge(full ^ e.top, e.dir)
 
 
 def _bitmasks(mask: int) -> list[int]:
@@ -214,8 +199,9 @@ def cycle_problem(n: int, verts) -> Optional[str]:
 
 
 def _cycle_keys_or_problem(n: int, verts) -> tuple[Optional[list[int]], Optional[str]]:
-    """``(cycle_keys(verts), None)`` when the tuple ``verts`` is a valid
-    canonical cycle of Q_n, else ``(None, why)``: ``cycle_problem`` in one
+    """``(keys, None)`` when the tuple ``verts`` is a valid canonical cycle
+    of Q_n, with ``keys`` the edge keys in walk order (those of
+    ``edges_of_cycle``), else ``(None, why)``: ``cycle_problem`` in one
     walk, for an ``n`` the caller has checked.
 
     A closed walk of single-bit steps uses every direction an even number
@@ -249,33 +235,26 @@ def _cycle_keys_or_problem(n: int, verts) -> tuple[Optional[list[int]], Optional
     return keys, None
 
 
-def enumerate_cycles(n: int, k: int, starts=None) -> Iterator[Cycle]:
-    """Every k-cycle of Q_n exactly once, canonical, deterministic order.
+def enumerate_cycles(n: int, k: int) -> Iterator[Cycle]:
+    """Every k-cycle of Q_n exactly once, canonical, deterministic order:
+    by ascending minimum vertex, so the cycles with one minimum vertex
+    come as one run.
 
     Odd k yields nothing (Q_n is bipartite); k outside [4, 2^n] is an
-    error. ``starts``, an ascending iterable of vertices, keeps only the
-    cycles whose minimum vertex is in it, in the same order; None means
-    every vertex. Each start is checked when it is reached: one outside
-    [0, 2^n), or not above the one before it, is a UsageError.
+    error.
     """
     _check_dim(n)
     _check_cycle_length(n, k)
     if k % 2:
         return iter(())
-    return _cycle_gen(n, k, range(1 << n) if starts is None else starts)
+    return _cycle_gen(n, k)
 
 
-def _cycle_gen(n: int, k: int, starts) -> Iterator[Cycle]:
+def _cycle_gen(n: int, k: int) -> Iterator[Cycle]:
     bits = [1 << d for d in range(n)]
     blocked = _blocked_store(n)
     leaf = k - 1  # depth at which the only move left is closing to the start
-    prev = -1
-    for start in starts:
-        if not isinstance(start, int) or not prev < start < 1 << n:
-            raise UsageError(
-                f"start {start!r} is outside [0, 2^{n}) or not above the one before"
-            )
-        prev = start
+    for start in range(1 << n):
         path = [start]
         nexts = [0]
         while path:

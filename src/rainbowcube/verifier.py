@@ -30,7 +30,6 @@ from .hypercube import (
     Edge,
     count_level_edges,
     cycles_containing_pair,
-    edge_key,
     edges_of_cycle,
     enumerate_edges,
     _check_cycle_length,
@@ -76,14 +75,6 @@ class ConflictGraph:
     k: int
     edges: tuple[Edge, ...]
     adj: tuple[int, ...]
-
-    def degree(self, i: int) -> int:
-        return self.adj[i].bit_count()
-
-    def is_complete(self) -> bool:
-        m = len(self.edges)
-        full = (1 << m) - 1
-        return all(self.adj[i] == full ^ (1 << i) for i in range(m))
 
 
 @dataclass(frozen=True)
@@ -588,60 +579,3 @@ def lower_bound_clique(n: int, k: int) -> tuple[int, BoundCertificate]:
             raise InternalError(f"witness for {e1} and {e2} failed validation")
         witnesses[(e1, e2)] = cyc
     return expected, BoundCertificate(level, edges, witnesses)
-
-
-def verify_q3_equivalence(coloring: EdgeColoring) -> tuple[bool, bool]:
-    """(every 6-cycle rainbow, every 3-subcube fully colored).
-
-    The two predicates agree on every coloring: two edges of a 3-subcube
-    always share a 6-cycle, and every 6-cycle sits in some 3-subcube.
-    Disagreement indicates a bug and raises.
-    """
-    n = coloring.n
-    if n < 3:
-        raise UsageError(f"needs n >= 3, got {n}")
-    c6 = verify_rainbow(coloring, 6) is None
-
-    table = coloring.key_table()
-    q3 = True
-    dims = range(n)
-    for trio in combinations(dims, 3):
-        tmask = sum(1 << d for d in trio)
-        bits3 = [1 << d for d in trio]
-        corners = [
-            (bits3[0] if p & 1 else 0)
-            | (bits3[1] if p & 2 else 0)
-            | (bits3[2] if p & 4 else 0)
-            for p in range(8)
-        ]
-        base = 0
-        while True:
-            colors = set()
-            distinct = True
-            for corner in corners:
-                v = base | corner
-                for d in trio:
-                    if not v >> d & 1:
-                        color = table[edge_key(v, d + 1)]
-                        if color in colors:
-                            distinct = False
-                            break
-                        colors.add(color)
-                if not distinct:
-                    break
-            if not distinct:
-                q3 = False
-                break
-            # next base outside the trio coordinates
-            base = (base | tmask) + 1
-            base &= ~tmask
-            if base >= 1 << n:
-                break
-        if not q3:
-            break
-
-    if c6 != q3:
-        raise InternalError(
-            f"6-cycle check ({c6}) and 3-subcube check ({q3}) disagree"
-        )
-    return c6, q3

@@ -9,12 +9,14 @@ every k-cycle of the library's own enumerator, serve as the ground truth
 for its translated-neighbourhood fast paths, and a DSATUR search that
 finds each pick by scanning every node is the ground truth for the
 saturation-level search of ``_try_color``. The additive-set kernels are
-checked against the loops they replaced: sphere shells built by walking
-every digit vector, and the 3-AP check by its O(s^2) pair loop and by
-the bitset scan over doubled elements that its parity split replaced. The
-one-walk cycle check of ``hypercube._cycle_keys_or_problem`` is checked
-against the validator it replaced, which counts each direction and
-compares with a full canonical rotation, and ``lower_bound_clique``
+checked against the loops they replaced: the 3-AP check by its O(s^2)
+pair loop and by the bitset scan over doubled elements that its parity
+split replaced. The paper's sphere-shell construction, built by walking
+every digit vector, is kept here as the reference that ``behrend_set``'s
+digit set is never smaller. The one-walk cycle check of
+``hypercube._cycle_keys_or_problem`` is checked against the validator it
+replaced, which counts each direction and compares with a full canonical
+rotation, and its edge keys against ``cycle_keys``; ``lower_bound_clique``
 against its pair loop over sets of ``Edge`` objects; the int router
 of ``build_cycle_same_level`` is checked against the ``Edge``-based
 routing it replaced. The orbit search
@@ -22,6 +24,12 @@ of ``addsets._creates_solution`` is checked against the scan over every
 assignment that it replaced. The streaming ``cli.save_coloring`` is
 checked byte for byte against one ``json.dumps`` of the whole document,
 with scheme colors taken from the paper's formulas edge by edge.
+
+Some helpers live here because only the tests use them:
+``complement_edge``, and ``verify_q3_equivalence``, which checks that
+every-6-cycle-rainbow agrees with every-3-subcube-rainbow (for k = 6 the
+span rule of ``verifier._conflicts`` is "share a Q_3", so the library
+needs no such check at runtime).
 """
 
 from __future__ import annotations
@@ -36,8 +44,6 @@ from rainbowcube.hypercube import (
     Edge,
     build_cycle_same_level,
     canonical_cycle,
-    complement_edge,
-    cycle_keys,
     edge_level,
     edges_of_cycle,
     enumerate_cycles,
@@ -47,9 +53,10 @@ from rainbowcube.hypercube import (
     _check_dim,
     _free_coord_masks,
     _walk,
+    validate_edge,
 )
 from rainbowcube.errors import BudgetError, InternalError, UsageError
-from rainbowcube.verifier import BoundCertificate, Violation
+from rainbowcube.verifier import BoundCertificate, Violation, verify_rainbow
 
 
 def cube_graph(n: int) -> nx.Graph:
@@ -91,6 +98,23 @@ def cycle_edge_pairs(cyc) -> list[tuple[int, int]]:
     return out
 
 
+def cycle_keys(cyc) -> list[int]:
+    """Edge keys of a vertex cycle in walk order, as ``edges_of_cycle`` gives them."""
+    keys = []
+    prev = cyc[0]
+    for u in cyc[1:] + cyc[:1]:
+        keys.append((prev & u) << 5 | (prev ^ u).bit_length() - 1)
+        prev = u
+    return keys
+
+
+def complement_edge(n: int, e: Edge) -> Edge:
+    """Image of an edge under complementing every vertex of Q_n."""
+    validate_edge(n, e)
+    full = (1 << n) - 1
+    return Edge(full ^ e.top, e.dir)
+
+
 def conflict_adjacency_nx(n: int, k: int) -> tuple[list, list[set[int]]]:
     """Edges of Q_n as (bottom, dir), sorted, and for each the set of indices
     of edges sharing a networkx-enumerated k-cycle with it."""
@@ -129,11 +153,11 @@ def verify_rainbow_enum(coloring, k: int):
 def neighbourhoods_enum(n: int, k: int) -> list[tuple[tuple[int, int, int], ...]]:
     """For each direction d, the edges sharing a k-cycle with edge (0, d), in
     the format of ``verifier._neighbourhoods``, from every k-cycle through
-    vertex 0 (0 is the minimum vertex of each, so they are the start-0
-    cycles of the library's enumerator)."""
+    vertex 0 (0 is the minimum vertex of each, so they are the first run
+    of the library's enumerator)."""
     full = (1 << n) - 1
     near: list[set[int]] = [set() for _ in range(n)]
-    for cyc in enumerate_cycles(n, k, starts=(0,)):
+    for cyc in itertools.takewhile(lambda c: c[0] == 0, enumerate_cycles(n, k)):
         keys = cycle_keys(cyc)
         near[keys[0]].update(keys)  # the two edges at vertex 0 have key dir - 1
         near[keys[-1]].update(keys)
@@ -596,3 +620,60 @@ def save_coloring_dumps(col, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(doc))
         fh.write("\n")
+
+
+def verify_q3_equivalence(coloring) -> tuple[bool, bool]:
+    """(every 6-cycle rainbow, every 3-subcube fully colored).
+
+    The two predicates agree on every coloring: two edges of a 3-subcube
+    always share a 6-cycle, and every 6-cycle sits in some 3-subcube.
+    Disagreement indicates a bug and raises.
+    """
+    n = coloring.n
+    if n < 3:
+        raise UsageError(f"needs n >= 3, got {n}")
+    c6 = verify_rainbow(coloring, 6) is None
+
+    table = coloring.key_table()
+    q3 = True
+    dims = range(n)
+    for trio in itertools.combinations(dims, 3):
+        tmask = sum(1 << d for d in trio)
+        bits3 = [1 << d for d in trio]
+        corners = [
+            (bits3[0] if p & 1 else 0)
+            | (bits3[1] if p & 2 else 0)
+            | (bits3[2] if p & 4 else 0)
+            for p in range(8)
+        ]
+        base = 0
+        while True:
+            colors = set()
+            distinct = True
+            for corner in corners:
+                v = base | corner
+                for d in trio:
+                    if not v >> d & 1:
+                        color = table[edge_key(v, d + 1)]
+                        if color in colors:
+                            distinct = False
+                            break
+                        colors.add(color)
+                if not distinct:
+                    break
+            if not distinct:
+                q3 = False
+                break
+            # next base outside the trio coordinates
+            base = (base | tmask) + 1
+            base &= ~tmask
+            if base >= 1 << n:
+                break
+        if not q3:
+            break
+
+    if c6 != q3:
+        raise InternalError(
+            f"6-cycle check ({c6}) and 3-subcube check ({q3}) disagree"
+        )
+    return c6, q3

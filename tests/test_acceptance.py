@@ -38,11 +38,11 @@ from rainbowcube.verifier import (
     conflict_graph,
     exact_min_colors,
     lower_bound_clique,
-    verify_q3_equivalence,
     verify_rainbow,
 )
 
 import oracles
+from oracles import verify_q3_equivalence
 
 
 def check(cid: str, cond: bool, detail: str = "") -> None:

@@ -11,9 +11,7 @@ from rainbowcube.addsets import (
     AP_BITSET_DENSITY,
     BEHREND_LIMIT,
     BT_SCAN_LIMIT,
-    _best_sphere_shell,
     _creates_solution,
-    _digit_fallback,
     behrend_set,
     bose_chowla,
     conjecture_system,
@@ -223,10 +221,11 @@ def _shell_limits():
 
 
 class TestKernelsMatchOracles:
-    def test_sphere_shell_matches_enumeration(self):
+    def test_no_sphere_shell_beats_behrend_set(self):
+        # the paper's construction, searched in full, never has more elements
         for limit in _shell_limits():
-            expected = oracles.best_sphere_shell_enum(limit)
-            assert _best_sphere_shell(limit) == expected, limit
+            shell = oracles.best_sphere_shell_enum(limit)
+            assert len(shell) <= len(behrend_set(limit)), limit
 
     def test_3ap_every_subset_of_1_14(self):
         for mask in range(1, 1 << 14):
@@ -254,13 +253,17 @@ class TestKernelsMatchOracles:
         assert 0 < free < 160
 
     def test_behrend_matches_unpruned_rule(self):
-        for limit in [*range(1, 3001), 10**4, 10**5, 1 << 20]:
-            fallback = _digit_fallback(limit)
-            shell = _best_sphere_shell(limit)
-            want = shell if len(shell) > len(fallback) else fallback
+        for limit in range(1, 3001):
+            assert behrend_set(limit) == tuple(oracles.digit_01_shifted(limit)), limit
+        # the binary digits of i = 0, 1, 2, ... read in base 3, plus one
+        for limit in (10**4, 10**5, 1 << 20, BEHREND_LIMIT):
+            want = []
+            for i in itertools.count():
+                v = int(format(i, "b"), 3) + 1
+                if v > limit:
+                    break
+                want.append(v)
             assert behrend_set(limit) == tuple(want), limit
-            if limit <= 3000:
-                assert fallback == oracles.digit_01_shifted(limit), limit
 
     def test_shell_count_bound(self):
         # at most d^(D-1) digit vectors share one sum of squares
@@ -275,13 +278,13 @@ class TestKernelsMatchOracles:
                 digits += 1
 
     def test_no_shell_beats_the_fallback_in_range(self):
-        # the bound d^(D-1) never exceeds the fallback's size where D digits
-        # first fit, so behrend_set builds no count table up to its limit
+        # the bound d^(D-1) never exceeds the digit set's size where D digits
+        # first fit, so no shell beats behrend_set up to its limit
         for d in range(2, 65):
             base = 2 * d - 1
             digits, span = 1, base
             while span <= BEHREND_LIMIT:
-                assert d ** (digits - 1) <= len(_digit_fallback(span)), (d, digits)
+                assert d ** (digits - 1) <= len(behrend_set(span)), (d, digits)
                 digits, span = digits + 1, span * base
 
     @pytest.mark.parametrize("density", [4, AP_BITSET_DENSITY, 4 * AP_BITSET_DENSITY])

@@ -621,6 +621,19 @@ class TestSets:
         path = write_json(tmp_path / "s.json", [3, 7, 11])
         assert run("sets", "--kind", "behrend", "--verify-only", path) == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--kind", "behrend", "--N", "3"),
+            ("--kind", "bt", "--t", "2", "--q", "7"),
+            ("--kind", "bt", "--t", "2", "--size", "3"),
+        ],
+    )
+    def test_verify_only_refuses_generator_flags(self, tmp_path, capsys, argv):
+        path = write_json(tmp_path / "s.json", [1, 2, 3])
+        assert run("sets", *argv, "--verify-only", path) == 2
+        assert "apply to --verify-only" in capsys.readouterr().err
+
     def test_inconsistent_flags(self):
         assert run("sets", "--kind", "bt", "--t", "2") == 2
         assert run("sets", "--kind", "bt", "--t", "2", "--q", "5", "--size", "4") == 2
