@@ -27,7 +27,7 @@ from typing import Iterator, Optional, Union
 
 from .addsets import behrend_set, verify_3ap_free, verify_bt
 from .errors import BudgetError, UsageError
-from .hypercube import Edge, edge_key, enumerate_edges, validate_edge, _check_dim
+from .hypercube import Edge, edge_key, validate_edge, _check_dim
 
 Color = tuple[int, int]
 

@@ -11,14 +11,15 @@ Color tables and conflict graphs key edges by the dense int
 ``edge_key`` builds it, and ``_cycle_keys_or_problem`` for the edges of a
 cycle; ``cli.load_coloring`` builds it inline, once per record of a
 coloring file, and so does ``EdgeColoring.key_table``, once per edge of a
-scheme coloring.
+scheme coloring. ``_pair_cycle`` searches on two such keys.
 
 Cycles are canonical vertex tuples: the minimum vertex comes first and the
 orientation is chosen so the second vertex is smaller than the last. Cycle
 enumeration is a depth-first search from each vertex in ascending order,
 as the minimum vertex, pruned by the Hamming distance back to the start;
 the start/orientation rule makes every cycle appear exactly once, in a
-deterministic order.
+deterministic order. Both cycle searches keep the vertices of the current
+path in one set, so their memory does not grow with 2^n.
 """
 
 from __future__ import annotations
@@ -32,28 +33,6 @@ from .errors import InternalError, UsageError
 MAX_DIM = 32
 
 Cycle = tuple  # canonical vertex tuple
-
-
-class _SetBlocked:
-    """Visited-vertex store for dimensions too large for a flat bytearray."""
-
-    __slots__ = ("members",)
-
-    def __init__(self):
-        self.members = set()
-
-    def __getitem__(self, i):
-        return i in self.members
-
-    def __setitem__(self, i, v):
-        if v:
-            self.members.add(i)
-        else:
-            self.members.discard(i)
-
-
-def _blocked_store(n: int):
-    return bytearray(1 << n) if n <= 24 else _SetBlocked()
 
 
 def _check_dim(n: int) -> None:
@@ -252,7 +231,8 @@ def enumerate_cycles(n: int, k: int) -> Iterator[Cycle]:
 
 def _cycle_gen(n: int, k: int) -> Iterator[Cycle]:
     bits = [1 << d for d in range(n)]
-    blocked = _blocked_store(n)
+    onpath = set()
+    add, discard = onpath.add, onpath.discard
     leaf = k - 1  # depth at which the only move left is closing to the start
     for start in range(1 << n):
         path = [start]
@@ -264,21 +244,21 @@ def _cycle_gen(n: int, k: int) -> Iterator[Cycle]:
                     yield tuple(path)
                 path.pop()
                 nexts.pop()
-                blocked[v] = 0
+                discard(v)
                 continue
             d = nexts[-1]
             if d == n:
                 path.pop()
                 nexts.pop()
-                blocked[v] = 0
+                discard(v)
                 continue
             nexts[-1] = d + 1
             w = v ^ bits[d]
-            if w <= start or blocked[w]:
+            if w <= start or w in onpath:
                 continue
             if (w ^ start).bit_count() > leaf - (len(path) - 1):
                 continue
-            blocked[w] = 1
+            add(w)
             path.append(w)
             nexts.append(0)
 
@@ -303,21 +283,31 @@ def cycles_containing_pair(
         raise UsageError("edges must be distinct")
     if k % 2:
         return False, None
-    blocked = _blocked_store(n)
-    for start in _pair_starts(n, k, e1, e2):
-        cyc = _first_cycle_from(n, k, start, e1, e2, blocked)
+    cyc = _pair_cycle(n, k, e1.key(), e2.key())
+    return cyc is not None, cyc
+
+
+def _pair_cycle(n: int, k: int, a: int, b: int) -> Optional[Cycle]:
+    """The smallest canonical k-cycle of Q_n through the distinct edges
+    with keys ``a`` and ``b``, or None. Nothing is checked: the caller
+    stands for an even k in [4, 2^n] and both edges inside Q_n."""
+    b1, b2 = a >> 5, b >> 5
+    t1, t2 = b1 | 1 << (a & 31), b2 | 1 << (b & 31)
+    for start in _pair_starts(n, k, b1, t1, b2, t2):
+        cyc = _first_cycle_from(n, k, start, b1, t1, b2, t2)
         if cyc is not None:
-            return True, cyc
-    return False, None
+            return cyc
+    return None
 
 
-def _pair_starts(n: int, k: int, e1: Edge, e2: Edge) -> Iterator[int]:
+def _pair_starts(n: int, k: int, b1: int, t1: int, b2: int, t2: int) -> Iterator[int]:
     """Ascending vertices s, at most both bottoms, from which a closed walk
-    of length at most k runs through both edges: every minimum vertex of
-    a k-cycle through the edges is among them.
+    of length at most k runs through the edges (b1, t1) and (b2, t2),
+    given by their endpoints: every minimum vertex of a k-cycle through
+    the edges is among them.
 
-    The shortest such walk leaves s for an endpoint u of e1 and returns
-    from an endpoint w of e2 (or the reverse), so it is
+    The shortest such walk leaves s for an endpoint u of one edge and
+    returns from an endpoint w of the other, so it is
     |s ^ u| + |s ^ w| + 2 + |u' ^ w'| long, with u', w' the other
     endpoints. That is |u ^ w| plus twice the bits where s differs from
     both u and w, which bounds those bits by a budget per choice of
@@ -327,8 +317,8 @@ def _pair_starts(n: int, k: int, e1: Edge, e2: Edge) -> Iterator[int]:
     those the bottoms cause.
     """
     full = (1 << n) - 1
-    top = min(e1.bottom, e2.bottom)
-    ends1, ends2 = (e1.bottom, e1.top), (e2.bottom, e2.top)
+    top = min(b1, b2)
+    ends1, ends2 = (b1, t1), (b2, t2)
     agree, budgets = [], []
     for i, u in enumerate(ends1):
         for j, w in enumerate(ends2):
@@ -353,10 +343,10 @@ def _pair_starts(n: int, k: int, e1: Edge, e2: Edge) -> Iterator[int]:
 
 
 def _first_cycle_from(
-    n: int, k: int, start: int, e1: Edge, e2: Edge, blocked
+    n: int, k: int, start: int, b1: int, t1: int, b2: int, t2: int
 ) -> Optional[Cycle]:
     """The smallest canonical k-cycle with minimum vertex ``start`` through
-    both edges, or None.
+    the edges (b1, t1) and (b2, t2), given by their endpoints, or None.
 
     Neighbours are tried in ascending order, so the first cycle closed is
     the smallest; its orientation is canonical, as the reverse walk is
@@ -364,9 +354,9 @@ def _first_cycle_from(
     edges still missing and back to ``start`` is too long (see ``tours``),
     or when it leaves an endpoint of a missing edge other than ``start``:
     that endpoint is on the path now, so the edge can no longer be used.
-    ``blocked`` is all zero on entry and on return.
+    The vertices of the path are kept in one set, so the search holds
+    O(k) of them whatever n is.
     """
-    b1, t1, b2, t2 = e1.bottom, e1.top, e2.bottom, e2.top
     up = [1 << d for d in range(n)]
     down = up[::-1]
 
@@ -393,6 +383,7 @@ def _first_cycle_from(
         (False, False): [(start, 0)],
     }
     path = [start]
+    onpath = set()
 
     def rec(v: int, left: int, miss1: bool, miss2: bool) -> bool:
         if left == 1:
@@ -403,7 +394,7 @@ def _first_cycle_from(
         end1 = miss1 and v != start and (v == b1 or v == t1)
         end2 = miss2 and v != start and (v == b2 or v == t2)
         for w in [v ^ b for b in down if v & b] + [v | b for b in up if not v & b]:
-            if w <= start or blocked[w]:
+            if w <= start or w in onpath:
                 continue
             lo, hi = v & w, v | w
             m1 = miss1 and not (lo == b1 and hi == t1)
@@ -413,12 +404,11 @@ def _first_cycle_from(
             entries = tours[m1, m2]
             if not entries or min((w ^ x).bit_count() + c for x, c in entries) >= left:
                 continue
-            blocked[w] = 1
+            onpath.add(w)
             path.append(w)
-            found = rec(w, left - 1, m1, m2)
-            blocked[w] = 0
-            if found:
+            if rec(w, left - 1, m1, m2):
                 return True
+            onpath.discard(w)
             path.pop()
         return False
 

@@ -29,12 +29,10 @@ from .errors import BudgetError, InternalError, UsageError
 from .hypercube import (
     Edge,
     count_level_edges,
-    cycles_containing_pair,
-    edges_of_cycle,
-    enumerate_edges,
     _check_cycle_length,
     _check_dim,
     _cycle_keys_or_problem,
+    _pair_cycle,
     _same_level_cycle,
 )
 
@@ -68,12 +66,13 @@ class Violation:
 class ConflictGraph:
     """Edges of Q_n, adjacent when they share some k-cycle.
 
+    ``keys[i]`` is the int key of node i, in ``enumerate_edges`` order;
     ``adj[i]`` is a bitmask over node indices.
     """
 
     n: int
     k: int
-    edges: tuple[Edge, ...]
+    keys: tuple[int, ...]
     adj: tuple[int, ...]
 
 
@@ -226,7 +225,7 @@ def _smallest_cycle(n: int, k: int) -> tuple:
     smallest k-cycle is the smallest one through the edges (0, 1) and
     (2, 1).
     """
-    return cycles_containing_pair(n, k, Edge(0, 1), Edge(2, 1))[1]
+    return _pair_cycle(n, k, 0, 2 << 5)
 
 
 def verify_rainbow(coloring: EdgeColoring, k: int) -> Optional[Violation]:
@@ -237,7 +236,7 @@ def verify_rainbow(coloring: EdgeColoring, k: int) -> Optional[Violation]:
     Two equally colored edges clash when they share a k-cycle (see
     ``_clashes``). Every cycle through a clashing pair is non-rainbow and
     every non-rainbow cycle holds one, so the witness is the least of the
-    smallest cycles through each pair (``cycles_containing_pair``). One
+    smallest cycles through each pair (``hypercube._pair_cycle``). One
     pass keeps only the least so far, ``worst``, so memory stays O(1)
     however dense the clashes; two rules spare most searches.
 
@@ -274,20 +273,18 @@ def verify_rainbow(coloring: EdgeColoring, k: int) -> Optional[Violation]:
             first = first or _smallest_cycle(n, k)
             if worst == first:
                 break
-        cyc = cycles_containing_pair(
-            n, k, Edge(x, (a & 31) + 1), Edge(b >> 5, (b & 31) + 1)
-        )[1]
+        cyc = _pair_cycle(n, k, a, b)
         if cyc is None:
             raise InternalError("clashing edges share no k-cycle")
         if worst is None or cyc < worst:
             worst = cyc
     if worst is None:
         return None
-    ordered = sorted(edges_of_cycle(worst))
-    for e1, e2 in combinations(ordered, 2):
-        c1 = table[e1.key()]
-        if c1 == table[e2.key()]:
-            return Violation(worst, e1, e2, c1)
+    # key order is (bottom, dir) order, the order of Edge
+    for a, b in combinations(sorted(_cycle_keys_or_problem(n, worst)[0]), 2):
+        if table[a] == table[b]:
+            e1, e2 = Edge(a >> 5, (a & 31) + 1), Edge(b >> 5, (b & 31) + 1)
+            return Violation(worst, e1, e2, table[a])
     raise InternalError("violating cycle lost its clash")
 
 
@@ -316,21 +313,16 @@ def conflict_graph(n: int, k: int, deadline: Optional[float] = None) -> Conflict
             kind="class",
         )
     nbrs = _neighbourhoods(n, k // 2, deadline)
-    edges = []
-    index = {}
-    for i, e in enumerate(enumerate_edges(n)):
-        if i % 1024 == 1023:
-            _check_deadline(deadline, n)
-        edges.append(e)
-        index[e.key()] = i
+    keys = tuple(b << 5 | d for b in range(1 << n) for d in range(n) if not b >> d & 1)
+    index = {key: i for i, key in enumerate(keys)}
     adj = []
-    for i, e in enumerate(edges):
+    for i, key in enumerate(keys):
         if i % 1024 == 1023:
             _check_deadline(deadline, n)
-        b = e.bottom
-        near = nbrs[e.dir - 1]
+        b = key >> 5
+        near = nbrs[key & 31]
         adj.append(sum(1 << index[((x ^ b) & clear) << 5 | d] for x, clear, d in near))
-    return ConflictGraph(n, k, tuple(edges), tuple(adj))
+    return ConflictGraph(n, k, keys, tuple(adj))
 
 
 def _greedy_clique(adj: tuple[int, ...]) -> list[int]:
@@ -464,16 +456,16 @@ def exact_min_colors(
     upper bound (the first descent of the search), then backtracking at
     each candidate count; ``_try_color`` keeps the uncolored nodes in one
     bitmask per saturation level, so no step rescans them. ``time_limit``
-    must be finite and defaults to ``EXACT_TIME_LIMIT`` seconds; it covers
-    the conflict graph, the greedy coloring and the search. On timeout raises
-    BudgetError with certified (lower, upper) bounds; before the greedy
-    coloring completes the upper bound is the edge count. Without a time
-    limit only the supported class is searched.
+    is a finite number of seconds, at least 0, ``EXACT_TIME_LIMIT`` when
+    not given; it covers the conflict graph, the greedy coloring and the
+    search. On timeout raises BudgetError with certified (lower, upper)
+    bounds; before the greedy coloring completes the upper bound is the
+    edge count. Without a time limit only the supported class is searched.
     """
     _check_dim(n)
     _check_k(n, k)
-    if time_limit is not None and not math.isfinite(time_limit):
-        raise UsageError(f"time limit must be finite, got {time_limit!r}")
+    if time_limit is not None and not 0 <= time_limit < math.inf:
+        raise UsageError(f"time limit must be finite and >= 0, got {time_limit!r}")
     deadline = time.monotonic() + (
         EXACT_TIME_LIMIT if time_limit is None else time_limit
     )
@@ -506,9 +498,7 @@ def exact_min_colors(
             kind="timeout",
         ) from exc
 
-    table = {
-        e.key(): (best_assign[i], 0) for i, e in enumerate(graph.edges)
-    }
+    table = {key: (c, 0) for key, c in zip(graph.keys, best_assign)}
     return upper, EdgeColoring(n, k, "explicit", {}, table)
 
 

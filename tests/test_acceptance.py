@@ -149,7 +149,7 @@ def test_criterion_8a_rainbow_equals_conflict_properness():
             palette = rng.choice((2, 4, 8, 16, count))
             table = {e.key(): (rng.randrange(palette), 0) for e in edges}
             col = EdgeColoring(n, k, "explicit", {}, table)
-            values = [table[e.key()] for e in graph.edges]
+            values = [table[key] for key in graph.keys]
             proper = all(
                 not graph.adj[i] >> j & 1 or values[i] != values[j]
                 for i in range(count)

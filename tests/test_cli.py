@@ -953,7 +953,7 @@ REFUSED_VALUES = {
     ("verify", "--k"): ["0", "3", "5", "-6", "1000", str(10**30)],
     ("exact", "--n"): ["0", "-1", "1", "33", str(10**30)],
     ("exact", "--k"): ["0", "3", "5", "-4", "1000", str(10**30)],
-    ("exact", "--timeout"): ["nan", "inf", "-inf", "x", ""],
+    ("exact", "--timeout"): ["nan", "inf", "-inf", "x", "", "-5"],
 }
 # a flag another command takes, or one that contradicts the argument list
 FOREIGN = {

@@ -1,4 +1,6 @@
 import itertools
+import random
+import tracemalloc
 from functools import lru_cache
 
 import pytest
@@ -402,6 +404,29 @@ class TestCyclesContainingPair:
     def test_same_edge_rejected(self):
         with pytest.raises(UsageError):
             cycles_containing_pair(3, 6, Edge(0, 1), Edge(0, 1))
+
+    def test_memory_does_not_grow_with_the_cube(self):
+        tracemalloc.start()
+        try:
+            found, _ = cycles_containing_pair(24, 8, Edge(0, 1), Edge(4, 2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert found
+        assert peak < 1 << 20  # a 2^24-byte visited array would be 16 MiB
+
+    def test_large_cubes_match_q8(self):
+        # pairs inside Q_7, k <= 12: larger cubes give the smallest cycle of Q_8
+        rng = random.Random(20261019)
+        cases = []
+        while len(cases) < 100:
+            (x, d), (y, e) = [(rng.randrange(64), rng.randint(1, 7)) for _ in "12"]
+            if (x, d) != (y, e) and not x >> d - 1 & 1 and not y >> e - 1 & 1:
+                cases.append((rng.choice((6, 8, 10, 12)), Edge(x, d), Edge(y, e)))
+        for k, e1, e2 in cases:
+            expected = cycles_containing_pair(8, k, e1, e2)
+            for n in (20, 24, 25, 32):
+                assert cycles_containing_pair(n, k, e1, e2) == expected
 
 
 class TestBuildCycleSameLevel:

@@ -317,7 +317,7 @@ neighbourhoods_enum = lru_cache(maxsize=None)(oracles.neighbourhoods_enum)
 def relation(n, k):
     """Conflict-graph node index by edge key, and the adjacency."""
     g = conflict_graph(n, k)
-    return {e.key(): i for i, e in enumerate(g.edges)}, g.adj
+    return {key: i for i, key in enumerate(g.keys)}, g.adj
 
 
 def moved(key, v, perm):
@@ -449,24 +449,24 @@ class TestSpanRule:
 class TestConflictGraph:
     def test_q3_c6_complete(self):
         g = conflict_graph(3, 6)
-        assert len(g.edges) == 12
+        assert len(g.keys) == 12
         assert all(a.bit_count() == 11 and not a >> i & 1 for i, a in enumerate(g.adj))
 
     def test_q2_c4_complete(self):
         g = conflict_graph(2, 4)
-        assert len(g.edges) == 4
+        assert len(g.keys) == 4
         assert all(a.bit_count() == 3 and not a >> i & 1 for i, a in enumerate(g.adj))
 
     def test_q3_c4_six_regular(self):
         g = conflict_graph(3, 4)
-        assert len(g.edges) == 12
+        assert len(g.keys) == 12
         assert all(g.adj[i].bit_count() == 6 for i in range(12))
 
     @pytest.mark.parametrize("n,k", [(3, 4), (3, 6), (4, 4), (4, 6), (4, 8)])
     def test_adjacency_matches_networkx_cycles(self, n, k):
         edges, adj = oracles.conflict_adjacency_nx(n, k)
         g = conflict_graph(n, k)
-        assert [(e.bottom, e.dir) for e in g.edges] == edges
+        assert [(key >> 5, (key & 31) + 1) for key in g.keys] == edges
         assert [
             {j for j in range(len(edges)) if g.adj[i] >> j & 1}
             for i in range(len(edges))
@@ -491,12 +491,12 @@ class TestConflictGraph:
     def test_properness_equals_rainbow(self, n, k):
         g = conflict_graph(n, k)
         rng = random.Random(1234 + n * 10 + k)
-        edge_count = len(g.edges)
+        edge_count = len(g.keys)
         for trial in range(60):
             palette = rng.choice((2, 4, 8, 16, edge_count))
             col = random_coloring(n, k, palette, rng)
             table = col.key_table()
-            values = [table[e.key()] for e in g.edges]
+            values = [table[key] for key in g.keys]
             proper = all(
                 not g.adj[i] >> j & 1 or values[i] != values[j]
                 for i in range(edge_count)
@@ -581,7 +581,9 @@ class TestExactMinColors:
         lo, hi = info.value.bounds
         assert lo <= 10 <= hi  # f(10, 4) = 10
 
-    @pytest.mark.parametrize("limit", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "limit", [float("nan"), float("inf"), float("-inf"), -1.0]
+    )
     def test_time_limit_must_be_finite(self, limit):
         with pytest.raises(UsageError):
             exact_min_colors(3, 6, time_limit=limit)
