@@ -303,7 +303,8 @@ def bose_chowla(t: int, q: int) -> tuple[int, ...]:
     With theta a primitive element of GF(q^t), the set is
     { log_theta(theta + a) : a in GF(q) }, lifted to integer
     representatives. Sums of t elements are distinct modulo q^t - 1,
-    hence distinct over the integers.
+    hence distinct over the integers. One walk over the powers of theta
+    meets the q logs in ascending order, and no table of logs is kept.
     """
     if not isinstance(t, int) or t < 2:
         raise UsageError(f"t must be an int >= 2, got {t!r}")
@@ -314,7 +315,7 @@ def bose_chowla(t: int, q: int) -> tuple[int, ...]:
     limit = BOSE_CHOWLA_TABLE_LIMIT
     if q > limit or t >= limit.bit_length() or q**t > limit:
         raise BudgetError(
-            f"q^t = {q}^{t} exceeds the discrete-log table limit", kind="class"
+            f"q^t = {q}^{t} exceeds the Bose-Chowla limit {limit}", kind="class"
         )
     order = q**t - 1
     if not _is_prime(q):
@@ -332,16 +333,16 @@ def bose_chowla(t: int, q: int) -> tuple[int, ...]:
             break
     if theta is None:
         raise InternalError(f"no primitive element found in GF({q}^{t})")
-    log: dict[tuple, int] = {}
+    wanted = {((theta[0] + a) % q, *theta[1:]) for a in range(q)}
+    out = []
     power = one
     for e in range(order):
-        log[power] = e
+        if power in wanted:
+            out.append(e)
+            if len(out) == q:
+                break
         power = _poly_mul(power, theta, modpoly, q, t)
-    out = []
-    for a in range(q):
-        shifted = (theta[0] + a) % q, *theta[1:]
-        out.append(log[shifted])
-    return tuple(sorted(out))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

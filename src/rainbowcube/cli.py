@@ -136,6 +136,8 @@ def _read_json(path: str, peek: Optional[Callable[[str, dict], None]] = None):
         return _read_members(text, pos + 1, peek)
     except UsageError:  # raised by peek; a ValueError, but not a decoding error
         raise
+    except UnicodeDecodeError as exc:  # its position counts from where a read began
+        raise UsageError(f"{path}: not valid UTF-8: {exc.reason}") from exc
     except (ValueError, RecursionError) as exc:
         raise UsageError(f"{path}: not valid JSON: {exc}") from exc
 
@@ -419,6 +421,8 @@ def _cmd_sets(args) -> int:
         if (args.q is None) == (args.size is None):
             raise UsageError("--kind bt needs exactly one of --q or --size")
         if args.q is not None:
+            if args.t >= 2 and args.q >= 2:  # verify_bt's refusal, before building
+                addsets._check_bt_scan(args.q, args.t)
             elems = addsets.bose_chowla(args.t, args.q)
         else:
             elems = addsets.greedy_bt(args.t, args.size)

@@ -13,8 +13,9 @@ class. The two schemes:
   [1, N], the edge gets ((a(v) + 2 * s_j) mod 2N, p mod 3), so at most
   6N colors appear.
 
-Colorings derived from a scheme are recomputable from their parameters
-and are not materialized eagerly; explicit colorings carry a full table.
+Scheme colorings are recomputed from their parameters, whose formulas
+``EdgeColoring._form`` writes once, and are counted on bitsets of reachable
+sums (``_count_bits``); explicit colorings carry a full table.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import re
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import log2
-from typing import Iterator, Optional, Union
+from typing import Iterator, Union
 
 from .addsets import behrend_set, verify_3ap_free, verify_bt
 from .errors import BudgetError, UsageError
@@ -36,6 +37,12 @@ TABLE_DIM_LIMIT = 18
 # Largest N that derive_c2_params gives construction2: behrend_set(2^20) takes
 # about a millisecond, and the c2 color count's bitsets stay at 2^21 bits.
 C2_CAP_LIMIT = 1 << 20
+# count_colors runs _count_bits on bitsets of at most 2^min(n + COUNT_BITS_LEAD,
+# COUNT_BITS_LOG_LIMIT) bits (512 KiB per int at 2^22), else the walk over the
+# n 2^(n-1) edges: on Python 3.11, 2 vCPUs, the two cost the same at 2^(n+7) bits
+# in construction2 (n = 8, 10), 2^(n+8) to 2^(n+10) in construction1 (n = 10..14).
+COUNT_BITS_LEAD = 7
+COUNT_BITS_LOG_LIMIT = 22
 # Decimal exponent beyond which an eps text is refused before Fraction reads
 # it: Fraction("1e1000000") builds a million-digit power of ten (0.13 s, and
 # 12.9 s for 1e10000000). 10^1000 is far past any eps that yields N.
@@ -75,43 +82,39 @@ class EdgeColoring:
                 return self._table[e.key()]
             except KeyError:
                 raise UsageError(f"no color stored for edge {e}") from None
-        return next(c for _, d, c in self._rows(e.bottom) if d == e.dir)
+        s, offsets, mod, levels = self._form()
+        a = weight_a(e.bottom, s) + offsets[e.dir - 1]
+        return a % mod if mod else a, (e.bottom.bit_count() + 1) % levels
 
     def items(self) -> Iterator[tuple[Edge, Color]]:
         """(edge, color) pairs in enumeration order, streamed."""
         for bottom, d, color in self._rows():
             yield Edge(bottom, d), color
 
-    def _rows(self, only: Optional[int] = None) -> Iterator[tuple[int, int, Color]]:
+    def _form(self) -> tuple[tuple[int, ...], list[int], int, int]:
+        """A scheme as (S, offsets, mod, levels): the edge with bottom v and
+        direction j gets the color (a(v) + offsets[j - 1], (|v| + 1) mod
+        levels), its first part reduced mod ``mod`` unless that is 0, with
+        a(v) the sum of S over the set bits of v. The offset is M * j in
+        construction1, 2 * s_j in construction2."""
+        n, s = self.n, self.params["S"][: self.n]
+        if self.scheme == "construction1":
+            return s, [self.params["M"] * j for j in range(1, n + 1)], 0, self.k // 2
+        return s, [2 * x for x in s], 2 * self.params["N"], 3
+
+    def _rows(self) -> Iterator[tuple[int, int, Color]]:
         """(bottom, direction, color) of every edge, bottom ascending, then
         direction: the order of ``sorted(key_table())``. An explicit table
-        is read through ``key_table``, so it must be total. A scheme walk
-        with ``only`` set covers the edges of that one bottom.
-
-        A scheme gives the edge with bottom v and direction j the color
-        (a(v) + off_j, (|v| + 1) mod levels), its first part reduced mod 2N
-        in construction2: off_j is M * j in construction1, 2 * s_j in
-        construction2.
-        """
+        is read through ``key_table``, so it must be total; a scheme's
+        colors come from ``_form``."""
         if self._table is not None:
             table = self.key_table()
             for key in sorted(table):
                 yield key >> 5, (key & 31) + 1, table[key]
             return
-        n, s = self.n, self.params["S"]
-        if self.scheme == "construction1":
-            offsets = [self.params["M"] * j for j in range(1, n + 1)]
-            mod, levels = 0, self.k // 2
-        else:
-            offsets = [2 * x for x in s[:n]]
-            mod, levels = 2 * self.params["N"], 3
+        s, offsets, mod, levels = self._form()
         dirs = [(d, 1 << d - 1, off) for d, off in enumerate(offsets, 1)]
-        if only is None:
-            bottoms, weights = range(1 << n), _weight_table(n, s)
-        else:
-            bottoms, weights = (only,), {only: weight_a(only, s)}
-        for bottom in bottoms:
-            a = weights[bottom]
+        for bottom, a in enumerate(_weight_table(self.n, s)):
             level = (bottom.bit_count() + 1) % levels
             for d, bit, off in dirs:
                 if not bottom & bit:
@@ -321,68 +324,45 @@ def _check_eps_exponent(text: str) -> None:
 def count_colors(coloring: EdgeColoring) -> int:
     """Number of distinct colors in the image of the coloring.
 
-    Scheme colorings avoid materializing Q_n: construction2 counts the
-    reachable (sum mod 2N, level mod 3) pairs over the set elements,
-    construction1 streams the edges.
-    """
-    if coloring.scheme == "construction2" and coloring._table is None:
-        return _count_c2(coloring)
+    A scheme coloring is counted by ``_count_bits`` when its bitsets hold
+    at most 2^min(n + COUNT_BITS_LEAD, COUNT_BITS_LOG_LIMIT) bits, else by
+    walking its edges, which is refused above n = 20."""
     if coloring._table is not None:
         return len(set(coloring.key_table().values()))
-    if coloring.n > 20:
-        raise BudgetError(
-            f"refusing to stream {coloring.n << coloring.n - 1} edges", kind="class"
-        )
+    n = coloring.n
+    s, offsets, mod, levels = coloring._form()
+    top = sum(s) + max(offsets) + 1
+    if min(top, mod or top) <= 1 << min(n + COUNT_BITS_LEAD, COUNT_BITS_LOG_LIMIT):
+        return _count_bits(s, offsets, mod or top, levels)
+    if n > 20:
+        raise BudgetError(f"refusing to stream {n << n - 1} edges", kind="class")
     return len({color for _, _, color in coloring._rows()})
 
 
-def _count_c2(coloring: EdgeColoring) -> int:
-    """Distinct construction2 colors: for each direction j, the pairs
-    (a + 2 s_j mod 2N, (c + 1) mod 3) over subsets of the other elements
-    with sum a and size c.
+def _count_bits(s, offsets, width: int, levels: int) -> int:
+    """Distinct colors of a scheme from ``_form``: for each direction j,
+    the pairs (a + offsets[j] mod width, (c + 1) mod levels) over the
+    subsets of the other elements with sum a and size c. ``width`` is 2N
+    in construction2 and beyond every sum in construction1.
 
-    Bitsets of 2N bits hold the reachable pairs; when 2N is 2^n or more
-    the set of pairs, at most 2^(n-1) per direction, is the smaller state.
+    One bitset of sums per size mod L, L = min(levels, n); adding an
+    element rotates each by it, mod width, into the next size. For L = n <
+    levels no size wraps: size n - 1 needs all n - 1 other elements, so
+    its bitset is still empty when the last one moves it into size 0.
     """
-    s = coloring.params["S"]
-    mod = 2 * coloring.params["N"]
-    n = coloring.n
-    if mod >> n:
-        return _count_c2_sets(s, mod, n)
-    return _count_c2_bits(s, mod, n)
-
-
-def _count_c2_bits(s, mod: int, n: int) -> int:
-    """_count_c2 on three bitsets of ``mod`` bits, one per size mod 3;
-    adding an element rotates them by it."""
-    full = (1 << mod) - 1
+    n, sizes = len(s), min(levels, len(s))
+    full = (1 << width) - 1
 
     def rotate(bits: int, step: int) -> int:
-        return (bits << step | bits >> mod - step) & full
+        step %= width
+        return (bits << step | bits >> width - step) & full
 
-    colors = [0, 0, 0]
+    colors = [0] * levels
     for j in range(n):
-        reach = [1, 0, 0]
+        reach = [1] + [0] * (sizes - 1)
         for i in range(n):
             if i != j:
-                step = s[i] % mod
-                reach = [reach[c] | rotate(reach[c - 1], step) for c in range(3)]
-        off = 2 * s[j] % mod
-        for c in range(3):
-            colors[(c + 1) % 3] |= rotate(reach[c], off)
+                reach = [reach[c] | rotate(reach[c - 1], s[i]) for c in range(sizes)]
+        for c in range(sizes):
+            colors[(c + 1) % levels] |= rotate(reach[c], offsets[j])
     return sum(bits.bit_count() for bits in colors)
-
-
-def _count_c2_sets(s, mod: int, n: int) -> int:
-    """_count_c2 on a set of (sum mod ``mod``, size mod 3) pairs."""
-    colors: set[Color] = set()
-    for j in range(1, n + 1):
-        reach = {(0, 0)}
-        for i in range(1, n + 1):
-            if i == j:
-                continue
-            step = s[i - 1] % mod
-            reach |= {((a + step) % mod, (c + 1) % 3) for a, c in reach}
-        off = (2 * s[j - 1]) % mod
-        colors |= {((a + off) % mod, (c + 1) % 3) for a, c in reach}
-    return len(colors)

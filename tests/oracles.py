@@ -24,6 +24,11 @@ of ``addsets._creates_solution`` is checked against the scan over every
 assignment that it replaced. The streaming ``cli.save_coloring`` is
 checked byte for byte against one ``json.dumps`` of the whole document,
 with scheme colors taken from the paper's formulas edge by edge.
+``addsets.bose_chowla``, which reads its logs off one walk over the
+powers of theta, is checked against a table of every power's log, and
+the bitset color count of ``coloring._count_bits`` against the walk over
+every edge and, for construction2, against the set of (sum, size) pairs
+it once kept beside the bitsets.
 
 Some helpers live here because only the tests use them:
 ``complement_edge``, and ``verify_q3_equivalence``, which checks that
@@ -40,6 +45,7 @@ import json
 
 import networkx as nx
 
+from rainbowcube import addsets
 from rainbowcube.hypercube import (
     Edge,
     build_cycle_same_level,
@@ -337,6 +343,46 @@ def greedy_bt_oracle(t: int, size: int) -> list[int]:
         if len(set(sums)) == len(sums):
             elems.append(cand)
     return elems
+
+
+def bose_chowla_table(t: int, q: int) -> tuple[int, ...]:
+    """``addsets.bose_chowla`` as it was with a table of logs: the same
+    primitive element theta, then a dict from each of the q^t - 1 powers
+    of theta to its exponent, read at theta + a for every a in GF(q)."""
+    order = q**t - 1
+    modpoly = addsets._smallest_irreducible(t, q)
+    one = tuple([1] + [0] * (t - 1))
+    factors = addsets._prime_factors(order)
+    for m in range(2, order + 1):
+        theta = addsets._decode_element(m, q, t)
+        if all(
+            addsets._poly_pow(theta, order // p, modpoly, q, t) != one
+            for p in factors
+        ):
+            break
+    log = {}
+    power = one
+    for e in range(order):
+        log[power] = e
+        power = addsets._poly_mul(power, theta, modpoly, q, t)
+    return tuple(sorted(log[((theta[0] + a) % q, *theta[1:])] for a in range(q)))
+
+
+def count_c2_sets(s, mod: int, n: int) -> int:
+    """Distinct construction2 colors from a set of (sum mod ``mod``, size
+    mod 3) pairs per direction: the pair-set kernel that
+    ``coloring.count_colors`` ran when 2N >= 2^n."""
+    colors = set()
+    for j in range(1, n + 1):
+        reach = {(0, 0)}
+        for i in range(1, n + 1):
+            if i == j:
+                continue
+            step = s[i - 1] % mod
+            reach |= {((a + step) % mod, (c + 1) % 3) for a, c in reach}
+        off = (2 * s[j - 1]) % mod
+        colors |= {((a + off) % mod, (c + 1) % 3) for a, c in reach}
+    return len(colors)
 
 
 def digit_01_shifted(limit: int) -> list[int]:

@@ -233,12 +233,14 @@ def test_criterion_9_growth_smoke_numbers():
         else:
             ok = False
             details.append(f"c2 n={n}: no feasible eps")
-    for n in (8, 12, 16):
-        col = construction1(n, 8, list(range(1, n + 1)))
+    c1 = [(n, 8, list(range(1, n + 1))) for n in (8, 12, 16, 24, 32)]
+    c1 += [(n, 12, greedy_bt(2, n)) for n in (24, 32)]
+    for n, k, s in c1:
+        col = construction1(n, k, s)
         colors = count_colors(col)
-        ratio = colors / n**2
-        used = col.params["S"]
-        shape_bound = 64 * (used[-1] // n + 1) * n**2
+        ratio = colors / n ** (k // 4)
+        used, t = col.params["S"], k // 4 - 1
+        shape_bound = k * k * (used[-1] // n**t + 1) * n ** (k // 4)
         ok = ok and ratio < 100 and colors <= shape_bound
-        details.append(f"c1 n={n}: colors={colors} ratio={ratio:.2f}")
+        details.append(f"c1 k={k} n={n}: colors={colors} ratio={ratio:.2f}")
     check("9", ok, "; ".join(details))

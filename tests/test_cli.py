@@ -527,6 +527,7 @@ def test_edited_documents_never_raise(tmp_path, data):
 )
 @given(data=edited_text(), cut=st.integers(1, len(VALID_TEXT) + 1))
 @example(data=VALID_TEXT, cut=VALID_TEXT.index(b'"edges"') + 3)
+@example(data=VALID_TEXT + b"\xe2", cut=100)  # a UTF-8 byte cut off at the end
 def test_edited_documents_read_past_a_short_prefix(tmp_path, monkeypatch, data, cut):
     """A first read of ``cut`` characters, then the whole text, gives the
     document, or the error, of a single read."""
@@ -541,6 +542,7 @@ def test_edited_documents_read_past_a_short_prefix(tmp_path, monkeypatch, data, 
             return "error", str(exc)
         return repr(doc), list(dict.fromkeys(keys))
 
+    monkeypatch.undo()  # the single read: no cut left from an earlier example
     whole = outcome()
     monkeypatch.setattr(cli, "HEAD_CHARS", cut)
     assert outcome() == whole
@@ -582,6 +584,16 @@ class TestSets:
         assert run("sets", "--kind", "bt", "--t", "2", "--q", "5") == 0
         out = capsys.readouterr().out
         assert "true" in out
+
+    def test_bose_chowla_refused_before_building(self, monkeypatch, capsys):
+        # 1409 elements hold 2 * C(1410, 2) > 10^6 multiset elements, so
+        # verify_bt would refuse them after a 3 s, 378 MB build
+        def fail(t, q):
+            raise AssertionError("bose_chowla ran")
+
+        monkeypatch.setattr(cli.addsets, "bose_chowla", fail)
+        assert run("sets", "--kind", "bt", "--t", "2", "--q", "1409") == 2
+        assert "multisets of 1409 elements" in capsys.readouterr().err
 
     def test_greedy_generation(self, capsys):
         assert run("sets", "--kind", "bt", "--t", "2", "--size", "5") == 0

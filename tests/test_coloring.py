@@ -5,13 +5,14 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from rainbowcube import coloring
 from rainbowcube.addsets import behrend_set, greedy_bt
 from rainbowcube.coloring import (
     C2_CAP_LIMIT,
+    COUNT_BITS_LEAD,
     EdgeColoring,
     _ceil_power,
-    _count_c2_bits,
-    _count_c2_sets,
+    _count_bits,
     _iroot,
     construction1,
     construction2,
@@ -21,6 +22,17 @@ from rainbowcube.coloring import (
 )
 from rainbowcube.errors import BudgetError, UsageError
 from rainbowcube.hypercube import Edge, edge_key, enumerate_edges
+
+
+def kernel(col) -> int:
+    """``_count_bits`` forced on a scheme coloring, whatever its width."""
+    s, offsets, mod, levels = col._form()
+    return _count_bits(s, offsets, mod or sum(s) + max(offsets) + 1, levels)
+
+
+def walk(col) -> int:
+    """Distinct colors over every edge of the ``_rows`` walk."""
+    return len({color for _, _, color in col._rows()})
 
 
 def test_weight_a():
@@ -64,6 +76,26 @@ class TestConstruction1:
         max_d = max(c[0] for _, c in col.items())
         assert count_colors(col) <= (8 // 2) * (max_d + 1)
 
+    def test_count_kernel_matches_walk(self):
+        # B_1 and greedy B_2 / B_3 sets, scaled and jittered; k up to 40,
+        # so the k/2 levels exceed n in many cases
+        rng = random.Random(19)
+        seen_levels_above_n = 0
+        for _ in range(150):
+            n, k = rng.randint(1, 9), rng.choice(range(8, 41, 4))
+            t = rng.choice((1, 2, 3))
+            scale = rng.choice((1, 3, 50, 1000))
+            s = [scale * x + rng.randint(0, scale - 1) for x in greedy_bt(t, n)]
+            params = {"S": s, "M": k // 4 * max(s) + 1}
+            col = EdgeColoring(n, k, "construction1", params)
+            assert kernel(col) == walk(col) == count_colors(col)
+            seen_levels_above_n += k // 2 > n
+        assert seen_levels_above_n > 50
+        for n in range(1, 8):
+            for k in (8, 12, 16):
+                col = construction1(n, k, greedy_bt(k // 4 - 1, n))
+                assert kernel(col) == walk(col)
+
 
 class TestConstruction2:
     def test_example_colors(self):
@@ -92,18 +124,21 @@ class TestConstruction2:
             col = construction2(n, s, cap)
             direct = len(set(col.key_table().values()))
             assert count_colors(col) == direct
-            assert _count_c2_bits(s, 2 * cap, n) == direct
-            assert _count_c2_sets(s, 2 * cap, n) == direct
+            assert kernel(col) == direct
+            assert oracles.count_c2_sets(s, 2 * cap, n) == direct
 
     def test_count_paths_agree(self):
         for n in range(9, 17):
             s, cap, _ = derive_c2_params(n, 1)
-            assert _count_c2_bits(s, 2 * cap, n) == _count_c2_sets(s, 2 * cap, n)
+            col = construction2(n, s, cap)
+            assert kernel(col) == walk(col) == oracles.count_c2_sets(s, 2 * cap, n)
         rng = random.Random(8)
         for _ in range(200):
             n, cap = rng.randint(1, 10), rng.randint(1, 300)
             s = [rng.randint(1, 3 * cap) for _ in range(n)]
-            assert _count_c2_bits(s, 2 * cap, n) == _count_c2_sets(s, 2 * cap, n)
+            col = EdgeColoring(n, 6, "construction2", {"S": s, "N": cap})
+            expected = oracles.count_c2_sets(s, 2 * cap, n)
+            assert kernel(col) == walk(col) == count_colors(col) == expected
 
     def test_preconditions(self):
         with pytest.raises(UsageError):
@@ -112,6 +147,54 @@ class TestConstruction2:
             construction2(3, [1, 2, 4], 3)  # cap below max element
         with pytest.raises(UsageError):
             construction2(4, [1, 2, 4], 10)  # fewer than n elements
+
+
+def fail(*args):
+    raise AssertionError("this path should not run")
+
+
+class TestCountRouting:
+    def test_large_c2_elements_take_the_walk(self, monkeypatch):
+        # 2N = 2^21 bits is past 2^(n + COUNT_BITS_LEAD) for n <= 13
+        big = behrend_set(C2_CAP_LIMIT)
+        cols = [construction2(n, big[-n:], C2_CAP_LIMIT) for n in (5, 12, 13)]
+        expected = [oracles.count_c2_sets(c.params["S"], 2 << 20, c.n) for c in cols]
+        monkeypatch.setattr(coloring, "_count_bits", fail)
+        assert [count_colors(c) for c in cols] == expected
+        assert 13 + COUNT_BITS_LEAD < 21
+
+    def test_c2_within_the_limit_takes_the_kernel(self, monkeypatch):
+        # the derive_c2_params sums stay short; the largest elements wrap
+        # mod 2N, whose 2^21 bits are within 2^(14 + COUNT_BITS_LEAD)
+        cols = [
+            construction2(n, *derive_c2_params(n, eps)[:2])
+            for n, eps in ((12, 3), (16, 4))
+        ]
+        big = behrend_set(C2_CAP_LIMIT)
+        cols.append(construction2(14, big[-14:], C2_CAP_LIMIT))
+        expected = [
+            oracles.count_c2_sets(c.params["S"], 2 * c.params["N"], c.n) for c in cols
+        ]
+        monkeypatch.setattr(EdgeColoring, "_rows", fail)
+        assert [count_colors(c) for c in cols] == expected
+
+    def test_wide_c1_above_n20_refused(self):
+        col = construction1(24, 12, [10**6 * x for x in greedy_bt(2, 24)])
+        start = time.perf_counter()
+        with pytest.raises(BudgetError) as info:
+            count_colors(col)
+        assert info.value.kind == "class"
+        assert time.perf_counter() - start < 1
+
+    def test_c1_n32_counted(self, monkeypatch):
+        monkeypatch.setattr(EdgeColoring, "_rows", fail)
+        for k, s in ((8, range(1, 33)), (12, greedy_bt(2, 32))):
+            col = construction1(32, k, s)
+            t, used = k // 4 - 1, col.params["S"]
+            bound = k * k * (used[-1] // 32**t + 1) * 32 ** (k // 4)
+            # the edges from 0 add 32 colors (M j, 1) to the 32 * 31 colors
+            # (s_i + M j, 2) of the edges from the bits i != j, as s_i < M
+            assert 32 * 32 <= count_colors(col) <= bound
 
 
 class TestDeriveC2Params:
@@ -231,6 +314,7 @@ class TestEdgeColoring:
             construction1(n, 8, greedy_bt(1, n)),
             construction1(n, 12, [3 * x + 7 for x in greedy_bt(2, n)]),
             construction2(n, behrend_set(40)[:n], 41),
+            construction2(n, behrend_set(40)[-n:], 40),  # sums wrap mod 80
         ]
         for col in schemes:
             expected = oracles.scheme_color_table(col)
