@@ -329,11 +329,11 @@ def count_colors(coloring: EdgeColoring) -> int:
     walking its edges, which is refused above n = 20."""
     if coloring._table is not None:
         return len(set(coloring.key_table().values()))
-    n = coloring.n
-    s, offsets, mod, levels = coloring._form()
-    top = sum(s) + max(offsets) + 1
-    if min(top, mod or top) <= 1 << min(n + COUNT_BITS_LEAD, COUNT_BITS_LOG_LIMIT):
-        return _count_bits(s, offsets, mod or top, levels)
+    n, (s, offsets, mod, levels) = coloring.n, coloring._form()
+    top = sum(s) + max(offsets) + 1  # no color sum reaches it: mod 2N is exact below
+    width = min(top, mod or top)
+    if width <= 1 << min(n + COUNT_BITS_LEAD, COUNT_BITS_LOG_LIMIT):
+        return _count_bits(s, offsets, width, levels)
     if n > 20:
         raise BudgetError(f"refusing to stream {n << n - 1} edges", kind="class")
     return len({color for _, _, color in coloring._rows()})
@@ -342,8 +342,8 @@ def count_colors(coloring: EdgeColoring) -> int:
 def _count_bits(s, offsets, width: int, levels: int) -> int:
     """Distinct colors of a scheme from ``_form``: for each direction j,
     the pairs (a + offsets[j] mod width, (c + 1) mod levels) over the
-    subsets of the other elements with sum a and size c. ``width`` is 2N
-    in construction2 and beyond every sum in construction1.
+    subsets of the other elements with sum a and size c. ``width`` is
+    beyond every sum, or 2N in construction2 if that is smaller.
 
     One bitset of sums per size mod L, L = min(levels, n); adding an
     element rotates each by it, mod width, into the next size. For L = n <

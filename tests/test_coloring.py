@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -177,6 +178,19 @@ class TestCountRouting:
         ]
         monkeypatch.setattr(EdgeColoring, "_rows", fail)
         assert [count_colors(c) for c in cols] == expected
+
+    def test_c2_with_a_huge_modulus_counts_in_short_bitsets(self, monkeypatch):
+        # every sum stays below 2N = 2^41, so the bitsets need only cover
+        # the sums; 2N-bit bitsets would take 256 GiB each
+        col = construction2(12, behrend_set(100)[:12], 2**40)
+        expected = oracles.count_c2_sets(col.params["S"], 2**41, 12)
+        monkeypatch.setattr(EdgeColoring, "_rows", fail)
+        tracemalloc.start()
+        try:
+            assert count_colors(col) == expected
+            assert tracemalloc.get_traced_memory()[1] < 1 << 20
+        finally:
+            tracemalloc.stop()
 
     def test_wide_c1_above_n20_refused(self):
         col = construction1(24, 12, [10**6 * x for x in greedy_bt(2, 24)])
