@@ -186,7 +186,7 @@ def greedy_bt(t: int, size: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # Bose-Chowla construction over GF(q^t)
 
-BOSE_CHOWLA_TABLE_LIMIT = 2_000_000
+BOSE_CHOWLA_LIMIT = 2_000_000
 
 
 def _is_prime(m: int) -> bool:
@@ -271,29 +271,17 @@ def _smallest_irreducible(t: int, q: int) -> tuple:
     """Monic irreducible of degree t over GF(q), smallest by encoded value.
 
     Encoding: the lower coefficients read as a base-q integer, constant
-    term least significant.
+    term least significant. A reducible polynomial of degree t has a monic
+    divisor of degree 1..t // 2, and a root a is the divisor x - a.
     """
     for m in range(q**t):
-        low = _decode_element(m, q, t)
-        poly = list(low) + [1]
-        if any(
-            sum(c * pow(a, i, q) for i, c in enumerate(poly)) % q == 0
-            for a in range(q)
+        poly = [*_decode_element(m, q, t), 1]
+        if not any(
+            _poly_divides((*_decode_element(enc, q, d), 1), poly, q)
+            for d in range(1, t // 2 + 1)
+            for enc in range(q**d)
         ):
-            continue
-        if t >= 4:
-            reducible = False
-            for d in range(2, t // 2 + 1):
-                for enc in range(q**d):
-                    div = list(_decode_element(enc, q, d)) + [1]
-                    if _poly_divides(tuple(div), poly, q):
-                        reducible = True
-                        break
-                if reducible:
-                    break
-            if reducible:
-                continue
-        return tuple(low)
+            return tuple(poly[:-1])
     raise InternalError(f"no irreducible of degree {t} over GF({q})")
 
 
@@ -312,7 +300,7 @@ def bose_chowla(t: int, q: int) -> tuple[int, ...]:
         raise UsageError(f"q must be prime, got {q!r}")
     # the size check comes before the primality test, whose trial division
     # of a large q takes unbounded time, and q^t is built only for small q, t
-    limit = BOSE_CHOWLA_TABLE_LIMIT
+    limit = BOSE_CHOWLA_LIMIT
     if q > limit or t >= limit.bit_length() or q**t > limit:
         raise BudgetError(
             f"q^t = {q}^{t} exceeds the Bose-Chowla limit {limit}", kind="class"

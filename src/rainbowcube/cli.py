@@ -56,10 +56,10 @@ def save_coloring(col: coloring.EdgeColoring, path: str) -> None:
 
     Everything that can refuse the coloring runs before the file is
     opened, so a refused coloring leaves the path untouched: the size
-    class, the first chunk, which runs an explicit table's totality
-    check, and every record of an explicit table, whose colors may be
-    any value. Scheme records after the first chunk are rendered as they
-    are written.
+    class, the first chunk, and every record of an explicit table, whose
+    colors may be any value (its edges were checked when it was built).
+    Scheme records after the first chunk are rendered as they are
+    written.
     """
     if col.n > coloring.TABLE_DIM_LIMIT:
         raise BudgetError(
@@ -196,7 +196,9 @@ def load_coloring(path: str) -> coloring.EdgeColoring:
     """The coloring a document holds; documents of Q_n that ``verify``
     cannot check (n above ``VERIFY_DIM_LIMIT``) are refused with a class
     BudgetError, before the edge list is decoded when ``n`` precedes
-    ``edges``."""
+    ``edges``. The records are only parsed here: that they name every
+    edge of Q_n once is checked by ``EdgeColoring``, and every refusal
+    names the path."""
 
     def refuse_early(key: str, head: dict) -> None:
         n = head.get("n")
@@ -224,7 +226,6 @@ def load_coloring(path: str) -> coloring.EdgeColoring:
             raise UsageError(f"{path}: params S must be a list of ints")
         params["S"] = tuple(s)
     table = {}
-    expected = n << n - 1
     records = doc["edges"]
     if not isinstance(records, list):
         raise UsageError(f"{path}: edges must be a list")
@@ -241,25 +242,18 @@ def load_coloring(path: str) -> coloring.EdgeColoring:
             raise UsageError(f"{path}: malformed edge record {rec!r}") from exc
         if type(direction) is not int or not 1 <= direction <= n:
             raise UsageError(f"{path}: direction {direction!r} out of range")
-        if bottom >> n:
-            raise UsageError(f"{path}: mask {rec['b']} has bits above position {n}")
-        if bottom >> (direction - 1) & 1:
-            raise UsageError(
-                f"{path}: direction bit {direction} set in bottom {rec['b']}"
-            )
         if type(d) is not int or type(p) is not int:
             raise UsageError(f"{path}: color parts must be ints in {rec!r}")
-        key = bottom << 5 | direction - 1  # edge_key, inline
-        if key in table:
-            raise UsageError(f"{path}: duplicate edge {rec['b']} dir {direction}")
-        table[key] = (d, p)
-    if len(table) != expected:
-        raise UsageError(
-            f"{path}: expected {expected} edges for Q_{n}, found {len(table)}"
-        )
+        table[bottom << 5 | direction - 1] = (d, p)  # edge_key, inline
+    if len(table) != len(records):
+        raise UsageError(f"{path}: an edge has more than one record")
+    try:
+        col = coloring.EdgeColoring(n, k, "explicit", params, table)
+    except UsageError as exc:
+        raise UsageError(f"{path}: {exc}") from exc
     if doc["scheme"] != "explicit":
         _check_scheme(path, doc["scheme"], n, k, params, table)
-    return coloring.EdgeColoring(n, k, "explicit", params, table)
+    return col
 
 
 def _check_scheme(path: str, scheme: str, n: int, k: int, params: dict, table) -> None:
@@ -278,6 +272,8 @@ def _check_scheme(path: str, scheme: str, n: int, k: int, params: dict, table) -
         raise UsageError(
             f"{path}: params cannot rebuild the {scheme} coloring: {exc}"
         ) from exc
+    except BudgetError as exc:
+        raise BudgetError(f"{path}: {exc}", kind=exc.kind) from exc
     if (rebuilt.k, rebuilt.params) != (k, params):
         raise UsageError(
             f"{path}: k={k} and params {params} do not match the {scheme} "
@@ -410,46 +406,35 @@ def _cmd_sets(args) -> int:
         if args.verify_only:
             if args.q is not None or args.size is not None:
                 raise UsageError("--q/--size do not apply to --verify-only")
-            elems = load_set(args.verify_only)
-            ok, witness = addsets.verify_bt(elems, args.t)
-            print(f"elements: {sorted(elems)}")
-            if ok:
-                print(f"B_{args.t} sums distinct: true")
-                return EXIT_OK
-            print(f"B_{args.t} sums distinct: false; {witness[0]} vs {witness[1]}")
-            return EXIT_VIOLATION
-        if (args.q is None) == (args.size is None):
+        elif (args.q is None) == (args.size is None):
             raise UsageError("--kind bt needs exactly one of --q or --size")
-        if args.q is not None:
-            if args.t >= 2 and args.q >= 2:  # verify_bt's refusal, before building
-                addsets._check_bt_scan(args.q, args.t)
-            elems = addsets.bose_chowla(args.t, args.q)
-        else:
-            elems = addsets.greedy_bt(args.t, args.size)
-        ok, witness = addsets.verify_bt(elems, args.t)
-        print(f"elements: {list(elems)}")
-        print(f"B_{args.t} sums distinct: {str(ok).lower()}")
-        return EXIT_OK if ok else EXIT_VIOLATION
-
-    if args.t is not None or args.q is not None or args.size is not None:
-        raise UsageError("--t/--q/--size apply to --kind bt")
+    else:
+        if args.t is not None or args.q is not None or args.size is not None:
+            raise UsageError("--t/--q/--size apply to --kind bt")
+        if args.verify_only:
+            if args.N is not None:
+                raise UsageError("--N does not apply to --verify-only")
+        elif args.N is None:
+            raise UsageError("--kind behrend needs --N")
     if args.verify_only:
-        if args.N is not None:
-            raise UsageError("--N does not apply to --verify-only")
         elems = load_set(args.verify_only)
+    elif args.kind == "behrend":
+        elems = addsets.behrend_set(args.N)
+    elif args.q is not None:
+        if args.t >= 2 and args.q >= 2:  # verify_bt's refusal, before building
+            addsets._check_bt_scan(args.q, args.t)
+        elems = addsets.bose_chowla(args.t, args.q)
+    else:
+        elems = addsets.greedy_bt(args.t, args.size)
+    if args.kind == "bt":
+        ok, witness = addsets.verify_bt(elems, args.t)
+        prop = f"B_{args.t} sums distinct"
+        why = "" if ok else f"{witness[0]} vs {witness[1]}"
+    else:
         ok, witness = addsets.verify_3ap_free(elems)
-        print(f"elements: {sorted(elems)}")
-        if ok:
-            print("3-term progression free: true")
-            return EXIT_OK
-        print(f"3-term progression free: false; progression {witness}")
-        return EXIT_VIOLATION
-    if args.N is None:
-        raise UsageError("--kind behrend needs --N")
-    elems = addsets.behrend_set(args.N)
-    ok, _ = addsets.verify_3ap_free(elems)
-    print(f"elements: {list(elems)}")
-    print(f"3-term progression free: {str(ok).lower()}")
+        prop, why = "3-term progression free", f"progression {witness}"
+    print(f"elements: {sorted(elems)}")
+    print(f"{prop}: true" if ok else f"{prop}: false; {why}")
     return EXIT_OK if ok else EXIT_VIOLATION
 
 

@@ -15,7 +15,8 @@ class. The two schemes:
 
 Scheme colorings are recomputed from their parameters, whose formulas
 ``EdgeColoring._form`` writes once, and are counted on bitsets of reachable
-sums (``_count_bits``); explicit colorings carry a full table.
+sums (``_count_bits``); explicit colorings carry a full table, whose keys
+``EdgeColoring`` checks once, when it is built.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Iterator, Union
 
 from .addsets import behrend_set, verify_3ap_free, verify_bt
 from .errors import BudgetError, UsageError
-from .hypercube import Edge, edge_key, validate_edge, _check_dim
+from .hypercube import Edge, validate_edge, _check_dim
 
 Color = tuple[int, int]
 
@@ -55,7 +56,9 @@ class EdgeColoring:
 
     ``scheme`` is one of "construction1", "construction2" or "explicit".
     Scheme colorings compute colors on demand from ``params``; explicit
-    colorings carry a table keyed by ``Edge.key()``.
+    colorings carry a table keyed by ``Edge.key()``, checked once here: it
+    must hold n 2^(n-1) keys, each the key of an edge of Q_n, and that many
+    distinct edges are all of them.
     """
 
     __slots__ = ("n", "k", "scheme", "params", "_table")
@@ -67,21 +70,39 @@ class EdgeColoring:
         if scheme == "explicit":
             if table is None:
                 raise UsageError("explicit coloring needs a color table")
+            table = dict(table)
+            expected = n << n - 1
+            if len(table) != expected:
+                raise UsageError(
+                    f"coloring has {len(table)} edge keys, Q_{n} has {expected} edges"
+                )
+            bottoms = 1 << n
+            for key in table:  # edge_key, read inline: bottom << 5 | dir - 1
+                if (
+                    type(key) is not int
+                    or key < 0
+                    or key & 31 >= n
+                    or key >> 5 >= bottoms
+                    or key >> 5 >> (key & 31) & 1
+                ):
+                    shown = (  # hex: a decimal str() of a huge int may raise
+                        f"{key:#x} (bottom {key >> 5:#x}, dir {(key & 31) + 1})"
+                        if type(key) is int
+                        else repr(key)
+                    )
+                    raise UsageError(f"edge key {shown} is not an edge of Q_{n}")
         elif table is not None:
             raise UsageError("scheme colorings are recomputed, not tabulated")
         self.n = n
         self.k = k
         self.scheme = scheme
         self.params = dict(params or {})
-        self._table = dict(table) if table is not None else None
+        self._table = table
 
     def color_of(self, e: Edge) -> Color:
         validate_edge(self.n, e)
         if self._table is not None:
-            try:
-                return self._table[e.key()]
-            except KeyError:
-                raise UsageError(f"no color stored for edge {e}") from None
+            return self._table[e.key()]
         s, offsets, mod, levels = self._form()
         a = weight_a(e.bottom, s) + offsets[e.dir - 1]
         return a % mod if mod else a, (e.bottom.bit_count() + 1) % levels
@@ -105,10 +126,10 @@ class EdgeColoring:
     def _rows(self) -> Iterator[tuple[int, int, Color]]:
         """(bottom, direction, color) of every edge, bottom ascending, then
         direction: the order of ``sorted(key_table())``. An explicit table
-        is read through ``key_table``, so it must be total; a scheme's
-        colors come from ``_form``."""
-        if self._table is not None:
-            table = self.key_table()
+        is read in sorted key order; a scheme's colors come from
+        ``_form``."""
+        table = self._table
+        if table is not None:
             for key in sorted(table):
                 yield key >> 5, (key & 31) + 1, table[key]
             return
@@ -121,23 +142,14 @@ class EdgeColoring:
                     yield bottom, d, ((a + off) % mod if mod else a + off, level)
 
     def key_table(self) -> dict[int, Color]:
-        """Full table keyed by Edge.key(); validates explicit totality."""
+        """Full table keyed by Edge.key(): a copy of an explicit table, or a
+        scheme's colors, refused above TABLE_DIM_LIMIT."""
+        if self._table is not None:
+            return dict(self._table)
         if self.n > TABLE_DIM_LIMIT:
             raise BudgetError(
                 f"refusing to materialize a color table for n={self.n}", kind="class"
             )
-        if self._table is not None:
-            expected = self.n << self.n - 1
-            if len(self._table) != expected:
-                raise UsageError(
-                    f"coloring is not total: {len(self._table)} of {expected} edges"
-                )
-            table = self._table
-            for bottom in range(1 << self.n):
-                for d in range(1, self.n + 1):
-                    if not bottom >> d - 1 & 1 and edge_key(bottom, d) not in table:
-                        raise UsageError(f"coloring misses edge {Edge(bottom, d)}")
-            return dict(table)
         # edge_key, inline
         return {bottom << 5 | d - 1: color for bottom, d, color in self._rows()}
 
@@ -326,17 +338,19 @@ def count_colors(coloring: EdgeColoring) -> int:
 
     A scheme coloring is counted by ``_count_bits`` when its bitsets hold
     at most 2^min(n + COUNT_BITS_LEAD, COUNT_BITS_LOG_LIMIT) bits, else by
-    walking its edges, which is refused above n = 20."""
+    walking its edges, which keeps up to one int per edge, as a color
+    table does, and so is refused above n = TABLE_DIM_LIMIT."""
     if coloring._table is not None:
-        return len(set(coloring.key_table().values()))
+        return len(set(coloring._table.values()))
     n, (s, offsets, mod, levels) = coloring.n, coloring._form()
     top = sum(s) + max(offsets) + 1  # no color sum reaches it: mod 2N is exact below
     width = min(top, mod or top)
     if width <= 1 << min(n + COUNT_BITS_LEAD, COUNT_BITS_LOG_LIMIT):
         return _count_bits(s, offsets, width, levels)
-    if n > 20:
-        raise BudgetError(f"refusing to stream {n << n - 1} edges", kind="class")
-    return len({color for _, _, color in coloring._rows()})
+    if n > TABLE_DIM_LIMIT:
+        raise BudgetError(f"refusing to walk {n << n - 1} edges", kind="class")
+    # (a, p) as the one int a * levels + p, which is exact as 0 <= p < levels
+    return len({a * levels + p for _, _, (a, p) in coloring._rows()})
 
 
 def _count_bits(s, offsets, width: int, levels: int) -> int:

@@ -11,7 +11,10 @@ Color tables and conflict graphs key edges by the dense int
 ``edge_key`` builds it, and ``_cycle_keys_or_problem`` for the edges of a
 cycle; ``cli.load_coloring`` builds it inline, once per record of a
 coloring file, and so does ``EdgeColoring.key_table``, once per edge of a
-scheme coloring. ``_pair_cycle`` searches on two such keys.
+scheme coloring. ``EdgeColoring`` reads it inline: its constructor, once
+per key, to check that an explicit table holds the edges of Q_n, and
+``_rows``, to turn a key back into (bottom, direction). ``_pair_cycle``
+searches on two such keys.
 
 Cycles are canonical vertex tuples: the minimum vertex comes first and the
 orientation is chosen so the second vertex is smaller than the last. Cycle

@@ -28,7 +28,10 @@ with scheme colors taken from the paper's formulas edge by edge.
 powers of theta, is checked against a table of every power's log, and
 the bitset color count of ``coloring._count_bits`` against the walk over
 every edge and, for construction2, against the set of (sum, size) pairs
-it once kept beside the bitsets.
+it once kept beside the bitsets. The key check of an explicit
+``EdgeColoring`` is judged by ``is_edge_key``, which builds the ``Edge``
+and runs ``validate_edge``, and ``addsets._smallest_irreducible`` by the
+set of every product of two monic polynomials.
 
 Some helpers live here because only the tests use them:
 ``complement_edge``, and ``verify_q3_equivalence``, which checks that
@@ -345,6 +348,32 @@ def greedy_bt_oracle(t: int, size: int) -> list[int]:
     return elems
 
 
+def smallest_irreducible_products(t: int, q: int) -> tuple:
+    """``addsets._smallest_irreducible`` by its definition: the lower
+    coefficients of the first monic polynomial of degree t over GF(q), in
+    base-q order, that no product of two monic polynomials of positive
+    degree equals."""
+
+    def monic(degree):
+        for low in itertools.product(range(q), repeat=degree):
+            yield (*low, 1)
+
+    products = set()
+    for d in range(1, t // 2 + 1):
+        for a in monic(d):
+            for b in monic(t - d):
+                prod = [0] * (t + 1)
+                for i, x in enumerate(a):
+                    for j, y in enumerate(b):
+                        prod[i + j] = (prod[i + j] + x * y) % q
+                products.add(tuple(prod))
+    for m in range(q**t):
+        low = tuple(m // q**i % q for i in range(t))
+        if (*low, 1) not in products:
+            return low
+    raise InternalError(f"no irreducible of degree {t} over GF({q})")
+
+
 def bose_chowla_table(t: int, q: int) -> tuple[int, ...]:
     """``addsets.bose_chowla`` as it was with a table of logs: the same
     primitive element theta, then a dict from each of the q^t - 1 powers
@@ -607,6 +636,19 @@ def creates_solution_scan(system, kept, cand: int, max_nodes: int) -> bool:
         if rec(0, 0, False):
             return True
     return False
+
+
+def is_edge_key(n: int, key) -> bool:
+    """Whether ``key`` is ``Edge.key()`` of an edge of Q_n, by building the
+    Edge it reads as and checking it with ``validate_edge``."""
+    if type(key) is not int:
+        return False
+    try:
+        e = Edge(key >> 5, (key & 31) + 1)
+        validate_edge(n, e)
+    except UsageError:
+        return False
+    return e.key() == key
 
 
 def scheme_color_table(col) -> dict:

@@ -148,6 +148,18 @@ class TestBoseChowla:
         for t, q in pairs:
             assert bose_chowla(t, q) == oracles.bose_chowla_table(t, q), (t, q)
 
+    def test_irreducible_matches_product_oracle(self):
+        pairs = [
+            (t, q)
+            for q in range(2, 101)
+            if addsets._is_prime(q)
+            for t in range(2, 14)
+            if q**t <= 10**4
+        ]
+        for t, q in pairs:
+            found = addsets._smallest_irreducible(t, q)
+            assert found == oracles.smallest_irreducible_products(t, q), (t, q)
+
     def test_gf9_golden(self):
         # theta = x + 1 over x^2 + 1; logs of theta, theta + 1, theta + 2
         assert bose_chowla(2, 3) == (1, 6, 7)

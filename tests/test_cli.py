@@ -230,34 +230,40 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "violation" in out and "0x0" in out
 
-    def test_truncated_file(self, tmp_path):
-        doc = monochrome_doc(3, 6)
-        doc["edges"] = doc["edges"][:-1]
+    def refused_naming_file(self, tmp_path, capsys, doc):
         path = write_json(tmp_path / "bad.json", doc)
         assert run("verify", "--coloring", path) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+    def test_truncated_file(self, tmp_path, capsys):
+        doc = monochrome_doc(3, 6)
+        doc["edges"] = doc["edges"][:-1]
+        self.refused_naming_file(tmp_path, capsys, doc)
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"n": 3,')
         assert run("verify", "--coloring", str(path)) == 2
 
-    def test_duplicate_edge(self, tmp_path):
+    def test_duplicate_edge(self, tmp_path, capsys):
         doc = monochrome_doc(2, 4)
         doc["edges"][1] = doc["edges"][0]
-        path = write_json(tmp_path / "bad.json", doc)
-        assert run("verify", "--coloring", path) == 2
+        self.refused_naming_file(tmp_path, capsys, doc)
 
-    def test_direction_bit_set(self, tmp_path):
+    def test_every_edge_and_one_repeated(self, tmp_path, capsys):
+        doc = monochrome_doc(3, 6)
+        doc["edges"].append(doc["edges"][5])
+        self.refused_naming_file(tmp_path, capsys, doc)
+
+    def test_direction_bit_set(self, tmp_path, capsys):
         doc = monochrome_doc(2, 4)
         doc["edges"][0] = {"b": "0x1", "dir": 1, "color": [0, 0]}
-        path = write_json(tmp_path / "bad.json", doc)
-        assert run("verify", "--coloring", path) == 2
+        self.refused_naming_file(tmp_path, capsys, doc)
 
-    def test_mask_above_n(self, tmp_path):
+    def test_mask_above_n(self, tmp_path, capsys):
         doc = monochrome_doc(2, 4)
         doc["edges"][0] = {"b": "0x8", "dir": 1, "color": [0, 0]}
-        path = write_json(tmp_path / "bad.json", doc)
-        assert run("verify", "--coloring", path) == 2
+        self.refused_naming_file(tmp_path, capsys, doc)
 
     @pytest.mark.parametrize(
         "top,edge",
@@ -275,6 +281,7 @@ class TestVerify:
             ({}, {"b": " 0x0 "}),
             ({}, {"b": "-0x0"}),
             ({}, {"b": "0_0"}),
+            ({}, {"b": "f" * 5000}),  # past the 4,300-digit int-to-str limit
         ],
     )
     def test_malformed_field(self, tmp_path, capsys, top, edge):
@@ -413,8 +420,9 @@ class TestSchemeDocuments:
         out, doc = self.construct(tmp_path, "--n", "4", "--k", "8", "--scheme", "c1")
         doc["k"] = 800  # a B_199 check over comb(202, 199) multisets
         capsys.readouterr()
-        assert run("verify", "--coloring", write_json(out, doc)) == 2
-        assert capsys.readouterr().err.startswith("budget exceeded: ")
+        path = write_json(out, doc)
+        assert run("verify", "--coloring", path) == 2
+        assert capsys.readouterr().err.startswith(f"budget exceeded: {path}: ")
 
     def test_one_element_rebuild_with_huge_t_refused(self, tmp_path, capsys):
         # the rebuild's B_t check would build one tuple of 999,999,999 ones

@@ -4,6 +4,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from rainbowcube import coloring
@@ -200,6 +201,16 @@ class TestCountRouting:
         assert info.value.kind == "class"
         assert time.perf_counter() - start < 1
 
+    def test_wide_c1_above_the_table_limit_refused(self, monkeypatch):
+        # the walk keeps up to one int per edge, as a color table does
+        col = construction1(19, 12, [10**6 * x for x in greedy_bt(2, 19)])
+        monkeypatch.setattr(EdgeColoring, "_rows", fail)
+        start = time.perf_counter()
+        with pytest.raises(BudgetError) as info:
+            count_colors(col)
+        assert info.value.kind == "class"
+        assert time.perf_counter() - start < 1
+
     def test_c1_n32_counted(self, monkeypatch):
         monkeypatch.setattr(EdgeColoring, "_rows", fail)
         for k, s in ((8, range(1, 33)), (12, greedy_bt(2, 32))):
@@ -311,6 +322,51 @@ def test_ceil_power_is_exact():
                 assert _ceil_power(n, expo) == hi, (n, expo)
 
 
+def foreign_keys(n):
+    """Ints and other values that are not the key of an edge of Q_n."""
+    bottom = st.integers(0, (1 << n) - 1)
+    low = st.integers(0, n - 1)
+    return st.one_of(
+        st.builds(lambda b, d: b << 5 | d, bottom, st.integers(n, 31)),
+        st.builds(lambda b, d: b << 5 | d, st.integers(1 << n, 1 << n + 3), low),
+        st.builds(lambda b, d: (b | 1 << d) << 5 | d, bottom, low),
+        # a negative bottom whose bits up to the direction are clear
+        st.builds(lambda b, d: (-(b + 1) << d + 1) << 5 | d, st.integers(0, 99), low),
+        st.booleans(),
+        st.text(max_size=3),
+    )
+
+
+@st.composite
+def explicit_tables(draw):
+    """(n, table, change): a total table on Q_n, n <= 4, or one with a key dropped,
+    a foreign key added, or a key replaced by a foreign one."""
+    n = draw(st.integers(1, 4))
+    table = {e.key(): (draw(st.integers(0, 3)), 0) for e in enumerate_edges(n)}
+    change = draw(st.sampled_from(["none", "drop", "extra", "replace"]))
+    if change in ("drop", "replace"):
+        del table[draw(st.sampled_from(sorted(table)))]
+    if change in ("extra", "replace"):
+        # False and True equal the keys 0 and 1, which a dict would overwrite
+        table[draw(foreign_keys(n).filter(lambda key: key not in table))] = (0, 0)
+    return n, table, change
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=explicit_tables())
+def test_explicit_table_checked_when_built(case):
+    n, table, change = case
+    total = len(table) == n << n - 1 and all(oracles.is_edge_key(n, k) for k in table)
+    assert total == (change == "none")
+    if not total:
+        with pytest.raises(UsageError):
+            EdgeColoring(n, 6, "explicit", {}, table)
+        return
+    col = EdgeColoring(n, 6, "explicit", {}, table)
+    assert col.key_table() == table
+    assert [col.color_of(e) for e in enumerate_edges(n)] == [c for _, c in col.items()]
+
+
 class TestEdgeColoring:
     def test_recomputation_determinism(self):
         a = construction2(4, [1, 2, 4, 5], 5)
@@ -345,17 +401,15 @@ class TestEdgeColoring:
     def test_explicit_partial_table_fails_materialization(self):
         table = {e.key(): (0, 0) for e in enumerate_edges(3)}
         table.pop(Edge(0, 1).key())
-        col = EdgeColoring(3, 6, "explicit", {}, table)
         with pytest.raises(UsageError):
-            col.key_table()
+            EdgeColoring(3, 6, "explicit", {}, table)
 
     def test_explicit_foreign_key_fails_materialization(self):
         table = {e.key(): (0, 0) for e in enumerate_edges(3)}
         table.pop(Edge(0, 1).key())
         table[edge_key(1, 1)] = (0, 0)  # direction bit set: not an edge
-        col = EdgeColoring(3, 6, "explicit", {}, table)
         with pytest.raises(UsageError):
-            col.key_table()
+            EdgeColoring(3, 6, "explicit", {}, table)
 
     def test_unknown_scheme(self):
         with pytest.raises(UsageError):
