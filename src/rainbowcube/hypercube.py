@@ -14,7 +14,11 @@ coloring file, and so does ``EdgeColoring.key_table``, once per edge of a
 scheme coloring. ``EdgeColoring`` reads it inline: its constructor, once
 per key, to check that an explicit table holds the edges of Q_n, and
 ``_rows``, to turn a key back into (bottom, direction). ``_pair_cycle``
-searches on two such keys.
+searches on two such keys, and ``_span_cycle`` routes on them: the one
+router that joins any two edges of span at most k/2 (the coordinates
+where the bottoms differ plus both directions) into a k-cycle, for
+n >= k/2, and gives the witnesses of ``build_cycle_same_level`` and
+``verifier.lower_bound_clique``.
 
 Cycles are canonical vertex tuples: the minimum vertex comes first and the
 orientation is chosen so the second vertex is smaller than the last. Cycle
@@ -28,7 +32,9 @@ path in one set, so their memory does not grow with 2^n.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from math import comb
+from operator import xor
 from typing import Iterator, Optional
 
 from .errors import InternalError, UsageError
@@ -136,19 +142,6 @@ def _bitmasks(mask: int) -> list[int]:
         out.append(b)
         mask ^= b
     return out
-
-
-def _free_coord_masks(n: int, used: int) -> list[int]:
-    return [1 << d for d in range(n) if not used >> d & 1]
-
-
-def _walk(start: int, masks) -> list[int]:
-    """``start`` and every vertex reached from it by XOR-ing each mask in turn."""
-    path = [start]
-    for b in masks:
-        start ^= b
-        path.append(start)
-    return path
 
 
 def canonical_cycle(verts) -> Cycle:
@@ -421,14 +414,12 @@ def _first_cycle_from(
 def build_cycle_same_level(n: int, k: int, e1: Edge, e2: Edge) -> Cycle:
     """Construct a k-cycle through two distinct edges on a common level.
 
-    Needs n > k. Incident pairs (shared bottom or shared top) are joined
-    by two parallel chains over fresh coordinates. Disjoint pairs need
-    k divisible by 4 and bottom vertices with |v xor x| <= k/2 - 2; they
-    are joined by a bottom route of length k/2 - 2 between the bottoms
-    and a top route of length k/2 between the tops. Fresh coordinates are
-    always the smallest unused indices. When no unused coordinates remain
-    above, the construction is applied to the complemented cube and
-    mirrored back.
+    Needs n > k and even k; a pair with no shared endpoint also needs k
+    divisible by 4 and bottoms with |v xor x| <= k/2 - 2. These refusals
+    define the domain, which acceptance criterion 8c checks, though the
+    router would route more: an incident pair spans its two directions
+    and an accepted disjoint pair at most k/2 coordinates, so
+    ``_span_cycle`` routes every pair accepted here.
 
     Every argument check above comes first. The constructed cycle is then
     checked by the rules of ``cycle_problem`` in one walk that also yields
@@ -459,9 +450,7 @@ def build_cycle_same_level(n: int, k: int, e1: Edge, e2: Edge) -> Cycle:
                 "bottom vertices too far apart: need |v xor x| <= k/2 - 2"
             )
 
-    cyc = _same_level_cycle(
-        n, k, e1.bottom, 1 << e1.dir - 1, e2.bottom, 1 << e2.dir - 1, True
-    )
+    cyc = _span_cycle(n, k, e1.key(), e2.key())
     keys, problem = _cycle_keys_or_problem(n, cyc)
     if problem is not None:
         raise InternalError(f"constructed cycle invalid: {problem}")
@@ -470,69 +459,47 @@ def build_cycle_same_level(n: int, k: int, e1: Edge, e2: Edge) -> Cycle:
     return cyc
 
 
-def _same_level_cycle(
-    n: int, k: int, v: int, bi: int, x: int, bj: int, may_flip: bool
-) -> Cycle:
-    """The routing of ``build_cycle_same_level`` for the edges with bottoms
-    ``v`` and ``x`` and direction bits ``bi`` and ``bj`` (1 << dir - 1).
+def _span_cycle(n: int, k: int, a: int, b: int) -> Cycle:
+    """A canonical k-cycle of Q_n through the distinct edges with keys ``a``
+    and ``b``, whose span (``verifier._conflicts``) has at most m = k/2
+    coordinates. Nothing is checked: the caller stands for an even k,
+    n >= m and both edges inside Q_n. The pair is routed as
+    (min(a, b), max(a, b)), so the cycle depends only on the unordered
+    pair.
 
-    Nothing is checked here: the caller stands for the preconditions of
-    ``build_cycle_same_level`` and validates the cycle it gets back.
+    Let the edges be (x, d) and (y, e), P = x ^ y, Q = P less {d, e}, and
+    R the m - |span| smallest coordinates outside the span (n >= m leaves
+    that many). The cycle walks from x through the coordinate word W W,
+    with W = (d, Q, e, R) if d is in P and (d, R, e, Q) if not; when
+    d = e, through (d, P, d, R, P, R) instead. Each word has k letters.
+
+    Proof. The vertex after t steps is x ^ s, with s the letters taken an
+    odd number of times so far. With d != e, W holds m distinct letters,
+    so W W closes; its sets s are the prefixes of W (which hold W's first
+    letter, but for the empty one) and the nonempty proper suffixes (which
+    lack it), each told apart by size, so the k vertices are distinct. The
+    first step is the edge (x, d). If d is in P, the walk reaches
+    x ^ d ^ Q, which is y or y ^ e, and then flips e; if not, the second
+    pass flips e between x ^ Q ^ e and x ^ Q, one of which is y. With
+    d = e, both bottoms lack d and differ, so P is nonempty and lacks d.
+    The sets are {d} plus a prefix of P; P plus a prefix of R, which hold
+    P's first letter; R plus a proper suffix of P, not empty; a nonempty
+    proper suffix of R; and the empty set. The last three lack P's first
+    letter, only the third holds R's first letter, and each group is told
+    apart by size, so again the vertices are distinct. The steps on d are
+    (x, d) and the one from x ^ d ^ P = y ^ d to y.
     """
-    full = (1 << n) - 1
-    w, y = v | bi, x | bj
-
-    def flipped() -> Cycle:
-        if not may_flip:
-            raise UsageError("not enough unused coordinates to route the cycle")
-        # complementing the cube maps the edge (v, bi) to (full ^ w, bi)
-        mirror = _same_level_cycle(n, k, full ^ w, bi, full ^ y, bj, False)
-        return canonical_cycle(tuple(full ^ u for u in mirror))
-
-    if v == x:
-        # shared bottom: climb the e1 side, cross at the top, descend to e2
-        r = k // 2 - 2
-        pool = _free_coord_masks(n, w | y)
-        if len(pool) < r:
-            return flipped()
-        fresh = pool[:r]
-        return canonical_cycle(tuple(_walk(v, [bi, *fresh, bj, bi, *fresh[::-1]])))
-
-    if w == y:
-        # shared top: descend to both bottoms, rejoin above fresh coordinates
-        r = k // 2 - 2
-        if r == 0:
-            return canonical_cycle((w, v, v & x, x))
-        pool = _free_coord_masks(n, w)
-        if len(pool) < r:
-            return flipped()
-        fresh = pool[:r]
-        return canonical_cycle(tuple(_walk(w, [bi, *fresh, bi, bj, *fresh[::-1]])))
-
-    # disjoint: bottom route between v and x, top route between w and y
-    dvx = (v ^ x).bit_count()
-    m = (w ^ y).bit_count() // 2
-    r = k // 4 - m
-    pad = k // 4 - 1 - dvx // 2
-    if r < 0 or pad < 0:
-        raise InternalError("disjoint routing infeasible")
-    inter = v & x
-    pad_down = pad <= inter.bit_count()
-    pool = _free_coord_masks(n, w | y)
-    need = r + (0 if pad_down else pad)
-    if len(pool) < need:
-        return flipped()
-    s_masks = pool[:r]
-    leave, enter = _bitmasks(v & ~x), _bitmasks(x & ~v)
-    if pad_down:
-        # clear `pad` shared coordinates on the way, set them again at the end
-        pads = _bitmasks(inter)[:pad]
-        path_vx = _walk(v, leave + pads + enter + pads)
+    if a > b:
+        a, b = b, a
+    x, d, e = a >> 5, 1 << (a & 31), 1 << (b & 31)
+    p = x ^ b >> 5
+    span = p | d | e
+    q = _bitmasks(p & ~(d | e))
+    r = _bitmasks(~span & (1 << n) - 1)[: k // 2 - span.bit_count()]
+    if d == e:
+        word = [d, *q, d, *r, *q, *r]
+    elif p & d:
+        word = [d, *q, e, *r] * 2
     else:
-        # set `pad` fresh coordinates first, clear them again at the end
-        pads = pool[r : r + pad]
-        path_vx = _walk(v, pads + leave + enter + pads)
-    path_wy = _walk(
-        w, s_masks + _bitmasks(y & ~w) + _bitmasks(w & ~y)[::-1] + s_masks[::-1]
-    )
-    return canonical_cycle(tuple(path_vx + path_wy[::-1]))
+        word = [d, *r, e, *q] * 2
+    return canonical_cycle(accumulate(word[:-1], xor, initial=x))

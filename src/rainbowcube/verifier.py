@@ -33,7 +33,7 @@ from .hypercube import (
     _check_dim,
     _cycle_keys_or_problem,
     _pair_cycle,
-    _same_level_cycle,
+    _span_cycle,
 )
 
 # Not called here. perfbench/spans.py wraps verifier.build_cycle_same_level
@@ -111,10 +111,12 @@ def _conflicts(a: int, b: int, half: int) -> bool:
     times, so it uses at most k/2 coordinates, and a cycle through both
     edges uses the whole span.
 
-    If, by induction on n; n <= 3 is checked against the every-cycle
-    enumeration in the tests. Let the edges be (x, d) and (y, e) with span
-    s <= k/2. Split Q_n along a coordinate c into halves H0 and H1, and
-    write g^c for an edge g moved across c.
+    If: for n >= k/2, ``hypercube._span_cycle`` builds such a cycle, and
+    its docstring holds the proof. For n < k/2, by induction on n; n <= 3
+    is checked against the every-cycle enumeration in the tests. Let the
+    edges be (x, d) and (y, e) with span s <= k/2. Split Q_n along a
+    coordinate c into halves H0 and H1, and write g^c for an edge g moved
+    across c.
 
     (a) s <= n - 1, k <= 2^(n-1). Take c outside the span: both edges lie
         in one half, a Q_(n-1), and induction gives the cycle there.
@@ -511,24 +513,13 @@ def lower_bound_clique(n: int, k: int) -> tuple[int, BoundCertificate]:
     maps each pair (e1, e2), e1 first in that order, to the cycle
     ``build_cycle_same_level(n, k, e1, e2)`` returns.
 
-    Each witness comes from the router of ``build_cycle_same_level``,
-    ``hypercube._same_level_cycle``, called on int bottoms and direction
-    bits, and is checked once: the rules of ``cycle_problem`` and both
-    edge keys of the pair among its edges, in one walk on int keys. A
-    failure is an InternalError. The router checks nothing, and it needs
-    none of the argument checks of ``build_cycle_same_level``, as the
-    level scan already ensures each of them:
-
-    - 1 <= n <= MAX_DIM by ``_check_dim``; 4 | k and 4 <= k < n by the
-      checks below, so k is even and k <= 2^n;
-    - each edge has a bottom below 2^n with its direction bit clear and a
-      direction in [1, n], so it lies inside Q_n;
-    - the two edges of a pair are distinct, as ``combinations`` pairs
-      distinct positions of a list without repeats;
-    - both edges sit on level k/4, as every bottom has k/4 - 1 ones;
-    - for a disjoint pair, k is divisible by 4, and two bottoms of
-      k/4 - 1 ones each differ in at most 2(k/4 - 1) = k/2 - 2
-      coordinates, so |v xor x| <= k/2 - 2.
+    Each witness comes from ``hypercube._span_cycle`` on the pair's int
+    keys, as in ``build_cycle_same_level``. Two bottoms of k/4 - 1 ones
+    differ in at most k/2 - 2 coordinates, so with the two directions a
+    pair spans at most k/2, and n > k, so the router applies. Each
+    witness is checked once: the rules of ``cycle_problem`` and both edge
+    keys of the pair among its edges, in one walk on int keys. A failure
+    is an InternalError.
 
     A certificate of more than ``CLIQUE_PAIR_LIMIT`` pairs is refused with
     a class BudgetError before any witness is built.
@@ -549,23 +540,20 @@ def lower_bound_clique(n: int, k: int) -> tuple[int, BoundCertificate]:
         )
     # bottoms with level - 1 ones, ascending, then free directions ascending:
     # the level's edges in enumerate_edges order, without building the rest
+    ones = combinations(range(n), level - 1)
+    bottoms = sorted(sum(1 << c for c in cs) for cs in ones)
     edges = tuple(
-        Edge(b, d)
-        for b in range(1 << n)
-        if b.bit_count() == level - 1
-        for d in range(1, n + 1)
-        if not b >> d - 1 & 1
+        Edge(b, d) for b in bottoms for d in range(1, n + 1) if not b >> d - 1 & 1
     )
     if len(edges) != expected:
         raise InternalError(
             f"level {level} edge scan found {len(edges)}, expected {expected}"
         )
     witnesses = {}
-    routed = [(e, e.key(), e.bottom, 1 << e.dir - 1) for e in edges]
-    for (e1, key1, v, bi), (e2, key2, x, bj) in combinations(routed, 2):
-        cyc = _same_level_cycle(n, k, v, bi, x, bj, True)
+    for (e1, a), (e2, b) in combinations([(e, e.key()) for e in edges], 2):
+        cyc = _span_cycle(n, k, a, b)
         keys, problem = _cycle_keys_or_problem(n, cyc)
-        if problem or key1 not in keys or key2 not in keys:
+        if problem or a not in keys or b not in keys:
             raise InternalError(f"witness for {e1} and {e2} failed validation")
         witnesses[(e1, e2)] = cyc
     return expected, BoundCertificate(level, edges, witnesses)

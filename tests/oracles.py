@@ -17,9 +17,7 @@ digit set is never smaller. The one-walk cycle check of
 ``hypercube._cycle_keys_or_problem`` is checked against the validator it
 replaced, which counts each direction and compares with a full canonical
 rotation, and its edge keys against ``cycle_keys``; ``lower_bound_clique``
-against its pair loop over sets of ``Edge`` objects; the int router
-of ``build_cycle_same_level`` is checked against the ``Edge``-based
-routing it replaced. The orbit search
+against its pair loop over sets of ``Edge`` objects. The orbit search
 of ``addsets._creates_solution`` is checked against the scan over every
 assignment that it replaced. The streaming ``cli.save_coloring`` is
 checked byte for byte against one ``json.dumps`` of the whole document,
@@ -58,10 +56,7 @@ from rainbowcube.hypercube import (
     enumerate_cycles,
     enumerate_edges,
     edge_key,
-    _bitmasks,
     _check_dim,
-    _free_coord_masks,
-    _walk,
     validate_edge,
 )
 from rainbowcube.errors import BudgetError, InternalError, UsageError
@@ -527,70 +522,6 @@ def lower_bound_clique_edges(n: int, k: int):
             raise AssertionError(f"witness for {e1} and {e2} failed validation")
         witnesses[(e1, e2)] = cyc
     return len(edges), BoundCertificate(level, edges, witnesses)
-
-
-def same_level_cycle_edges(
-    n: int, k: int, e1: Edge, e2: Edge, may_flip: bool
-) -> tuple:
-    """``hypercube._same_level_cycle`` as it routed ``Edge`` objects, with
-    tops, direction bits and the free-coordinate pool read off the edges
-    and the mirrored case built from ``complement_edge``."""
-    full = (1 << n) - 1
-    v, x = e1.bottom, e2.bottom
-    w, y = e1.top, e2.top
-    bi = 1 << e1.dir - 1
-    bj = 1 << e2.dir - 1
-
-    def flipped() -> tuple:
-        if not may_flip:
-            raise UsageError("not enough unused coordinates to route the cycle")
-        mirror = same_level_cycle_edges(
-            n, k, complement_edge(n, e1), complement_edge(n, e2), may_flip=False
-        )
-        return canonical_cycle(tuple(full ^ u for u in mirror))
-
-    if v == x:
-        r = k // 2 - 2
-        pool = _free_coord_masks(n, w | y)
-        if len(pool) < r:
-            return flipped()
-        fresh = pool[:r]
-        return canonical_cycle(tuple(_walk(v, [bi, *fresh, bj, bi, *fresh[::-1]])))
-
-    if w == y:
-        r = k // 2 - 2
-        if r == 0:
-            return canonical_cycle((w, v, v & x, x))
-        pool = _free_coord_masks(n, w)
-        if len(pool) < r:
-            return flipped()
-        fresh = pool[:r]
-        return canonical_cycle(tuple(_walk(w, [bi, *fresh, bi, bj, *fresh[::-1]])))
-
-    dvx = (v ^ x).bit_count()
-    m = (w ^ y).bit_count() // 2
-    r = k // 4 - m
-    pad = k // 4 - 1 - dvx // 2
-    if r < 0 or pad < 0:
-        raise InternalError("disjoint routing infeasible")
-    inter = v & x
-    pad_down = pad <= inter.bit_count()
-    pool = _free_coord_masks(n, w | y)
-    need = r + (0 if pad_down else pad)
-    if len(pool) < need:
-        return flipped()
-    s_masks = pool[:r]
-    leave, enter = _bitmasks(v & ~x), _bitmasks(x & ~v)
-    if pad_down:
-        pads = _bitmasks(inter)[:pad]
-        path_vx = _walk(v, leave + pads + enter + pads)
-    else:
-        pads = pool[r : r + pad]
-        path_vx = _walk(v, pads + leave + enter + pads)
-    path_wy = _walk(
-        w, s_masks + _bitmasks(y & ~w) + _bitmasks(w & ~y)[::-1] + s_masks[::-1]
-    )
-    return canonical_cycle(tuple(path_vx + path_wy[::-1]))
 
 
 def creates_solution_scan(system, kept, cand: int, max_nodes: int) -> bool:

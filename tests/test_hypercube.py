@@ -4,7 +4,7 @@ import tracemalloc
 from functools import lru_cache
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from rainbowcube import hypercube
 from rainbowcube.errors import InternalError, UsageError
@@ -22,8 +22,9 @@ from rainbowcube.hypercube import (
     enumerate_cycles,
     enumerate_edges,
     _cycle_keys_or_problem,
-    _walk,
+    _span_cycle,
 )
+from rainbowcube.verifier import _conflicts
 
 import oracles
 
@@ -231,15 +232,15 @@ class TestSameLevelWitnessCheck:
     e1, e2 = Edge(0, 1), Edge(0, 2)
 
     def break_router(self, monkeypatch, breakage):
-        route = hypercube._same_level_cycle
+        route = hypercube._span_cycle
 
         def broken(*args, **kwargs):
             return breakage(route(*args, **kwargs))
 
-        monkeypatch.setattr(hypercube, "_same_level_cycle", broken)
+        monkeypatch.setattr(hypercube, "_span_cycle", broken)
 
     def test_router_output_is_valid_unpatched(self):
-        cyc = hypercube._same_level_cycle(9, 8, 0, 0b1, 0, 0b10, True)
+        cyc = hypercube._span_cycle(9, 8, self.e1.key(), self.e2.key())
         assert cycle_problem(9, cyc) is None
         assert {self.e1, self.e2} <= set(edges_of_cycle(cyc))
 
@@ -254,7 +255,7 @@ class TestSameLevelWitnessCheck:
             build_cycle_same_level(9, 8, self.e1, self.e2)
 
     def test_valid_cycle_missing_an_edge(self, monkeypatch):
-        other = canonical_cycle(_walk(0, [1, 4, 8, 16, 1, 4, 8, 16])[:-1])
+        other = (0, 1, 5, 13, 29, 28, 24, 16)
         assert cycle_problem(9, other) is None
         assert self.e1 in edges_of_cycle(other)
         assert self.e2 not in edges_of_cycle(other)
@@ -263,97 +264,45 @@ class TestSameLevelWitnessCheck:
             build_cycle_same_level(9, 8, self.e1, self.e2)
 
 
-def _route_branch(n, k, v, bi, x, bj):
-    """(branch, mirrored): the case of ``_same_level_cycle`` a pair takes,
-    and whether it runs out of free coordinates and routes in the
-    complemented cube."""
-    w, y = v | bi, x | bj
-    if v == x:
-        branch, used, need = "bottom", w | y, k // 2 - 2
-    elif w == y:
-        branch, used, need = "top" if k > 4 else "top k=4", w, k // 2 - 2
-    else:
-        pad = k // 4 - 1 - (v ^ x).bit_count() // 2
-        down = pad <= (v & x).bit_count()
-        branch, used = "pads down" if down else "pads up", w | y
-        need = k // 4 - (w ^ y).bit_count() // 2 + (0 if down else pad)
-    return branch, n - used.bit_count() < need
+def _assert_span_witness(n, k, a, b):
+    cyc = _span_cycle(n, k, a, b)
+    assert _span_cycle(n, k, b, a) == cyc
+    assert len(cyc) == k and canonical_cycle(cyc) == cyc
+    keys, problem = _cycle_keys_or_problem(n, cyc)
+    assert problem is None, (n, k, a, b, cyc, problem)
+    assert a in keys and b in keys
 
 
-@st.composite
-def same_level_pairs(draw, branch, mirrored):
-    """(n, k, e1, e2): two distinct same-level edges of Q_n, n > k, that
-    meet the preconditions of ``build_cycle_same_level`` and take
-    ``branch`` of the router, mirrored or not. Edges near the top of the
-    cube leave too few free coordinates and reach the mirrored case."""
-    if branch == "top k=4":
-        k = 4
-    elif branch in ("pads down", "pads up"):
-        # disjoint pairs need 4 | k; pads go up only below level k/4
-        k = draw(st.sampled_from((12, 16) if branch == "pads up" else (8, 12, 16)))
-    else:
-        k = 2 * draw(st.integers(3 if mirrored else 2, 8))
-    n = draw(st.integers(k + 1, k + 6))
-    order = draw(st.permutations(range(n)))
-    bit = [1 << d for d in order]
-    if branch == "bottom":
-        # pool n - ones - 2 against k/2 - 2 fresh coordinates
-        lo, hi = (n - k // 2 + 1, n - 2) if mirrored else (0, n - k // 2)
-        ones = draw(st.integers(lo, hi))
-        v = x = sum(bit[:ones])
-        bi, bj = bit[ones], bit[ones + 1]
-    elif branch in ("top", "top k=4"):
-        # pool n - |top| against k/2 - 2 fresh coordinates
-        lo, hi = (n - k // 2 + 3, n) if mirrored else (2, min(n, n - k // 2 + 2))
-        top = sum(bit[: draw(st.integers(lo, hi))])
-        bi, bj = bit[0], bit[1]
-        v, x = top ^ bi, top ^ bj
-    else:
-        # x trades t of the ones of v for t others: |v ^ x| = 2t <= k/2 - 2
-        up = branch == "pads up"
-        t = draw(st.integers(1, k // 4 - (2 if up else 1)))
-        if up:
-            lo, hi = t, k // 4 - 2
-        else:
-            # near the top, v | x leaves at most two coordinates free
-            lo, hi = (n - t - 2 if mirrored else max(t, k // 4 - 1)), n - t - 1
-        ones = draw(st.integers(lo, hi))
-        v = sum(bit[:ones])
-        x = v ^ sum(bit[:t]) ^ sum(bit[ones : ones + t])
-        bi = draw(st.sampled_from([b for b in bit if not v & b]))
-        bj = draw(st.sampled_from([b for b in bit if not x & b]))
-        assume(v | bi != x | bj)
-    assume(_route_branch(n, k, v, bi, x, bj) == (branch, mirrored))
-    return n, k, Edge(v, bi.bit_length()), Edge(x, bj.bit_length())
+class TestSpanCycle:
+    """The one certificate router on every pair it is given: a canonical
+    k-cycle through both edges whenever their span is at most k/2 <= n."""
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_every_conflicting_pair(self, n):
+        for k in range(4, min(2 * n, 1 << n) + 1, 2):
+            pairs = 0
+            keys = [e.key() for e in enumerate_edges(n)]
+            for a, b in itertools.combinations(keys, 2):
+                if _conflicts(a, b, k // 2):
+                    _assert_span_witness(n, k, a, b)
+                    pairs += 1
+            assert pairs
 
-class TestSameLevelRouter:
-    """The int router against the ``Edge``-based routing it replaced."""
-
-    @pytest.mark.parametrize(
-        "branch,mirrored",
-        [
-            ("bottom", False),
-            ("bottom", True),
-            ("top", False),
-            ("top", True),
-            ("top k=4", False),
-            ("pads down", False),
-            ("pads down", True),
-            # pads go up only below level k/4, where coordinates never run out
-            ("pads up", False),
-        ],
-    )
-    @settings(max_examples=60, deadline=None)
-    @given(data=st.data())
-    def test_matches_edge_oracle(self, branch, mirrored, data):
-        n, k, e1, e2 = data.draw(same_level_pairs(branch, mirrored))
-        for a, b in ((e1, e2), (e2, e1)):
-            got = hypercube._same_level_cycle(
-                n, k, a.bottom, 1 << a.dir - 1, b.bottom, 1 << b.dir - 1, True
-            )
-            assert got == oracles.same_level_cycle_edges(n, k, a, b, True)
-            assert got == build_cycle_same_level(n, k, a, b)
+    def test_random_pairs_in_large_cubes(self):
+        rng = random.Random(20261019)
+        made = 0
+        while made < 2000:
+            n = rng.randint(16, 32)
+            half = rng.randint(2, n)
+            d, e = rng.randrange(n), rng.randrange(n)
+            x = rng.getrandbits(n) & ~(1 << d)
+            flips = sum(1 << c for c in rng.sample(range(n), rng.randint(0, half)))
+            y = (x ^ flips) & ~(1 << e)
+            a, b = edge_key(x, d + 1), edge_key(y, e + 1)
+            if a == b or not _conflicts(a, b, half):
+                continue
+            _assert_span_witness(n, 2 * half, a, b)
+            made += 1
 
 
 class TestCyclesContainingPair:

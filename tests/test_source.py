@@ -1,4 +1,5 @@
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -27,3 +28,21 @@ def test_every_import_is_used(path):
         if (alias.asname or alias.name.split(".")[0]) not in used
     ]
     assert unused == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_absolute_import_is_stdlib(path):
+    # the package declares no runtime dependencies, so no installed
+    # third-party module may creep into it
+    tree = ast.parse(path.read_text())
+    names = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+    ] + [
+        node.module
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 0
+    ]
+    assert [m for m in names if m.split(".")[0] not in sys.stdlib_module_names] == []

@@ -20,6 +20,7 @@ from rainbowcube.errors import BudgetError, InternalError, UsageError
 from rainbowcube.hypercube import (
     Edge,
     cycles_containing_pair,
+    edge_level,
     edges_of_cycle,
     enumerate_cycles,
     enumerate_edges,
@@ -674,12 +675,27 @@ class TestLowerBoundClique:
         want = fingerprint(*oracles.lower_bound_clique_edges(n, k))
         assert fingerprint(*lower_bound_clique(n, k)) == want
 
+    @pytest.mark.parametrize(
+        "n,k", [(n, k) for k in (4, 8) for n in range(k + 1, 11)]
+    )
+    def test_edges_are_the_level_of_enumerate_edges(self, n, k):
+        want = tuple(e for e in enumerate_edges(n) if edge_level(e) == k // 4)
+        assert lower_bound_clique(n, k)[1].edges == want
+
+    def test_wide_cube_scans_only_the_level(self):
+        # a scan of all 2^32 bottoms would take minutes
+        start = time.monotonic()
+        count, cert = lower_bound_clique(32, 4)
+        assert count == len(cert.edges) == 32
+        assert len(cert.witnesses) == 496
+        assert time.monotonic() - start < 1
+
     @pytest.mark.parametrize("n,k", [(16, 12), (17, 16)])
     def test_oversized_certificate_refused_at_once(self, monkeypatch, n, k):
         def never(*args):
             raise AssertionError("a witness was built")
 
-        monkeypatch.setattr(verifier, "_same_level_cycle", never)
+        monkeypatch.setattr(verifier, "_span_cycle", never)
         start = time.monotonic()
         with pytest.raises(BudgetError, match="witness cycles") as info:
             lower_bound_clique(n, k)
@@ -696,9 +712,7 @@ class TestLowerBoundClique:
     )
     def test_witness_check_is_live(self, monkeypatch, cycle):
         # the router checks nothing, so its output reaches the one check
-        monkeypatch.setattr(
-            verifier, "_same_level_cycle", lambda n, k, v, bi, x, bj, may_flip: cycle
-        )
+        monkeypatch.setattr(verifier, "_span_cycle", lambda n, k, a, b: cycle)
         with pytest.raises(InternalError, match="failed validation"):
             lower_bound_clique(5, 4)
 
