@@ -13,7 +13,7 @@ some edges clash, the canonical witness is the smallest cycle through a
 clashing pair, from one pass over the pairs that keeps only the best
 cycle so far. Exact minimum color counts come from branch-and-bound
 chromatic search on the conflict graph, built from the same
-neighbourhoods.
+neighbourhoods, with an upper bound lifted from its quotient by a code.
 """
 
 from __future__ import annotations
@@ -448,6 +448,112 @@ def _try_color(
     return colors
 
 
+def _lexicode(n: int, dist: int, deadline: Optional[float]) -> list[int]:
+    """The lexicode of length n and minimum distance ``dist``: the words
+    0, 1, ..., 2^n - 1 in turn, each kept when no word kept before it lies
+    within distance dist - 1 (Conway and Sloane, IEEE Trans. IT 32, 1986,
+    prove the result linear). ``covered`` marks the words inside those
+    balls; the deadline is checked every 1,024 words."""
+    ball = [
+        sum(1 << c for c in coords)
+        for r in range(min(dist, n + 1))
+        for coords in combinations(range(n), r)
+    ]
+    covered = bytearray(1 << n)
+    code = []
+    for x in range(1 << n):
+        if x % 1024 == 1023:
+            _check_deadline(deadline, n)
+        if not covered[x]:
+            code.append(x)
+            for y in ball:
+                covered[x ^ y] = 1
+    return code
+
+
+def _code_quotient(
+    graph: ConflictGraph, code: list[int]
+) -> tuple[tuple[int, ...], list[int]]:
+    """The orbit graph G/W of the conflict graph G under a linear code W of
+    minimum distance at least k/2 + 1, as (adjacency over orbits, orbit
+    index of each node of G).
+
+    The orbit of edge key (x, d) is {((x ^ w) & ~bit_d, d) : w in W}, the
+    images of the edge under the vertex maps v -> v ^ w. Each such map
+    keeps k-cycles k-cycles, so it is an automorphism of G; W is closed
+    under XOR, so the orbits partition the nodes and two orbits are
+    adjacent exactly when one member of the first, its representative, is
+    adjacent to some member of the second. A translate by w != 0 differs
+    from its edge in the span coordinates w minus {d}, and the direction
+    d adds one more: |w \\ {d}| + 1 >= |w| >= k/2 + 1, so by
+    ``_conflicts`` it does not share a k-cycle with the edge, and by the
+    automorphisms no two members of one orbit do. Hence a proper coloring
+    of G/W, lifted to the nodes, is a proper coloring of G. A
+    representative adjacent to a member of its own orbit raises
+    InternalError.
+    """
+    index = {key: i for i, key in enumerate(graph.keys)}
+    orbit = [-1] * len(graph.keys)
+    reps = []
+    for i, key in enumerate(graph.keys):
+        if orbit[i] >= 0:
+            continue
+        x, d = key >> 5, key & 31
+        clear = ~(1 << d)
+        members = 0
+        for w in code:
+            j = index[((x ^ w) & clear) << 5 | d]
+            orbit[j] = len(reps)
+            members |= 1 << j
+        if graph.adj[i] & members:
+            raise InternalError(f"edge key {key:#x} shares a k-cycle with its orbit")
+        reps.append(i)
+    qadj = []
+    for i in reps:
+        mask, near = graph.adj[i], 0
+        while mask:
+            low = mask & -mask
+            near |= 1 << orbit[low.bit_length() - 1]
+            mask ^= low
+        qadj.append(near)
+    return tuple(qadj), orbit
+
+
+def _code_quotient_coloring(
+    graph: ConflictGraph, target: int, deadline: Optional[float]
+) -> Optional[list[int]]:
+    """A proper coloring of the conflict graph G lifted from its orbit
+    graph G/W (``_code_quotient``), or None when W = {0}.
+
+    W is the lexicode of length n and minimum distance k/2 + 1. G/W gets
+    its DSATUR greedy coloring and then one ``_try_color`` at ``target``,
+    seeded with its greedy clique; a search that finds nothing or runs
+    out of time leaves the greedy coloring. Since G/W has |W| times fewer
+    nodes than G, that search is often short where the one on G is not:
+    with the shortened Hamming codes the lexicode gives at k = 4, G/W
+    has an n-coloring for n = 6, 7, 9 and 11. The lifted coloring is
+    checked proper against ``graph.adj``, one mask per color, and a
+    failure raises InternalError.
+    """
+    code = _lexicode(graph.n, graph.k // 2 + 1, deadline)
+    if len(code) == 1:
+        return None
+    qadj, orbit = _code_quotient(graph, code)
+    qcolors = _try_color(qadj, len(qadj), [], deadline)
+    if max(qcolors) + 1 > target:
+        try:
+            qcolors = _try_color(qadj, target, _greedy_clique(qadj), deadline) or qcolors
+        except BudgetError:
+            pass  # the greedy coloring stands; the search on G times out next
+    colors = [qcolors[o] for o in orbit]
+    classes = [0] * (max(colors) + 1)
+    for i, c in enumerate(colors):
+        classes[c] |= 1 << i
+    if any(adj & classes[c] for adj, c in zip(graph.adj, colors)):
+        raise InternalError("a coloring lifted from G/W is not proper")
+    return colors
+
+
 def exact_min_colors(
     n: int, k: int, time_limit: Optional[float] = None
 ) -> tuple[int, EdgeColoring]:
@@ -457,12 +563,25 @@ def exact_min_colors(
     edge count when n > k and k = 0 mod 4), the DSATUR greedy coloring as
     upper bound (the first descent of the search), then backtracking at
     each candidate count; ``_try_color`` keeps the uncolored nodes in one
-    bitmask per saturation level, so no step rescans them. ``time_limit``
-    is a finite number of seconds, at least 0, ``EXACT_TIME_LIMIT`` when
-    not given; it covers the conflict graph, the greedy coloring and the
-    search. On timeout raises BudgetError with certified (lower, upper)
-    bounds; before the greedy coloring completes the upper bound is the
-    edge count. Without a time limit only the supported class is searched.
+    bitmask per saturation level, so no step rescans them.
+
+    Where the greedy bound lies above the lower bound, so that the
+    backtracking would start, a coloring lifted from the orbit graph under
+    a lexicode (``_code_quotient_coloring``) is tried first and becomes
+    the upper bound when it uses fewer colors; instances the greedy
+    coloring closes never build it. At k = 4 it meets the lower bound
+    n of f(n, 4) = n for n > 5 (Faudree, Gyarfas, Lesniak and Schelp):
+    (6, 4) closes with no search on the conflict graph, and (7, 4),
+    (9, 4) and (11, 4) close under a time limit. (8, 4) still times out,
+    with bounds [8, 10], where the greedy coloring alone gave 11; the
+    extended Hamming code, whose quotient has an 8-coloring, is not tried.
+
+    ``time_limit`` is a finite number of seconds, at least 0,
+    ``EXACT_TIME_LIMIT`` when not given; it covers the conflict graph,
+    the greedy coloring, the seed and the search. On timeout raises
+    BudgetError with certified (lower, upper) bounds; before the greedy
+    coloring completes the upper bound is the edge count. Without a time
+    limit only the supported class is searched.
     """
     _check_dim(n)
     _check_k(n, k)
@@ -486,6 +605,10 @@ def exact_min_colors(
     try:
         best_assign = _try_color(graph.adj, upper, [], deadline)
         upper = max(best_assign) + 1 if best_assign else 0
+        if target < upper:
+            seed = _code_quotient_coloring(graph, target, deadline)
+            if seed is not None and max(seed) + 1 < upper:
+                best_assign, upper = seed, max(seed) + 1
         while target < upper:
             found = _try_color(graph.adj, target, clique, deadline)
             if found is not None:

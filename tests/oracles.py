@@ -29,13 +29,15 @@ every edge and, for construction2, against the set of (sum, size) pairs
 it once kept beside the bitsets. The key check of an explicit
 ``EdgeColoring`` is judged by ``is_edge_key``, which builds the ``Edge``
 and runs ``validate_edge``, and ``addsets._smallest_irreducible`` by the
-set of every product of two monic polynomials.
+set of every product of two monic polynomials. The covering scan of
+``verifier._lexicode`` is checked against the greedy scan that measures
+each word's distance to every word kept before it.
 
-Some helpers live here because only the tests use them:
-``complement_edge``, and ``verify_q3_equivalence``, which checks that
-every-6-cycle-rainbow agrees with every-3-subcube-rainbow (for k = 6 the
-span rule of ``verifier._conflicts`` is "share a Q_3", so the library
-needs no such check at runtime).
+One helper lives here because only the tests use it:
+``verify_q3_equivalence``, which checks that every-6-cycle-rainbow
+agrees with every-3-subcube-rainbow (for k = 6 the span rule of
+``verifier._conflicts`` is "share a Q_3", so the library needs no such
+check at runtime).
 """
 
 from __future__ import annotations
@@ -112,11 +114,14 @@ def cycle_keys(cyc) -> list[int]:
     return keys
 
 
-def complement_edge(n: int, e: Edge) -> Edge:
-    """Image of an edge under complementing every vertex of Q_n."""
-    validate_edge(n, e)
-    full = (1 << n) - 1
-    return Edge(full ^ e.top, e.dir)
+def lexicode_scan(n: int, dist: int) -> list[int]:
+    """The words 0, 1, ..., 2^n - 1 in turn, each kept when it lies at
+    distance at least ``dist`` from every word kept before it."""
+    code: list[int] = []
+    for x in range(1 << n):
+        if all((x ^ w).bit_count() >= dist for w in code):
+            code.append(x)
+    return code
 
 
 def conflict_adjacency_nx(n: int, k: int) -> tuple[list, list[set[int]]]:

@@ -570,6 +570,12 @@ class TestExact:
         assert run("exact", "--n", "2", "--k", "4", "--out", str(out)) == 0
         assert run("verify", "--coloring", str(out)) == 0
 
+    @pytest.mark.parametrize("n", ["7", "9"])
+    def test_fgls_value_outside_the_class(self, capsys, n):
+        assert run("exact", "--n", n, "--k", "4", "--timeout", "5") == 0
+        assert capsys.readouterr().out.endswith(f": {n}\n")
+        assert run("exact", "--n", n, "--k", "4") == 2
+
     def test_timeout_exit_three(self, capsys):
         assert run("exact", "--n", "10", "--k", "12", "--timeout", "0.2") == 3
         assert "bounds" in capsys.readouterr().out

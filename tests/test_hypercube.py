@@ -432,19 +432,19 @@ class TestBuildCycleSameLevel:
             edges = set(edges_of_cycle(cyc))
             assert e1 in edges and e2 in edges
 
-    def test_disjoint_above_quarter_level_pads_through_common(self):
+    def test_disjoint_level_three_pair_q13(self):
         e1, e2 = Edge(0b0011, 5), Edge(0b0101, 6)  # level 3 in Q_13, k=12
         cyc = build_cycle_same_level(13, 12, e1, e2)
         assert cycle_problem(13, cyc) is None
         assert {e1, e2} <= set(edges_of_cycle(cyc))
 
-    def test_disjoint_below_quarter_level_pads_fresh(self):
+    def test_disjoint_level_two_pair_q13(self):
         e1, e2 = Edge(0b01, 3), Edge(0b10, 4)  # level 2 in Q_13, k=12
         cyc = build_cycle_same_level(13, 12, e1, e2)
         assert cycle_problem(13, cyc) is None
         assert {e1, e2} <= set(edges_of_cycle(cyc))
 
-    def test_top_levels_use_complement_route(self):
+    def test_levels_six_and_seven_q7(self):
         full = (1 << 7) - 1
         v = full ^ 0b11  # five ones
         cyc = build_cycle_same_level(7, 6, Edge(v, 1), Edge(v, 2))
@@ -487,7 +487,7 @@ class TestBuildCycleSameLevel:
             made += 1
         assert made == 150
 
-    def test_top_level_disjoint_uses_complement(self):
+    def test_disjoint_level_eight_pair_q9(self):
         e1 = Edge(0b001111111, 9)  # bottoms with seven ones in Q_9
         e2 = Edge(0b010111111, 9)
         cyc = build_cycle_same_level(9, 8, e1, e2)
@@ -505,9 +505,3 @@ class TestBuildCycleSameLevel:
             build_cycle_same_level(7, 4, Edge(0b01, 3), Edge(0b10, 4))
         with pytest.raises(UsageError):  # disjoint needs k divisible by 4
             build_cycle_same_level(13, 6, Edge(0b01, 3), Edge(0b10, 4))
-
-
-def test_complement_edge_roundtrip():
-    for e in enumerate_edges(4):
-        back = oracles.complement_edge(4, oracles.complement_edge(4, e))
-        assert back == e

@@ -28,8 +28,11 @@ from rainbowcube.hypercube import (
 from rainbowcube.verifier import (
     Violation,
     _clashes,
+    _code_quotient,
+    _code_quotient_coloring,
     _conflicts,
     _greedy_clique,
+    _lexicode,
     _neighbourhood_size,
     _neighbourhoods,
     _smallest_cycle,
@@ -588,6 +591,85 @@ class TestExactMinColors:
     def test_time_limit_must_be_finite(self, limit):
         with pytest.raises(UsageError):
             exact_min_colors(3, 6, time_limit=limit)
+
+
+# every (n, k) of the supported class whose lexicode of distance k/2 + 1
+# has a nonzero word, that is k/2 < n
+SEEDED = [(3, 4), (4, 4), (4, 6), (5, 4), (5, 6), (5, 8), (6, 4), (6, 6), (6, 8)]
+
+
+class TestCodeQuotientSeed:
+    @pytest.mark.parametrize("k", [4, 6, 8])
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_lexicode_is_linear_with_its_distance(self, n, k):
+        code = _lexicode(n, k // 2 + 1, None)
+        assert code == oracles.lexicode_scan(n, k // 2 + 1)
+        words = set(code)
+        assert all(a ^ b in words for a in code for b in code)
+        assert all(
+            (a ^ b).bit_count() >= k // 2 + 1 for a, b in itertools.combinations(code, 2)
+        )
+
+    @pytest.mark.parametrize("n,k", SEEDED)
+    def test_lifted_coloring_is_proper(self, n, k):
+        g = conflict_graph(n, k)
+        colors = _code_quotient_coloring(g, len(_greedy_clique(g.adj)), None)
+        assert all(
+            colors[i] != colors[j]
+            for i in range(len(g.adj))
+            for j in range(i + 1, len(g.adj))
+            if g.adj[i] >> j & 1
+        )
+        table = {key: (c, 0) for key, c in zip(g.keys, colors)}
+        col = EdgeColoring(n, k, "explicit", {}, table)
+        assert verify_rainbow(col, k) is None
+        assert count_colors(col) == max(colors) + 1
+
+    def test_trivial_code_gives_no_seed(self):
+        g = conflict_graph(4, 12)
+        assert _lexicode(4, 7, None) == [0]
+        assert _code_quotient_coloring(g, 32, None) is None
+
+    @pytest.mark.parametrize("n,k", [(3, 4), (4, 4), (5, 4), (6, 4), (3, 6), (4, 8)])
+    def test_values_unchanged_without_seed(self, monkeypatch, n, k):
+        seeded = exact_min_colors(n, k)[0]
+        monkeypatch.setattr(verifier, "_code_quotient_coloring", lambda *args: None)
+        assert exact_min_colors(n, k)[0] == seeded
+
+    def test_q6_c4_closes_without_backtracking(self, monkeypatch):
+        calls = []
+
+        def counted(adj, limit, clique, deadline):
+            calls.append((len(adj), limit))
+            return _try_color(adj, limit, clique, deadline)
+
+        monkeypatch.setattr(verifier, "_try_color", counted)
+        value, col = exact_min_colors(6, 4)
+        assert value == 6
+        assert verify_rainbow(col, 4) is None
+        assert [call for call in calls if call[0] == 192] == [(192, 192)]  # greedy only
+
+    @pytest.mark.parametrize("n", [7, 9])
+    def test_fgls_values_outside_the_class(self, n):
+        start = time.monotonic()
+        value, col = exact_min_colors(n, 4, time_limit=5)
+        assert time.monotonic() - start < 1
+        assert value == n  # Faudree, Gyarfas, Lesniak and Schelp
+        assert verify_rainbow(col, 4) is None
+
+    def test_planted_orbit_conflict_raises(self):
+        g = conflict_graph(4, 4)
+        with pytest.raises(InternalError):
+            _code_quotient(g, [0, 0b11])  # distance 2 < k/2 + 1
+
+    def test_improper_lift_raises(self, monkeypatch):
+        g = conflict_graph(5, 4)
+        qadj, orbit = _code_quotient(g, _lexicode(5, 3, None))
+        monkeypatch.setattr(
+            verifier, "_code_quotient", lambda *args: ((0,) * len(qadj), orbit)
+        )
+        with pytest.raises(InternalError):
+            _code_quotient_coloring(g, 5, None)
 
 
 class TestTryColor:
