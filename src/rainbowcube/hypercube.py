@@ -13,12 +13,12 @@ cycle; ``cli.load_coloring`` builds it inline, once per record of a
 coloring file, and so does ``EdgeColoring.key_table``, once per edge of a
 scheme coloring. ``EdgeColoring`` reads it inline: its constructor, once
 per key, to check that an explicit table holds the edges of Q_n, and
-``_rows``, to turn a key back into (bottom, direction). ``_pair_cycle``
-searches on two such keys, and ``_span_cycle`` routes on them: the one
-router that joins any two edges of span at most k/2 (the coordinates
-where the bottoms differ plus both directions) into a k-cycle, for
-n >= k/2, and gives the witnesses of ``build_cycle_same_level`` and
-``verifier.lower_bound_clique``.
+``_rows``, to turn a key back into (bottom, direction). Both pair
+kernels take two keys and rest on their span, the coordinates where the
+bottoms differ plus both directions: ``_pair_cycle`` searches from the
+starts it allows (``_pair_starts``), and ``_span_cycle``, the one router,
+joins two edges of span at most k/2 into a k-cycle for n >= k/2, the
+witnesses of ``build_cycle_same_level`` and ``verifier.lower_bound_clique``.
 
 Cycles are canonical vertex tuples: the minimum vertex comes first and the
 orientation is chosen so the second vertex is smaller than the last. Cycle
@@ -265,11 +265,11 @@ def cycles_containing_pair(
     """Whether some k-cycle of Q_n contains both edges.
 
     Returns (exists, witness); the witness is the canonically smallest
-    such cycle. The possible minimum vertices are tried in ascending
-    order (``_pair_starts``), and from each a depth-first search steps to
-    the neighbours in ascending order, so the first cycle it closes is
-    the answer. The search stops there, so its cost does not grow with
-    the number of cycles through the pair.
+    such cycle. The minimum vertices the span allows (``_pair_starts``)
+    are tried in ascending order, and from each a depth-first search
+    steps to the neighbours in ascending order, so the first cycle it
+    closes is the answer. The search stops there, so its cost does not
+    grow with the number of cycles through the pair.
     """
     _check_dim(n)
     _check_cycle_length(n, k)
@@ -288,54 +288,39 @@ def _pair_cycle(n: int, k: int, a: int, b: int) -> Optional[Cycle]:
     with keys ``a`` and ``b``, or None. Nothing is checked: the caller
     stands for an even k in [4, 2^n] and both edges inside Q_n."""
     b1, b2 = a >> 5, b >> 5
-    t1, t2 = b1 | 1 << (a & 31), b2 | 1 << (b & 31)
-    for start in _pair_starts(n, k, b1, t1, b2, t2):
-        cyc = _first_cycle_from(n, k, start, b1, t1, b2, t2)
+    d1, d2 = 1 << (a & 31), 1 << (b & 31)
+    span = b1 ^ b2 | d1 | d2
+    for start in _pair_starts(n, k // 2 - span.bit_count(), b1, span, min(b1, b2)):
+        cyc = _first_cycle_from(n, k, start, b1, b1 | d1, b2, b2 | d2)
         if cyc is not None:
             return cyc
     return None
 
 
-def _pair_starts(n: int, k: int, b1: int, t1: int, b2: int, t2: int) -> Iterator[int]:
-    """Ascending vertices s, at most both bottoms, from which a closed walk
-    of length at most k runs through the edges (b1, t1) and (b2, t2),
-    given by their endpoints: every minimum vertex of a k-cycle through
-    the edges is among them.
+def _pair_starts(n: int, spare: int, x: int, span: int, top: int) -> Iterator[int]:
+    """Ascending vertices s <= ``top`` that differ from ``x`` in at most
+    ``spare`` coordinates outside ``span``, fixing the bits of s from the
+    highest down, 0 before 1. For two edges of span S, x the first
+    bottom, spare = k/2 - |S| and top the lesser bottom, they hold every
+    minimum vertex of a k-cycle through both edges (none when spare < 0).
 
-    The shortest such walk leaves s for an endpoint u of one edge and
-    returns from an endpoint w of the other, so it is
-    |s ^ u| + |s ^ w| + 2 + |u' ^ w'| long, with u', w' the other
-    endpoints. That is |u ^ w| plus twice the bits where s differs from
-    both u and w, which bounds those bits by a budget per choice of
-    (u, w). The bits of s are fixed from the highest down, 0 before 1,
-    and a prefix is dropped once every budget is spent or its least
-    completion exceeds the bottoms; so the walk meets no dead end but
-    those the bottoms cause.
+    Proof. The cycle flips each coordinate it uses an even number of
+    times, so it uses at most k/2, S among them (the "only if" half of
+    ``verifier._conflicts``); on the others its vertices all equal x.
     """
-    full = (1 << n) - 1
-    top = min(b1, b2)
-    ends1, ends2 = (b1, t1), (b2, t2)
-    agree, budgets = [], []
-    for i, u in enumerate(ends1):
-        for j, w in enumerate(ends2):
-            other = (ends1[1 - i] ^ ends2[1 - j]).bit_count()
-            spare = k - 2 - other - (u ^ w).bit_count()
-            if spare >= 0:
-                agree.append((u, full & ~(u ^ w)))
-                budgets.append(spare // 2)
 
-    def walk(bit: int, prefix: int, room: list[int]) -> Iterator[int]:
+    def walk(bit: int, prefix: int, room: int) -> Iterator[int]:
         if not bit:
             yield prefix
             return
         for s in (prefix, prefix | bit):
             if s > top:
                 return
-            left = [r - ((s ^ u) & same & bit != 0) for (u, same), r in zip(agree, room)]
-            if max(left) >= 0:
+            left = room - ((s ^ x) & bit & ~span != 0)
+            if left >= 0:
                 yield from walk(bit >> 1, s, left)
 
-    return walk(1 << n - 1, 0, budgets) if budgets else iter(())
+    return walk(1 << n - 1, 0, spare)
 
 
 def _first_cycle_from(

@@ -242,12 +242,12 @@ def verify_rainbow(coloring: EdgeColoring, k: int) -> Optional[Violation]:
     pass keeps only the least so far, ``worst``, so memory stays O(1)
     however dense the clashes; two rules spare most searches.
 
-    Floor. Let the pair be (x, d) and (y, e), and s its span: the bits of
-    x ^ y and both directions. A k-cycle through both flips each
-    coordinate it uses an even number of times, so it uses at most k/2,
-    s among them, and its vertices agree with x on the others. So its
-    minimum vertex is at least x with the bits of s and then its highest
-    k/2 - |s| remaining ones cleared; a pair whose floor lies above
+    Floor. Let the pair be (x, d) and (y, e), and s its span. The minimum
+    vertex of a k-cycle through both differs from x in at most k/2 - |s|
+    coordinates outside s (``hypercube._pair_starts``, which holds the
+    proof). The floor is the least vertex that rule allows, ignoring the
+    bound by the bottoms: x with the bits of s and then its highest
+    k/2 - |s| remaining ones cleared. A pair whose floor lies above
     ``worst[0]`` is skipped.
 
     Stop. No cycle is smaller than ``_smallest_cycle``, so the pass ends
@@ -282,8 +282,11 @@ def verify_rainbow(coloring: EdgeColoring, k: int) -> Optional[Violation]:
             worst = cyc
     if worst is None:
         return None
+    keys, problem = _cycle_keys_or_problem(n, worst)
+    if problem is not None:
+        raise InternalError(f"violating cycle invalid: {problem}")
     # key order is (bottom, dir) order, the order of Edge
-    for a, b in combinations(sorted(_cycle_keys_or_problem(n, worst)[0]), 2):
+    for a, b in combinations(sorted(keys), 2):
         if table[a] == table[b]:
             e1, e2 = Edge(a >> 5, (a & 31) + 1), Edge(b >> 5, (b & 31) + 1)
             return Violation(worst, e1, e2, table[a])
@@ -526,25 +529,30 @@ def _code_quotient_coloring(
     graph G/W (``_code_quotient``), or None when W = {0}.
 
     W is the lexicode of length n and minimum distance k/2 + 1. G/W gets
-    its DSATUR greedy coloring and then one ``_try_color`` at ``target``,
-    seeded with its greedy clique; a search that finds nothing or runs
-    out of time leaves the greedy coloring. Since G/W has |W| times fewer
-    nodes than G, that search is often short where the one on G is not:
-    with the shortened Hamming codes the lexicode gives at k = 4, G/W
-    has an n-coloring for n = 6, 7, 9 and 11. The lifted coloring is
-    checked proper against ``graph.adj``, one mask per color, and a
-    failure raises InternalError.
+    its DSATUR greedy coloring and then a ``_try_color``, seeded with its
+    greedy clique, at each limit from ``target`` up to one below the
+    greedy count; the first coloring found is kept, and a search that
+    runs out of time keeps the best one so far. Since G/W has |W| times
+    fewer nodes than G, those searches are often short where the one on
+    G is not: with the shortened Hamming codes the lexicode gives at
+    k = 4, G/W has an n-coloring for n = 6, 7, 9 and 11, and at n = 8
+    a 9-coloring. The lifted coloring is checked proper against
+    ``graph.adj``, one mask per color, and a failure raises InternalError.
     """
     code = _lexicode(graph.n, graph.k // 2 + 1, deadline)
     if len(code) == 1:
         return None
     qadj, orbit = _code_quotient(graph, code)
     qcolors = _try_color(qadj, len(qadj), [], deadline)
-    if max(qcolors) + 1 > target:
-        try:
-            qcolors = _try_color(qadj, target, _greedy_clique(qadj), deadline) or qcolors
-        except BudgetError:
-            pass  # the greedy coloring stands; the search on G times out next
+    clique = _greedy_clique(qadj)
+    try:
+        for limit in range(target, max(qcolors) + 1):
+            found = _try_color(qadj, limit, clique, deadline)
+            if found is not None:
+                qcolors = found
+                break
+    except BudgetError:
+        pass  # the best coloring so far stands; the search on G times out next
     colors = [qcolors[o] for o in orbit]
     classes = [0] * (max(colors) + 1)
     for i, c in enumerate(colors):
@@ -573,7 +581,7 @@ def exact_min_colors(
     n of f(n, 4) = n for n > 5 (Faudree, Gyarfas, Lesniak and Schelp):
     (6, 4) closes with no search on the conflict graph, and (7, 4),
     (9, 4) and (11, 4) close under a time limit. (8, 4) still times out,
-    with bounds [8, 10], where the greedy coloring alone gave 11; the
+    with bounds [8, 9], where the greedy coloring alone gave 11; the
     extended Hamming code, whose quotient has an 8-coloring, is not tried.
 
     ``time_limit`` is a finite number of seconds, at least 0,

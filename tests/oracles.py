@@ -31,7 +31,11 @@ it once kept beside the bitsets. The key check of an explicit
 and runs ``validate_edge``, and ``addsets._smallest_irreducible`` by the
 set of every product of two monic polynomials. The covering scan of
 ``verifier._lexicode`` is checked against the greedy scan that measures
-each word's distance to every word kept before it.
+each word's distance to every word kept before it. The start rule of
+``hypercube._pair_starts``, one budget of coordinates outside the span,
+is checked against ``pair_starts_endpoint_budgets``, the walk it
+replaced, which bounds closed walks with one budget per choice of
+endpoints.
 
 One helper lives here because only the tests use it:
 ``verify_q3_equivalence``, which checks that every-6-cycle-rainbow
@@ -481,6 +485,50 @@ def verify_3ap_free_doubles(elems):
             zval = xval + (hit & -hit).bit_length()
             return False, (xval, (xval + zval) // 2, zval)
     return True, None
+
+
+def pair_starts_endpoint_budgets(
+    n: int, k: int, b1: int, t1: int, b2: int, t2: int
+):
+    """Ascending vertices s, at most both bottoms, from which a closed walk
+    of length at most k runs through the edges (b1, t1) and (b2, t2),
+    given by their endpoints: every minimum vertex of a k-cycle through
+    the edges is among them.
+
+    The shortest such walk leaves s for an endpoint u of one edge and
+    returns from an endpoint w of the other, so it is
+    |s ^ u| + |s ^ w| + 2 + |u' ^ w'| long, with u', w' the other
+    endpoints. That is |u ^ w| plus twice the bits where s differs from
+    both u and w, which bounds those bits by a budget per choice of
+    (u, w). The bits of s are fixed from the highest down, 0 before 1,
+    and a prefix is dropped once every budget is spent or its least
+    completion exceeds the bottoms; so the walk meets no dead end but
+    those the bottoms cause.
+    """
+    full = (1 << n) - 1
+    top = min(b1, b2)
+    ends1, ends2 = (b1, t1), (b2, t2)
+    agree, budgets = [], []
+    for i, u in enumerate(ends1):
+        for j, w in enumerate(ends2):
+            other = (ends1[1 - i] ^ ends2[1 - j]).bit_count()
+            spare = k - 2 - other - (u ^ w).bit_count()
+            if spare >= 0:
+                agree.append((u, full & ~(u ^ w)))
+                budgets.append(spare // 2)
+
+    def walk(bit: int, prefix: int, room: list[int]):
+        if not bit:
+            yield prefix
+            return
+        for s in (prefix, prefix | bit):
+            if s > top:
+                return
+            left = [r - ((s ^ u) & same & bit != 0) for (u, same), r in zip(agree, room)]
+            if max(left) >= 0:
+                yield from walk(bit >> 1, s, left)
+
+    return walk(1 << n - 1, 0, budgets) if budgets else iter(())
 
 
 def cycle_problem_slow(n: int, verts):

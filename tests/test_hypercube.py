@@ -22,6 +22,8 @@ from rainbowcube.hypercube import (
     enumerate_cycles,
     enumerate_edges,
     _cycle_keys_or_problem,
+    _pair_cycle,
+    _pair_starts,
     _span_cycle,
 )
 from rainbowcube.verifier import _conflicts
@@ -303,6 +305,56 @@ class TestSpanCycle:
                 continue
             _assert_span_witness(n, 2 * half, a, b)
             made += 1
+
+
+def _both_start_walks(n, k, a, b, first=None):
+    """The starts of ``_pair_starts`` and of the endpoint-budget walk it
+    replaced for the edges with keys ``a`` and ``b``, each cut at
+    ``first`` when given."""
+    b1, b2 = a >> 5, b >> 5
+    d1, d2 = 1 << (a & 31), 1 << (b & 31)
+    span = b1 ^ b2 | d1 | d2
+    new = _pair_starts(n, k // 2 - span.bit_count(), b1, span, min(b1, b2))
+    old = oracles.pair_starts_endpoint_budgets(n, k, b1, b1 | d1, b2, b2 | d2)
+    return list(itertools.islice(new, first)), list(itertools.islice(old, first))
+
+
+class TestPairStarts:
+    """The span rule's one budget gives the starts of the four endpoint
+    budgets it replaced."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_every_pair_of_small_cubes(self, n):
+        keys = [e.key() for e in enumerate_edges(n)]
+        for k in range(4, min(2 * n + 2, 1 << n) + 1, 2):
+            for a, b in itertools.combinations(keys, 2):
+                new, old = _both_start_walks(n, k, a, b)
+                assert new == old, (n, k, a, b)
+                assert new == sorted(new)
+
+    def test_random_pairs_in_large_cubes(self):
+        rng = random.Random(20261020)
+        for _ in range(300):
+            n = rng.randint(8, 32)
+            half = rng.randint(2, n + 1)
+            d, e = rng.randrange(n), rng.randrange(n)
+            x = rng.getrandbits(n) & ~(1 << d)
+            flips = sum(1 << c for c in rng.sample(range(n), rng.randint(0, half - 1)))
+            y = (x ^ flips) & ~(1 << e)
+            a, b = edge_key(x, d + 1), edge_key(y, e + 1)
+            if a == b:
+                continue
+            new, old = _both_start_walks(n, 2 * half, a, b, first=300)
+            assert new == old, (n, 2 * half, a, b)
+            assert new == sorted(new)
+
+    @pytest.mark.parametrize("n,k", [(4, 4), (5, 6), (6, 8), (8, 8), (12, 10)])
+    def test_span_above_half_has_no_cycle(self, n, k):
+        # bottoms 0 and 2^(k/2-1) - 1 differ in k/2 - 1 coordinates, and
+        # directions k/2 and k/2 + 1 lie outside them: a span of k/2 + 1
+        a, b = edge_key(0, k // 2), edge_key((1 << k // 2 - 1) - 1, k // 2 + 1)
+        assert not _conflicts(a, b, k // 2)
+        assert _pair_cycle(n, k, a, b) is None
 
 
 class TestCyclesContainingPair:

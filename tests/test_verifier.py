@@ -128,6 +128,12 @@ class TestVerifyRainbow:
         with pytest.raises(UsageError):
             verify_rainbow(distinct_coloring(3), 5)
 
+    def test_invalid_witness_raises(self, monkeypatch):
+        # the pair search is patched to hand back a walk that is no cycle
+        monkeypatch.setattr(verifier, "_pair_cycle", lambda *args: (0, 1, 2, 3, 4, 5))
+        with pytest.raises(InternalError, match="violating cycle invalid"):
+            verify_rainbow(monochrome(3), 6)
+
 
 # Every (n, k) with n <= 5 whose conflict graph is in the supported class.
 SMALL_CLASSES = [
@@ -656,6 +662,20 @@ class TestCodeQuotientSeed:
         assert time.monotonic() - start < 1
         assert value == n  # Faudree, Gyarfas, Lesniak and Schelp
         assert verify_rainbow(col, 4) is None
+
+    def test_q8_c4_seed_tries_each_limit(self):
+        # the lexicode quotient has no 8-coloring; the next limit finds 9,
+        # below the greedy count
+        deadline = time.monotonic() + 30
+        g = conflict_graph(8, 4, deadline)
+        colors = _code_quotient_coloring(g, 8, deadline)
+        assert max(colors) + 1 == 9
+        assert all(
+            colors[i] != colors[j]
+            for i in range(len(g.adj))
+            for j in range(i + 1, len(g.adj))
+            if g.adj[i] >> j & 1
+        )
 
     def test_planted_orbit_conflict_raises(self):
         g = conflict_graph(4, 4)
