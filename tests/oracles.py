@@ -17,9 +17,13 @@ digit set is never smaller. The one-walk cycle check of
 ``hypercube._cycle_keys_or_problem`` is checked against the validator it
 replaced, which counts each direction and compares with a full canonical
 rotation, and its edge keys against ``cycle_keys``; ``lower_bound_clique``
-against its pair loop over sets of ``Edge`` objects. The orbit search
-of ``addsets._creates_solution`` is checked against the scan over every
-assignment that it replaced. The streaming ``cli.save_coloring`` is
+against its pair loop over sets of ``Edge`` objects. The split test of
+``addsets.equation_free_subset`` is checked against the scan over every
+assignment, ``creates_solution_scan``, and the sets it grows against
+``equation_free_subset_orbits``, which checks each candidate by the
+orbit search the split test replaced (``creates_solution_orbits`` over
+``solution_search_orbits``); that search is itself checked against the
+scan it once replaced. The streaming ``cli.save_coloring`` is
 checked byte for byte against one ``json.dumps`` of the whole document,
 with scheme colors taken from the paper's formulas edge by edge.
 ``addsets.bose_chowla``, which reads its logs off one walk over the
@@ -578,11 +582,12 @@ def lower_bound_clique_edges(n: int, k: int):
 
 
 def creates_solution_scan(system, kept, cand: int, max_nodes: int) -> bool:
-    """``addsets._creates_solution`` as a scan over every assignment: each
-    position, in the equation's own order, tries every value of the kept
-    set with ``cand``, pruned only by the least and greatest sums the
-    remaining positions can reach. ``max_nodes`` bounds the values tried
-    per equation, and exceeding it raises BudgetError."""
+    """Whether adding ``cand`` to the kept set yields a nontrivial solution,
+    as a scan over every assignment: each position, in the equation's own
+    order, tries every value of the kept set with ``cand``, pruned only by
+    the least and greatest sums the remaining positions can reach.
+    ``max_nodes`` bounds the values tried per equation, and exceeding it
+    raises BudgetError."""
     values = sorted(list(kept) + [cand])
     for eq in system:
         k = len(eq)
@@ -620,6 +625,109 @@ def creates_solution_scan(system, kept, cand: int, max_nodes: int) -> bool:
         if rec(0, 0, False):
             return True
     return False
+
+
+def creates_solution_orbits(system, kept, cand: int, max_nodes: int) -> bool:
+    """Whether adding ``cand`` to the kept set yields a nontrivial solution
+    of an equation of the system, by the orbit search that
+    ``addsets.equation_free_subset`` ran before its split test;
+    ``max_nodes`` bounds the search nodes of each equation
+    (``solution_search_orbits``), and exceeding it raises BudgetError.
+    Unlike the split test it needs no solution-free kept set."""
+    return any(solution_search_orbits((eq,), kept, cand, max_nodes)[0] for eq in system)
+
+
+def solution_search_orbits(system, kept, cand: int, budget: int) -> tuple[bool, int]:
+    """(whether adding ``cand`` to the kept set yields a nontrivial
+    solution, search nodes visited).
+
+    Only assignments using ``cand`` at least once are searched.
+
+    The search visits one assignment per orbit under permutations of
+    positions with equal coefficients. Such a permutation keeps the sum
+    a_1 x_1 + ... + a_k x_k, since it only swaps equal terms a x_i and
+    a x_j; it keeps the coefficient sum of each value class, so it keeps
+    triviality; and it keeps the set of values used, so it keeps whether
+    ``cand`` is used. The answer is therefore the same on a whole orbit.
+    The positions are sorted by coefficient, so equal coefficients form
+    runs, and within a run each position takes a value at least that of
+    the position before it: sorting the values within each run maps
+    every assignment to exactly one such representative of its orbit.
+
+    A node is one value tried at one position; ``budget`` bounds the
+    nodes of all equations together, and exceeding it raises BudgetError.
+    Admitting 8 after 1, 2 against ``conjecture_system(22)`` takes 2,185
+    nodes here and 176,271 in ``creates_solution_scan``.
+    """
+    values = sorted(list(kept) + [cand])
+    spent = 0
+    for coeffs in system:
+        eq = sorted(coeffs)
+        k = len(eq)
+        suffix_min, suffix_max = addsets._suffix_bounds(eq, values[0], values[-1])
+        # run_start[pos]: whether pos begins a run of equal coefficients
+        run_start = [pos == 0 or eq[pos] != eq[pos - 1] for pos in range(k)]
+        assignment = [0] * k
+        nodes = 0
+        cap = budget - spent
+
+        def rec(pos: int, partial: int, used: bool, first: int) -> bool:
+            nonlocal nodes
+            if pos == k:
+                return (
+                    partial == 0 and used and not addsets._is_trivial(eq, assignment)
+                )
+            a = eq[pos]
+            for idx in range(0 if run_start[pos] else first, len(values)):
+                nodes += 1
+                if nodes > cap:
+                    raise BudgetError(f"solution check exceeded {budget} nodes")
+                val = values[idx]
+                nxt = partial + a * val
+                if nxt + suffix_min[pos + 1] > 0 or nxt + suffix_max[pos + 1] < 0:
+                    continue
+                assignment[pos] = val
+                if rec(pos + 1, nxt, used or val == cand, idx):
+                    return True
+            return False
+
+        found = rec(0, 0, False, 0)
+        spent += nodes
+        if found:
+            return True, spent
+    return False, spent
+
+
+def equation_free_subset_orbits(system, limit: int, mode: str):
+    """``addsets.equation_free_subset`` with every candidate checked by
+    ``creates_solution_orbits``, under no budget: the greedy scan keeps
+    each element that stays solution-free, and the exhaustive search
+    backtracks to a largest such set. Returns (elements, optimal_flag)."""
+    if mode == "greedy":
+        kept = []
+        for cand in range(1, limit + 1):
+            if not creates_solution_orbits(system, kept, cand, 10**12):
+                kept.append(cand)
+        return tuple(kept), False
+    best: list[int] = []
+    kept = []
+
+    def rec(cand: int) -> None:
+        nonlocal best
+        if cand > limit:
+            if len(kept) > len(best):
+                best = list(kept)
+            return
+        if len(kept) + (limit - cand + 1) <= len(best):
+            return
+        if not creates_solution_orbits(system, kept, cand, 10**12):
+            kept.append(cand)
+            rec(cand + 1)
+            kept.pop()
+        rec(cand + 1)
+
+    rec(1)
+    return tuple(best), True
 
 
 def is_edge_key(n: int, key) -> bool:

@@ -2,6 +2,7 @@ import collections
 import itertools
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -11,7 +12,6 @@ from rainbowcube.addsets import (
     AP_BITSET_DENSITY,
     BEHREND_LIMIT,
     BT_SCAN_LIMIT,
-    _creates_solution,
     behrend_set,
     bose_chowla,
     conjecture_system,
@@ -440,13 +440,13 @@ class TestEquationFreeSubset:
             equation_free_subset([(1, 1, -2)], 100_001, mode="greedy")
 
     def test_greedy_budget_covers_the_whole_scan(self):
-        # the scan to 200 visits 463,731 nodes; no equation of one candidate
-        # check takes more than 14,935, so only a scan-wide budget stops it
+        # the scan to 200 costs 10,131 units; no candidate check takes more
+        # than 324, so only a scan-wide budget stops it
         system = conjecture_system(14)
         golden = (1, 2, 6, 22, 56, 154)
         assert equation_free_subset(system, 200, max_nodes=10**6) == (golden, False)
         with pytest.raises(BudgetError) as info:
-            equation_free_subset(system, 200, max_nodes=20_000)
+            equation_free_subset(system, 200, max_nodes=5_000)
         best, optimal = info.value.best
         assert info.value.kind == "budget" and not optimal
         assert best == golden[: len(best)] and len(best) >= 3
@@ -457,7 +457,31 @@ class TestEquationFreeSubset:
             equation_free_subset(conjecture_system(22), 100_000, max_nodes=1000)
         assert time.monotonic() - start < 1
         assert info.value.kind == "budget"
-        assert info.value.best == ((1, 2), False)
+        assert info.value.best == ((1, 2, 8), False)
+
+    def test_default_budget_bounds_the_longest_scan_memory(self):
+        # the scan runs out of its 2e7 units at 9 elements, holding sums
+        # of up to six of them: about 0.8 MiB at its peak
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError) as info:
+                equation_free_subset(conjecture_system(22), 100_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert info.value.best == ((1, 2, 8, 44, 155, 669, 2215, 6877, 16865), False)
+        assert peak < 4 << 20
+
+    @pytest.mark.parametrize("eq", [(1,) * 7 + (-1,) * 6, tuple(range(1, 21)) + (-210,)])
+    def test_arity_refused_before_any_split(self, eq):
+        # 2^21 splits for the second: only a refusal before they are built
+        # answers at once
+        start = time.monotonic()
+        with pytest.raises(BudgetError) as info:
+            equation_free_subset([(1, 1, -2), eq], 10)
+        assert time.monotonic() - start < 1
+        assert info.value.kind == "class"
+        assert str(info.value) == "solution search supports up to 12 variables"
 
     def test_node_budget_carries_best(self):
         with pytest.raises(BudgetError) as info:
@@ -487,6 +511,9 @@ def solution_checks(draw):
 
 
 class TestCreatesSolution:
+    """The orbit search of ``oracles.creates_solution_orbits``, which the
+    split test replaced, against the scan over every assignment."""
+
     @settings(max_examples=300, deadline=None)
     @given(solution_checks())
     @example((((1, 1, -1, -1),), [1, 2, 3], 4))  # 1 + 4 = 2 + 3
@@ -501,17 +528,20 @@ class TestCreatesSolution:
             expected = oracles.creates_solution_scan(system, kept, cand, 10**6)
         except BudgetError:
             assume(False)
-        assert _creates_solution(system, kept, cand, 10**6) is expected
+        assert oracles.creates_solution_orbits(system, kept, cand, 10**6) is expected
 
     def test_true_examples_are_true(self):
         # the explicit examples above include both answers
-        assert _creates_solution(((1, 1, -1, -1),), [1, 2, 3], 4, 10**6)
-        assert _creates_solution(((1, 1, -2), (1, -1)), [1, 2, 4, 5], 7, 10**6)
-        assert not _creates_solution(((1, 1, -1, -1),), [1, 2, 4, 8], 16, 10**6)
+        orbits = oracles.creates_solution_orbits
+        assert orbits(((1, 1, -1, -1),), [1, 2, 3], 4, 10**6)
+        assert orbits(((1, 1, -2), (1, -1)), [1, 2, 4, 5], 7, 10**6)
+        assert not orbits(((1, 1, -1, -1),), [1, 2, 4, 8], 16, 10**6)
 
     def test_budget_still_raises(self):
         with pytest.raises(BudgetError):
-            _creates_solution(conjecture_system(14), list(range(1, 30)), 30, 10)
+            oracles.creates_solution_orbits(
+                conjecture_system(14), list(range(1, 30)), 30, 10
+            )
 
     def test_orbit_search_finishes_where_the_scan_gives_up(self):
         # admitting 8 after 1, 2 takes the scan 176,271 nodes on one
@@ -519,11 +549,87 @@ class TestCreatesSolution:
         system = conjecture_system(22)
         with pytest.raises(BudgetError):
             oracles.creates_solution_scan(system, [1, 2], 8, 10_000)
-        assert _creates_solution(system, [1, 2], 8, 10_000) is False
+        assert oracles.creates_solution_orbits(system, [1, 2], 8, 10_000) is False
+
+
+def split_test(system, kept, cand, budget=10**6) -> bool:
+    """The split test of ``equation_free_subset`` for one candidate."""
+    check = addsets._KeptSums(addsets._splits(system), tuple(sorted(kept)), budget)
+    return check.creates_solution(cand)
+
+
+@st.composite
+def solution_free_checks(draw):
+    """(system, kept, cand): 1 to 3 equations of arity 2..6 with
+    coefficients in +-1..+-3, a kept set grown solution-free (each drawn
+    element is admitted only when the scan over every assignment finds
+    no solution) and a candidate outside it."""
+    coeff = st.sampled_from((-3, -2, -1, 1, 2, 3))
+    eq = st.lists(coeff, min_size=2, max_size=6).map(tuple)
+    system = draw(st.lists(eq, min_size=1, max_size=3))
+    kept: list[int] = []
+    try:
+        for elem in draw(st.lists(st.integers(1, 40), unique=True, max_size=8)):
+            if not oracles.creates_solution_scan(system, sorted(kept), elem, 10**5):
+                kept.append(elem)
+    except BudgetError:
+        assume(False)
+    cand = draw(st.integers(1, 40).filter(lambda c: c not in kept))
+    return system, sorted(kept), cand
+
+
+class TestSplitTest:
+    @settings(max_examples=300, deadline=None)
+    @given(solution_free_checks())
+    @example((((1, 1, -2), (1, -1)), [1, 2, 4, 5], 7))  # only the 3-AP 1, 4, 7
+    @example((((2, -1, -1),), [3, 5], 4))  # the 3-AP 3, 4, 5, cand in the middle
+    @example((((1, 1, -1, -1),), [1, 2, 4, 8], 16))  # powers of two stay Sidon
+    @example((((1, 1, -1, -1),), [1, 2, 5], 3))  # 1 + 5 = 3 + 3, class of 3 sums to -2
+    @example((((1, 1, -3),), [2, 5, 6], 1))  # cand below all of K: 1 + 5 = 3 * 2
+    def test_matches_scan_oracle(self, case):
+        system, kept, cand = case
+        try:
+            expected = oracles.creates_solution_scan(system, kept, cand, 10**6)
+        except BudgetError:
+            assume(False)
+        assert split_test(system, kept, cand) is expected
+
+    def test_needs_a_solution_free_kept_set(self):
+        # 1 + 3 = 2 + 2 already lies in K: the orbit search finds
+        # 1 + 3 + 100 = 2 + 2 + 100, where the class of 100 sums to 0
+        case = (((1, 1, 1, -1, -1, -1),), [1, 2, 3], 100)
+        assert oracles.creates_solution_orbits(*case, 10**6) is True
+        assert split_test(*case) is False
+
+    def test_budget_raises(self):
+        with pytest.raises(BudgetError):
+            split_test(conjecture_system(14), [1, 2, 6, 22], 30, budget=10)
+
+
+class TestMatchesOrbitSearch:
+    """``equation_free_subset`` against the orbit search it replaced."""
+
+    @pytest.mark.parametrize("k", [10, 14, 18, 22])
+    def test_greedy_every_limit_to_200(self, k):
+        system = conjecture_system(k)
+        scan, _ = oracles.equation_free_subset_orbits(system, 200, "greedy")
+        for limit in range(1, 201):
+            # the orbit scan to 200 passes through each limit on its way
+            want = tuple(v for v in scan if v <= limit)
+            assert equation_free_subset(system, limit) == (want, False), limit
+
+    @pytest.mark.parametrize("k,top", [(10, 15), (14, 12)])
+    def test_exhaustive_every_limit(self, k, top):
+        system = conjecture_system(k)
+        for limit in range(1, top + 1):
+            want = oracles.equation_free_subset_orbits(system, limit, "exhaustive")
+            assert equation_free_subset(system, limit, mode="exhaustive") == want
 
 
 class TestConjectureGolden:
-    """Sets and optimal flags computed by the scan over every assignment."""
+    """Sets and optimal flags computed by the scan over every assignment,
+    and at limit 2,000 by the orbit search
+    (``oracles.equation_free_subset_orbits``, 5-6 s each)."""
 
     @pytest.mark.parametrize(
         "k,limit,mode,expected,optimal",
@@ -534,6 +640,15 @@ class TestConjectureGolden:
             (10, 400, "greedy", (1, 2, 5, 14, 33, 72, 113, 168, 259, 352), False),
             (18, 60, "greedy", (1, 2, 7, 32), False),
             (22, 40, "greedy", (1, 2, 8), False),
+            (
+                10,
+                2000,
+                "greedy",
+                (1, 2, 5, 14, 33, 72, 113, 168, 259, 352, 452, 747, 821, 1063,
+                 1657, 1789),
+                False,
+            ),
+            (14, 2000, "greedy", (1, 2, 6, 22, 56, 154, 369, 857, 1317), False),
         ],
     )
     def test_golden(self, k, limit, mode, expected, optimal):
