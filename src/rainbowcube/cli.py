@@ -292,7 +292,7 @@ def load_set(path: str) -> tuple[int, ...]:
     doc = _read_json(path)
     if isinstance(doc, dict):
         doc = doc.get("elements")
-    if not isinstance(doc, list) or not all(isinstance(e, int) for e in doc):
+    if not isinstance(doc, list) or not all(type(e) is int for e in doc):
         raise UsageError(f"{path}: expected an int array (or an 'elements' key)")
     return tuple(doc)
 

@@ -337,6 +337,14 @@ def _first_cycle_from(
     that endpoint is on the path now, so the edge can no longer be used.
     The vertices of the path are kept in one set, so the search holds
     O(k) of them whatever n is.
+
+    A path with one step left closes without a test: the step to its last
+    vertex w passed the prune at left = 2, so an entry (x, c) of its
+    state has |w ^ x| + c <= 1. Both edges missing gives c >= 2, pruned;
+    only e1 missing gives x an endpoint of e1 other than ``start`` and
+    c = 1 + |y ^ start| for the other endpoint y, so w = x, y = start and
+    the closing edge is e1 (likewise e2); none missing gives the entry
+    (start, 0), so w is adjacent to ``start``.
     """
     up = [1 << d for d in range(n)]
     down = up[::-1]
@@ -367,11 +375,8 @@ def _first_cycle_from(
     onpath = set()
 
     def rec(v: int, left: int, miss1: bool, miss2: bool) -> bool:
-        if left == 1:
-            if (v ^ start).bit_count() != 1:
-                return False
-            lo, hi = v & start, v | start
-            return not (miss1 and (lo, hi) != (b1, t1) or miss2 and (lo, hi) != (b2, t2))
+        if left == 1:  # the prune on the step to v proved it closes
+            return True
         end1 = miss1 and v != start and (v == b1 or v == t1)
         end2 = miss2 and v != start and (v == b2 or v == t2)
         for w in [v ^ b for b in down if v & b] + [v | b for b in up if not v & b]:

@@ -293,16 +293,12 @@ def verify_rainbow(coloring: EdgeColoring, k: int) -> Optional[Violation]:
     raise InternalError("violating cycle lost its clash")
 
 
-def _conflict_class_ok(n: int, k: int) -> bool:
-    return (k <= 8 and n <= 6) or (k <= 12 and n <= 5) or n <= 4
-
-
 def conflict_graph(n: int, k: int, deadline: Optional[float] = None) -> ConflictGraph:
     """Co-occurrence graph of Q_n edges over k-cycles, from the translated
-    neighbourhoods of ``_neighbourhoods``; the deadline is checked every
-    1,024 edges. Without a deadline only the supported class is built;
-    with one, any n whose adjacency (m ints of m bits, m = n 2^(n-1)
-    edges) fits in ``CONFLICT_GRAPH_BYTES``."""
+    neighbourhoods of ``_neighbourhoods``, for any n whose adjacency (m
+    ints of m bits, m = n 2^(n-1) edges) fits in ``CONFLICT_GRAPH_BYTES``;
+    built under ``deadline``, else ``EXACT_TIME_LIMIT`` seconds from the
+    call, with the clock read every 1,024 ints summed (m - 1 for a dense edge)."""
     _check_dim(n)
     _check_k(n, k)
     m = n << n - 1
@@ -312,20 +308,18 @@ def conflict_graph(n: int, k: int, deadline: Optional[float] = None) -> Conflict
             f" over the {CONFLICT_GRAPH_BYTES >> 20} MB cap",
             kind="class",
         )
-    if deadline is None and not _conflict_class_ok(n, k):
-        raise BudgetError(
-            f"conflict graph for n={n}, k={k} is outside the supported class",
-            kind="class",
-        )
+    if deadline is None:
+        deadline = time.monotonic() + EXACT_TIME_LIMIT
     nbrs = _neighbourhoods(n, k // 2, deadline)
     keys = tuple(b << 5 | d for b in range(1 << n) for d in range(n) if not b >> d & 1)
     index = {key: i for i, key in enumerate(keys)}
-    adj = []
-    for i, key in enumerate(keys):
-        if i % 1024 == 1023:
+    adj, summed = [], 0  # shifted ints summed since the clock was last read
+    for key in keys:
+        if summed >= 1024:
             _check_deadline(deadline, n)
-        b = key >> 5
-        near = nbrs[key & 31]
+            summed = 0
+        b, near = key >> 5, nbrs[key & 31]
+        summed += len(near)
         adj.append(sum(1 << index[((x ^ b) & clear) << 5 | d] for x, clear, d in near))
     return ConflictGraph(n, k, keys, tuple(adj))
 
@@ -377,6 +371,8 @@ def _try_color(
         label[i] = p
     nbrs = []  # neighbour mask of each label
     for i in order:
+        if deadline is not None and time.monotonic() > deadline:
+            raise BudgetError("chromatic search timed out", kind="timeout")
         mask = adj[i]
         near = 0
         while mask:
@@ -475,7 +471,7 @@ def _lexicode(n: int, dist: int, deadline: Optional[float]) -> list[int]:
 
 
 def _code_quotient(
-    graph: ConflictGraph, code: list[int]
+    graph: ConflictGraph, code: list[int], deadline: Optional[float]
 ) -> tuple[tuple[int, ...], list[int]]:
     """The orbit graph G/W of the conflict graph G under a linear code W of
     minimum distance at least k/2 + 1, as (adjacency over orbits, orbit
@@ -493,7 +489,7 @@ def _code_quotient(
     automorphisms no two members of one orbit do. Hence a proper coloring
     of G/W, lifted to the nodes, is a proper coloring of G. A
     representative adjacent to a member of its own orbit raises
-    InternalError.
+    InternalError. The deadline is checked once per orbit in each pass.
     """
     index = {key: i for i, key in enumerate(graph.keys)}
     orbit = [-1] * len(graph.keys)
@@ -501,6 +497,7 @@ def _code_quotient(
     for i, key in enumerate(graph.keys):
         if orbit[i] >= 0:
             continue
+        _check_deadline(deadline, graph.n)
         x, d = key >> 5, key & 31
         clear = ~(1 << d)
         members = 0
@@ -513,6 +510,7 @@ def _code_quotient(
         reps.append(i)
     qadj = []
     for i in reps:
+        _check_deadline(deadline, graph.n)
         mask, near = graph.adj[i], 0
         while mask:
             low = mask & -mask
@@ -542,7 +540,7 @@ def _code_quotient_coloring(
     code = _lexicode(graph.n, graph.k // 2 + 1, deadline)
     if len(code) == 1:
         return None
-    qadj, orbit = _code_quotient(graph, code)
+    qadj, orbit = _code_quotient(graph, code, deadline)
     qcolors = _try_color(qadj, len(qadj), [], deadline)
     clique = _greedy_clique(qadj)
     try:
@@ -580,16 +578,17 @@ def exact_min_colors(
     coloring closes never build it. At k = 4 it meets the lower bound
     n of f(n, 4) = n for n > 5 (Faudree, Gyarfas, Lesniak and Schelp):
     (6, 4) closes with no search on the conflict graph, and (7, 4),
-    (9, 4) and (11, 4) close under a time limit. (8, 4) still times out,
+    (9, 4) and (11, 4) close within 1.3 s. (8, 4) still times out,
     with bounds [8, 9], where the greedy coloring alone gave 11; the
     extended Hamming code, whose quotient has an 8-coloring, is not tried.
 
     ``time_limit`` is a finite number of seconds, at least 0,
-    ``EXACT_TIME_LIMIT`` when not given; it covers the conflict graph,
-    the greedy coloring, the seed and the search. On timeout raises
-    BudgetError with certified (lower, upper) bounds; before the greedy
-    coloring completes the upper bound is the edge count. Without a time
-    limit only the supported class is searched.
+    ``EXACT_TIME_LIMIT`` when not given; it covers the conflict graph
+    (clock read every 1,024 ints summed), the greedy coloring and search
+    (per node) and the seed (per orbit). On timeout raises BudgetError
+    with certified (lower, upper) bounds; before the greedy coloring
+    completes the upper bound is the edge count. The only size refusal
+    is the adjacency cap of ``conflict_graph``.
     """
     _check_dim(n)
     _check_k(n, k)
@@ -598,11 +597,6 @@ def exact_min_colors(
     deadline = time.monotonic() + (
         EXACT_TIME_LIMIT if time_limit is None else time_limit
     )
-    if not _conflict_class_ok(n, k) and time_limit is None:
-        raise BudgetError(
-            f"exact search for n={n}, k={k} is outside the supported class",
-            kind="class",
-        )
     graph = conflict_graph(n, k, deadline=deadline)
 
     clique = _greedy_clique(graph.adj)

@@ -81,15 +81,14 @@ def test_criterion_2_construction1_rainbow():
 
 def test_criterion_3_exact_values():
     # f(n, 4) = n for n = 4 and n > 5 (Faudree, Gyarfas, Lesniak and Schelp);
-    # f(5, 4) = 6 comes from the exhaustive search here. (7, 4) and (9, 4)
-    # lie outside the supported class, so they run under a time limit.
-    limits = {(7, 4): 5, (9, 4): 5}
+    # f(5, 4) = 6 comes from the exhaustive search here.
     want = {
-        (2, 4): 4, (4, 4): 4, (5, 4): 6, (6, 4): 6, (7, 4): 7, (9, 4): 9, (3, 6): 12
+        (2, 4): 4, (4, 4): 4, (5, 4): 6, (6, 4): 6, (7, 4): 7, (9, 4): 9,
+        (11, 4): 11, (3, 6): 12,
     }
     got, rainbow = {}, {}
     for n, k in want:
-        got[n, k], col = exact_min_colors(n, k, limits.get((n, k)))
+        got[n, k], col = exact_min_colors(n, k)
         rainbow[n, k] = verify_rainbow(col, k) is None
     ok = got == want and all(rainbow.values())
     check("3", ok, f"got {got}, want {want}, rainbow {rainbow}")

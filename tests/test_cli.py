@@ -245,6 +245,12 @@ class TestVerify:
         path.write_text('{"n": 3,')
         assert run("verify", "--coloring", str(path)) == 2
 
+    def test_top_level_not_an_object(self, tmp_path, capsys):
+        path = write_json(tmp_path / "list.json", [monochrome_doc(2, 4)])
+        assert run("verify", "--coloring", path) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: top level must be an object\n"
+
     def test_duplicate_edge(self, tmp_path, capsys):
         doc = monochrome_doc(2, 4)
         doc["edges"][1] = doc["edges"][0]
@@ -282,6 +288,8 @@ class TestVerify:
             ({}, {"b": "-0x0"}),
             ({}, {"b": "0_0"}),
             ({}, {"b": "f" * 5000}),  # past the 4,300-digit int-to-str limit
+            ({"edges": {}}, {}),
+            ({"scheme": "construction2", "params": {"S": [1, 2]}}, {}),
         ],
     )
     def test_malformed_field(self, tmp_path, capsys, top, edge):
@@ -571,10 +579,10 @@ class TestExact:
         assert run("verify", "--coloring", str(out)) == 0
 
     @pytest.mark.parametrize("n", ["7", "9"])
-    def test_fgls_value_outside_the_class(self, capsys, n):
-        assert run("exact", "--n", n, "--k", "4", "--timeout", "5") == 0
-        assert capsys.readouterr().out.endswith(f": {n}\n")
-        assert run("exact", "--n", n, "--k", "4") == 2
+    def test_fgls_value_without_timeout(self, capsys, n):
+        assert run("exact", "--n", n, "--k", "4") == 0
+        out = capsys.readouterr().out
+        assert out == f"minimum colors for 4-rainbow on Q_{n}: {n}\n"
 
     def test_timeout_exit_three(self, capsys):
         assert run("exact", "--n", "10", "--k", "12", "--timeout", "0.2") == 3
@@ -585,8 +593,14 @@ class TestExact:
         assert run("exact", "--n", "3", "--k", "6", "--timeout", limit) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
-    def test_oversize_without_timeout_exit_two(self):
-        assert run("exact", "--n", "10", "--k", "12") == 2
+    def test_oversize_without_timeout_exit_two(self, monkeypatch, capsys):
+        # over the adjacency cap: refused before any build
+        assert run("exact", "--n", "13", "--k", "4") == 2
+        assert "MB" in capsys.readouterr().err
+        # under it: the default time limit ends the run with bounds
+        monkeypatch.setattr(cli.verifier, "EXACT_TIME_LIMIT", 0.5)
+        assert run("exact", "--n", "10", "--k", "12") == 3
+        assert capsys.readouterr().out.startswith("timed out; certified bounds [")
 
     def test_oversize_conflict_graph_exit_two(self, capsys):
         assert run("exact", "--n", "16", "--k", "4", "--timeout", "1000") == 2
@@ -643,6 +657,14 @@ class TestSets:
         path = write_json(tmp_path / "s.json", {"elements": [1, 2, 5, 11]})
         assert run("sets", "--kind", "bt", "--t", "2", "--verify-only", path) == 0
 
+    @pytest.mark.parametrize("doc", [[True, 2], {"elements": "x"}])
+    def test_verify_only_not_an_int_array(self, tmp_path, capsys, doc):
+        path = write_json(tmp_path / "s.json", doc)
+        assert run("sets", "--kind", "bt", "--t", "2", "--verify-only", path) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: expected an int array (or an 'elements' key)\n"
+        )
+
     def test_verify_only_behrend(self, tmp_path):
         path = write_json(tmp_path / "s.json", [3, 7, 11])
         assert run("sets", "--kind", "behrend", "--verify-only", path) == 1
@@ -684,6 +706,25 @@ class TestGenus:
         ) == 0
         out = capsys.readouterr().out
         assert "size 4" in out and "optimal true" in out
+
+    def test_genus_zero_equation(self, tmp_path, capsys):
+        path = write_json(tmp_path / "e.json", {"equations": [[1, 1, -3]]})
+        assert run("genus", "--eqs", path) == 0
+        assert capsys.readouterr().out == "equation 1: [1, 1, -3] genus 0\n"
+
+    @pytest.mark.parametrize(
+        "doc,why",
+        [
+            ({}, "expected an object with an 'equations' list"),
+            ({"equations": []}, "'equations' must be a nonempty list"),
+            ({"equations": [5]}, "each equation must be a list, got 5"),
+        ],
+        ids=["no-key", "empty", "not-a-list"],
+    )
+    def test_equation_file_shape_exit_two(self, tmp_path, capsys, doc, why):
+        path = write_json(tmp_path / "e.json", doc)
+        assert run("genus", "--eqs", path) == 2
+        assert capsys.readouterr().err == f"error: {path}: {why}\n"
 
     def test_malformed_equations(self, tmp_path):
         path = write_json(tmp_path / "e.json", {"equations": [[1, 0, -1]]})
@@ -947,6 +988,7 @@ def malformed_argv(draw):
 @example(argv=["sets", "--kind", "bt", "--t", str(10**9), "--size", "1"])
 @example(argv=["sets", "--kind", "bt", "--t", "2", "--size", str(10**9)])
 @example(argv=["sets", "--kind", "bt", "--t", str(10**9), "--verify-only", "SET"])
+@example(argv=["sets", "--kind", "bt", "--size", "6"])
 def test_malformed_arguments_exit_two(tmp_path, capsys, argv):
     files = {
         "SET": write_json(tmp_path / "set.json", [1, 2, 5]),
@@ -1037,6 +1079,10 @@ def malformed_coloring_argv(draw):
 @given(argv=malformed_coloring_argv())
 @example(argv=["construct", "--n", "19", "--scheme", "c2", "--eps", "1", "--out", "OUT"])
 @example(argv=["exact", "--n", "17", "--k", "4", "--timeout", "5"])
+@example(argv=["construct", "--n", "6", "--scheme", "c2", "--k", "8", "--out", "OUT"])
+@example(argv=["construct", "--n", "6", "--scheme", "c1", "--out", "OUT"])
+@example(argv=["construct", "--n", "6", "--k", "8", "--scheme", "c1", "--sidon",
+               "bose-chowla", "--out", "OUT"])
 @example(argv=["construct", "--n", "6", "--scheme", "c2", "--eps", "1", "--sidon",
                "greedy", "--out", "OUT"])
 def test_malformed_coloring_arguments_exit_two(tmp_path, capsys, argv):

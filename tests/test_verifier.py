@@ -135,7 +135,8 @@ class TestVerifyRainbow:
             verify_rainbow(monochrome(3), 6)
 
 
-# Every (n, k) with n <= 5 whose conflict graph is in the supported class.
+# Every (n, k) with n <= 5 whose every-cycle slow paths stay cheap: k <= 12
+# at n = 5, any k at n <= 4.
 SMALL_CLASSES = [
     (n, k)
     for n in range(2, 6)
@@ -492,10 +493,23 @@ class TestConflictGraph:
         assert info.value.bounds == (1, 12 << 11)
 
     def test_budget_class(self):
-        with pytest.raises(BudgetError):
-            conflict_graph(7, 4)
-        with pytest.raises(BudgetError):
-            conflict_graph(6, 12)
+        # the adjacency cap is the only size class; below it the default
+        # deadline bounds the build
+        assert len(conflict_graph(7, 4).keys) == 7 << 6
+        g = conflict_graph(6, 12)  # every span has at most 6 coordinates
+        assert all(row.bit_count() == len(g.keys) - 1 for row in g.adj)
+        with pytest.raises(BudgetError) as info:
+            conflict_graph(13, 4)
+        assert info.value.kind == "class"
+
+    def test_deadline_checked_between_dense_edges(self):
+        # one adjacency of Q_12 at k = 24 sums 24,575 shifted 24,576-bit ints
+        start = time.monotonic()
+        with pytest.raises(BudgetError) as info:
+            conflict_graph(12, 24, deadline=start + 1)
+        assert time.monotonic() - start < 1.5
+        assert info.value.kind == "timeout"
+        assert info.value.bounds == (1, 12 << 11)
 
     @pytest.mark.parametrize("n,k", [(3, 4), (3, 6), (4, 4), (4, 6)])
     def test_properness_equals_rainbow(self, n, k):
@@ -544,10 +558,15 @@ class TestExactMinColors:
             exact_min_colors(4, 6, time_limit=0.0)
         assert info.value.kind == "timeout"
 
-    def test_class_budget_without_timeout(self):
+    def test_class_budget_without_timeout(self, monkeypatch):
+        monkeypatch.setattr(verifier, "EXACT_TIME_LIMIT", 0.5)
+        start = time.monotonic()
         with pytest.raises(BudgetError) as info:
             exact_min_colors(10, 12)
-        assert info.value.kind == "class"
+        assert time.monotonic() - start < 1.5
+        assert info.value.kind == "timeout"
+        lo, hi = info.value.bounds
+        assert lo <= hi
 
     def test_timeout_before_greedy_reports_edge_count(self):
         with pytest.raises(BudgetError) as info:
@@ -599,8 +618,8 @@ class TestExactMinColors:
             exact_min_colors(3, 6, time_limit=limit)
 
 
-# every (n, k) of the supported class whose lexicode of distance k/2 + 1
-# has a nonzero word, that is k/2 < n
+# every (n, k) of SMALL_CLASSES, and (6, 4) to (6, 8), whose lexicode of
+# distance k/2 + 1 has a nonzero word, that is k/2 < n
 SEEDED = [(3, 4), (4, 4), (4, 6), (5, 4), (5, 6), (5, 8), (6, 4), (6, 6), (6, 8)]
 
 
@@ -656,9 +675,9 @@ class TestCodeQuotientSeed:
         assert [call for call in calls if call[0] == 192] == [(192, 192)]  # greedy only
 
     @pytest.mark.parametrize("n", [7, 9])
-    def test_fgls_values_outside_the_class(self, n):
+    def test_fgls_values_by_default(self, n):
         start = time.monotonic()
-        value, col = exact_min_colors(n, 4, time_limit=5)
+        value, col = exact_min_colors(n, 4)
         assert time.monotonic() - start < 1
         assert value == n  # Faudree, Gyarfas, Lesniak and Schelp
         assert verify_rainbow(col, 4) is None
@@ -680,11 +699,17 @@ class TestCodeQuotientSeed:
     def test_planted_orbit_conflict_raises(self):
         g = conflict_graph(4, 4)
         with pytest.raises(InternalError):
-            _code_quotient(g, [0, 0b11])  # distance 2 < k/2 + 1
+            _code_quotient(g, [0, 0b11], None)  # distance 2 < k/2 + 1
+
+    def test_deadline_checked_per_orbit(self):
+        g = conflict_graph(5, 4)
+        with pytest.raises(BudgetError) as info:
+            _code_quotient(g, _lexicode(5, 3, None), time.monotonic() - 1)
+        assert info.value.kind == "timeout"
 
     def test_improper_lift_raises(self, monkeypatch):
         g = conflict_graph(5, 4)
-        qadj, orbit = _code_quotient(g, _lexicode(5, 3, None))
+        qadj, orbit = _code_quotient(g, _lexicode(5, 3, None), None)
         monkeypatch.setattr(
             verifier, "_code_quotient", lambda *args: ((0,) * len(qadj), orbit)
         )
@@ -695,6 +720,18 @@ class TestCodeQuotientSeed:
 class TestTryColor:
     def test_long_descent_does_not_recurse(self):
         assert _try_color(tuple([0] * 1500), 1, [], None) == [0] * 1500
+
+    def test_relabelling_checks_the_deadline(self):
+        # relabelling pops all 2,999 bits of each node's adjacency, about
+        # 2 s in all, before the search loop first reads the clock
+        m = 3000
+        full = (1 << m) - 1
+        adj = tuple(full ^ 1 << i for i in range(m))
+        start = time.monotonic()
+        with pytest.raises(BudgetError) as info:
+            _try_color(adj, m, [], start + 0.05)
+        assert time.monotonic() - start < 0.5
+        assert info.value.kind == "timeout"
 
     def test_infeasible_limit(self):
         g = conflict_graph(3, 6)  # complete on 12 nodes
