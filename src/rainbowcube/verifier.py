@@ -293,12 +293,68 @@ def verify_rainbow(coloring: EdgeColoring, k: int) -> Optional[Violation]:
     raise InternalError("violating cycle lost its clash")
 
 
+def _compress_steps(mask: int, width: int) -> list[tuple[int, int, int]]:
+    """The steps that compress a ``width``-bit int to the bits of ``mask``,
+    kept in order and packed at the bottom (Hacker's Delight, 2nd ed.,
+    section 7-4). Each mask bit moves right by the number of clear mask
+    bits below it, written in binary: step (shift, move, stay) moves the
+    bits of ``move``, those whose distance has the bit ``shift``, and keeps
+    those of ``stay``. Apply as x &= mask, then, per step,
+    x = x & stay | (x & move) >> shift. Steps that move nothing are left
+    out."""
+    full = (1 << width) - 1
+    below = ~mask << 1 & full  # clear mask bits, counted at the bit above
+    steps = []
+    shift = 1
+    while shift < width:
+        parity = below  # bit p: parity of the bits of ``below`` up to p
+        s = 1
+        while s < width:
+            parity ^= parity << s & full
+            s <<= 1
+        move = parity & mask
+        if move:
+            steps.append((shift, move, full ^ move))
+        mask = mask ^ move | move >> shift
+        below &= ~parity
+        shift <<= 1
+    return steps
+
+
 def conflict_graph(n: int, k: int, deadline: Optional[float] = None) -> ConflictGraph:
-    """Co-occurrence graph of Q_n edges over k-cycles, from the translated
-    neighbourhoods of ``_neighbourhoods``, for any n whose adjacency (m
-    ints of m bits, m = n 2^(n-1) edges) fits in ``CONFLICT_GRAPH_BYTES``;
-    built under ``deadline``, else ``EXACT_TIME_LIMIT`` seconds from the
-    call, with the clock read every 1,024 ints summed (m - 1 for a dense edge)."""
+    """Co-occurrence graph of Q_n edges over k-cycles, for any n whose
+    adjacency (m ints of m bits, m = n 2^(n-1) edges) fits in
+    ``CONFLICT_GRAPH_BYTES``; built under ``deadline``, else
+    ``EXACT_TIME_LIMIT`` seconds from the call, with the clock read every
+    64 bottoms.
+
+    Every row is a translate of one of n base rows, those of the edges
+    (0, d), from ``_neighbourhoods``. Rows are built over n 2^n slots, the
+    darts: slot y n + e is vertex y with direction e (0-based), and edge
+    (x, e) has the two darts x n + e and (x ^ 2^e) n + e. The base row of
+    d sets both darts of every edge sharing a k-cycle with (0, d).
+
+    Translation. XOR by b maps vertices to vertices, edges to edges and
+    k-cycles to k-cycles, so it is an automorphism of the conflict graph,
+    and it maps (0, d) to (b, d) when bit d of b is clear: the neighbours of
+    (b, d) are the images of those of (0, d). It maps dart y n + e to
+    (y ^ b) n + e, so it moves each n-bit block y of a row to block y ^ b
+    whole, and, as it maps the two darts of an edge to the two darts of its
+    image, the base row moved so holds both darts of every neighbour of
+    (b, d). XOR by b is XOR by each bit 2^j of b in turn, and XOR by 2^j
+    swaps the blocks y and y ^ 2^j, n 2^j bits apart: one masked swap
+    (a & M_j) << n 2^j | (a >> n 2^j) & M_j, M_j the blocks with bit j
+    clear. The bottoms are walked in Gray-code order, i ^ i >> 1, which at
+    step i flips the lowest set bit of i, so one swap per direction moves
+    the n translated rows on to the next bottom.
+
+    Compression. Slot x n + e is the lower dart x of an edge exactly when
+    bit e of x is clear, and these edge slots, in ascending order, run
+    through x ascending and then e ascending: the ``enumerate_edges`` order
+    of ``keys``. So the i-th edge slot is node i, and compressing a
+    translated row to its edge slots, in order (``_compress_steps``), gives
+    its adjacency over node indices.
+    """
     _check_dim(n)
     _check_k(n, k)
     m = n << n - 1
@@ -310,18 +366,39 @@ def conflict_graph(n: int, k: int, deadline: Optional[float] = None) -> Conflict
         )
     if deadline is None:
         deadline = time.monotonic() + EXACT_TIME_LIMIT
-    nbrs = _neighbourhoods(n, k // 2, deadline)
-    keys = tuple(b << 5 | d for b in range(1 << n) for d in range(n) if not b >> d & 1)
-    index = {key: i for i, key in enumerate(keys)}
-    adj, summed = [], 0  # shifted ints summed since the clock was last read
-    for key in keys:
-        if summed >= 1024:
+    width = n << n
+    rows = []
+    for near in _neighbourhoods(n, k // 2, deadline):
+        darts = bytearray(width + 7 >> 3)
+        for y, _, e in near:
+            for slot in (y * n + e, (y ^ 1 << e) * n + e):
+                darts[slot >> 3] |= 1 << (slot & 7)
+        rows.append(int.from_bytes(darts, "little"))
+    # M_j holds the low 2^j blocks of every 2^(j+1): P = n 2^(j+1) divides
+    # the width, so (2^width - 1) / (2^P - 1) has a one every P bits
+    full = (1 << width) - 1
+    swaps = [
+        (n << j, full // ((1 << (n << j + 1)) - 1) * ((1 << (n << j)) - 1))
+        for j in range(n)
+    ]
+    edge_slots = sum(((1 << n) - 1 ^ x) << x * n for x in range(1 << n))
+    steps = _compress_steps(edge_slots, width)
+    by_bottom: list[list[int]] = [[] for _ in range(1 << n)]
+    for i in range(1 << n):
+        if i % 64 == 63:
             _check_deadline(deadline, n)
-            summed = 0
-        b, near = key >> 5, nbrs[key & 31]
-        summed += len(near)
-        adj.append(sum(1 << index[((x ^ b) & clear) << 5 | d] for x, clear, d in near))
-    return ConflictGraph(n, k, keys, tuple(adj))
+        if i:
+            shift, low = swaps[(i & -i).bit_length() - 1]
+            rows = [(a & low) << shift | a >> shift & low for a in rows]
+        b = i ^ i >> 1
+        for d, row in enumerate(rows):
+            if not b >> d & 1:
+                row &= edge_slots
+                for shift, move, stay in steps:
+                    row = row & stay | (row & move) >> shift
+                by_bottom[b].append(row)
+    keys = tuple(b << 5 | d for b in range(1 << n) for d in range(n) if not b >> d & 1)
+    return ConflictGraph(n, k, keys, tuple(row for at in by_bottom for row in at))
 
 
 def _greedy_clique(adj: tuple[int, ...]) -> list[int]:
@@ -352,7 +429,7 @@ def _try_color(
     With ``limit = len(adj)`` and no clique its first descent never
     backtracks: the DSATUR greedy coloring.
 
-    Nothing is rescanned per node. The nodes are relabelled once in
+    Nothing is rescanned per node. The nodes are labelled in
     (-degree, index) order and every set below is a bitmask over labels:
     ``blocked[c]`` holds the nodes with a neighbour of color c, and
     ``level[s]`` the uncolored nodes of saturation s, so the pick is the
@@ -360,26 +437,36 @@ def _try_color(
     its uncolored neighbours outside ``blocked[c]`` (``touched``) up one
     level; uncoloring it moves them back. The stack uncolors every node
     colored after a node before that node, so colored nodes need no
-    updates.
+    updates. The clique's colors fill the levels the same way, one move
+    per color and level.
+
+    Where the label order is the identity, as on every conflict graph,
+    which is regular (XOR translations and coordinate permutations act
+    transitively on the edges of Q_n and keep k-cycles), the labels are
+    the indices and ``adj`` is used as it is. Otherwise, as on a quotient
+    graph, the rows are relabelled once, with the clock read per row.
     """
     m = len(adj)
     if len(clique) > limit:
         return None
     order = sorted(range(m), key=lambda i: (-adj[i].bit_count(), i))
-    label = [0] * m
-    for p, i in enumerate(order):
-        label[i] = p
-    nbrs = []  # neighbour mask of each label
-    for i in order:
-        if deadline is not None and time.monotonic() > deadline:
-            raise BudgetError("chromatic search timed out", kind="timeout")
-        mask = adj[i]
-        near = 0
-        while mask:
-            low = mask & -mask
-            near |= 1 << label[low.bit_length() - 1]
-            mask ^= low
-        nbrs.append(near)
+    label = order  # the identity, its own inverse, unless relabelled below
+    nbrs = adj  # neighbour mask of each label
+    if order != list(range(m)):
+        label = [0] * m
+        for p, i in enumerate(order):
+            label[i] = p
+        nbrs = []
+        for i in order:
+            if deadline is not None and time.monotonic() > deadline:
+                raise BudgetError("chromatic search timed out", kind="timeout")
+            mask = adj[i]
+            near = 0
+            while mask:
+                low = mask & -mask
+                near |= 1 << label[low.bit_length() - 1]
+                mask ^= low
+            nbrs.append(near)
     blocked = [0] * min(limit, m)
     free = (1 << m) - 1  # uncolored labels
     for c, i in enumerate(clique):
@@ -387,9 +474,15 @@ def _try_color(
         free ^= 1 << p
         blocked[c] |= nbrs[p]
     level = [0] * (min(limit, m) + 2)  # a spare one for ``top += 1``
-    for p in range(m):
-        if free >> p & 1:
-            level[sum(blocked[c] >> p & 1 for c in range(len(clique)))] |= 1 << p
+    level[0] = free
+    for c in range(len(clique)):  # color c lifts the nodes it blocks
+        rest, s = blocked[c] & free, c
+        while rest:  # top down, so nothing moves twice
+            moved = level[s] & rest
+            level[s] ^= moved
+            level[s + 1] |= moved
+            rest ^= moved
+            s -= 1
     top = len(level) - 1  # no non-empty level lies above it
     stack = []  # (node bit, color, used before it, nodes it touched, its level)
     used = len(clique)
@@ -528,8 +621,9 @@ def _code_quotient_coloring(
 
     W is the lexicode of length n and minimum distance k/2 + 1. G/W gets
     its DSATUR greedy coloring and then a ``_try_color``, seeded with its
-    greedy clique, at each limit from ``target`` up to one below the
-    greedy count; the first coloring found is kept, and a search that
+    greedy clique, at each limit from ``target``, or the clique size if
+    larger (no coloring has fewer colors), up to one below the greedy
+    count; the first coloring found is kept, and a search that
     runs out of time keeps the best one so far. Since G/W has |W| times
     fewer nodes than G, those searches are often short where the one on
     G is not: with the shortened Hamming codes the lexicode gives at
@@ -544,7 +638,7 @@ def _code_quotient_coloring(
     qcolors = _try_color(qadj, len(qadj), [], deadline)
     clique = _greedy_clique(qadj)
     try:
-        for limit in range(target, max(qcolors) + 1):
+        for limit in range(max(target, len(clique)), max(qcolors) + 1):
             found = _try_color(qadj, limit, clique, deadline)
             if found is not None:
                 qcolors = found
@@ -584,7 +678,7 @@ def exact_min_colors(
 
     ``time_limit`` is a finite number of seconds, at least 0,
     ``EXACT_TIME_LIMIT`` when not given; it covers the conflict graph
-    (clock read every 1,024 ints summed), the greedy coloring and search
+    (clock read every 64 bottoms), the greedy coloring and search
     (per node) and the seed (per orbit). On timeout raises BudgetError
     with certified (lower, upper) bounds; before the greedy coloring
     completes the upper bound is the edge count. The only size refusal

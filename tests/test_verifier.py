@@ -457,6 +457,13 @@ class TestSpanRule:
                 assert exists == (s <= k // 2) == _conflicts(0, edge.key(), k // 2)
 
 
+def assert_degree_order_is_the_identity(adj):
+    # conflict graphs are regular, so ``_try_color`` takes their rows as
+    # they are, with no relabelling
+    m = len(adj)
+    assert sorted(range(m), key=lambda i: (-adj[i].bit_count(), i)) == list(range(m))
+
+
 class TestConflictGraph:
     def test_q3_c6_complete(self):
         g = conflict_graph(3, 6)
@@ -503,13 +510,43 @@ class TestConflictGraph:
         assert info.value.kind == "class"
 
     def test_deadline_checked_between_dense_edges(self):
-        # one adjacency of Q_12 at k = 24 sums 24,575 shifted 24,576-bit ints
+        # every two edges of Q_12 conflict at k = 24: the neighbourhood
+        # expansion and the base rows take about two expansion times, the
+        # rows of the 24,576 edges about five more, so a deadline three
+        # expansion times in falls among the rows
+        start = time.monotonic()
+        _neighbourhoods(12, 12)
+        limit = 3 * (time.monotonic() - start)
         start = time.monotonic()
         with pytest.raises(BudgetError) as info:
-            conflict_graph(12, 24, deadline=start + 1)
-        assert time.monotonic() - start < 1.5
+            conflict_graph(12, 24, deadline=start + limit)
+        assert time.monotonic() - start < limit + 0.5
         assert info.value.kind == "timeout"
         assert info.value.bounds == (1, 12 << 11)
+        assert info.traceback[-2].name == "conflict_graph"  # the row loop
+
+    @pytest.mark.parametrize(
+        "n,k", [(n, k) for n in range(2, 8) for k in range(4, min(1 << n, 16) + 1, 2)]
+    )
+    def test_rows_match_pair_scan(self, n, k):
+        g = conflict_graph(n, k)
+        assert g.keys == tuple(e.key() for e in enumerate_edges(n))
+        for a, row in zip(g.keys, g.adj):
+            assert row == sum(
+                1 << j for j, b in enumerate(g.keys) if b != a and _conflicts(a, b, k // 2)
+            )
+        assert_degree_order_is_the_identity(g.adj)
+
+    @pytest.mark.parametrize("n,k", [(10, 12), (12, 4), (12, 8)])
+    def test_sampled_rows_match_pair_scan(self, n, k):
+        g = conflict_graph(n, k)
+        rng = random.Random(f"rows {n} {k}")
+        for i in rng.sample(range(len(g.keys)), 40):
+            a = g.keys[i]
+            assert g.adj[i] == sum(
+                1 << j for j, b in enumerate(g.keys) if j != i and _conflicts(a, b, k // 2)
+            ), i
+        assert_degree_order_is_the_identity(g.adj)
 
     @pytest.mark.parametrize("n,k", [(3, 4), (3, 6), (4, 4), (4, 6)])
     def test_properness_equals_rainbow(self, n, k):
@@ -576,7 +613,7 @@ class TestExactMinColors:
     def test_timeout_covers_conflict_graph_build(self):
         start = time.monotonic()
         with pytest.raises(BudgetError) as info:
-            exact_min_colors(12, 4, time_limit=0.05)  # about 1.1 s to build
+            exact_min_colors(12, 4, time_limit=0.05)  # about 0.7 s to build
         assert time.monotonic() - start < 1
         assert info.value.kind == "timeout"
         assert info.value.bounds == (1, 12 << 11)
@@ -722,15 +759,34 @@ class TestTryColor:
         assert _try_color(tuple([0] * 1500), 1, [], None) == [0] * 1500
 
     def test_relabelling_checks_the_deadline(self):
-        # relabelling pops all 2,999 bits of each node's adjacency, about
-        # 2 s in all, before the search loop first reads the clock
+        # relabelling pops all 2,998 or 2,999 bits of each node's adjacency,
+        # about 2 s in all, before the search loop first reads the clock;
+        # without the edge (0, 1) the two lower degrees go last, so the
+        # (-degree, index) order is not the identity and the rows are
+        # relabelled
         m = 3000
         full = (1 << m) - 1
-        adj = tuple(full ^ 1 << i for i in range(m))
+        adj = [full ^ 1 << i for i in range(m)]
+        adj[0] ^= 0b10
+        adj[1] ^= 0b01
+        adj = tuple(adj)
         start = time.monotonic()
         with pytest.raises(BudgetError) as info:
             _try_color(adj, m, [], start + 0.05)
         assert time.monotonic() - start < 0.5
+        assert info.value.kind == "timeout"
+
+    def test_seeded_levels_before_the_first_clock_read(self):
+        # a complete graph keeps its labels; each of the 2,000 clique colors
+        # lifts the other 2,000 nodes one level, one mask move per color,
+        # before the search loop first reads the clock
+        m = 4000
+        full = (1 << m) - 1
+        adj = tuple(full ^ 1 << i for i in range(m))
+        start = time.monotonic()
+        with pytest.raises(BudgetError) as info:
+            _try_color(adj, m, list(range(2000)), start)
+        assert time.monotonic() - start < 0.25
         assert info.value.kind == "timeout"
 
     def test_infeasible_limit(self):
