@@ -12,8 +12,10 @@ member's translated neighbourhood, a Hamming ball around the edge. If
 some edges clash, the canonical witness is the smallest cycle through a
 clashing pair, from one pass over the pairs that keeps only the best
 cycle so far. Exact minimum color counts come from branch-and-bound
-chromatic search on the conflict graph, built from the same
-neighbourhoods, with an upper bound lifted from its quotient by a code.
+chromatic search on the conflict graph, with an upper bound lifted from
+its quotient by a code. One kernel builds both graphs from the same
+neighbourhoods, by translation, the conflict graph being the quotient by
+the trivial code, and emits their nodes in the order the search takes.
 """
 
 from __future__ import annotations
@@ -325,35 +327,9 @@ def conflict_graph(n: int, k: int, deadline: Optional[float] = None) -> Conflict
     """Co-occurrence graph of Q_n edges over k-cycles, for any n whose
     adjacency (m ints of m bits, m = n 2^(n-1) edges) fits in
     ``CONFLICT_GRAPH_BYTES``; built under ``deadline``, else
-    ``EXACT_TIME_LIMIT`` seconds from the call, with the clock read every
-    64 bottoms.
-
-    Every row is a translate of one of n base rows, those of the edges
-    (0, d), from ``_neighbourhoods``. Rows are built over n 2^n slots, the
-    darts: slot y n + e is vertex y with direction e (0-based), and edge
-    (x, e) has the two darts x n + e and (x ^ 2^e) n + e. The base row of
-    d sets both darts of every edge sharing a k-cycle with (0, d).
-
-    Translation. XOR by b maps vertices to vertices, edges to edges and
-    k-cycles to k-cycles, so it is an automorphism of the conflict graph,
-    and it maps (0, d) to (b, d) when bit d of b is clear: the neighbours of
-    (b, d) are the images of those of (0, d). It maps dart y n + e to
-    (y ^ b) n + e, so it moves each n-bit block y of a row to block y ^ b
-    whole, and, as it maps the two darts of an edge to the two darts of its
-    image, the base row moved so holds both darts of every neighbour of
-    (b, d). XOR by b is XOR by each bit 2^j of b in turn, and XOR by 2^j
-    swaps the blocks y and y ^ 2^j, n 2^j bits apart: one masked swap
-    (a & M_j) << n 2^j | (a >> n 2^j) & M_j, M_j the blocks with bit j
-    clear. The bottoms are walked in Gray-code order, i ^ i >> 1, which at
-    step i flips the lowest set bit of i, so one swap per direction moves
-    the n translated rows on to the next bottom.
-
-    Compression. Slot x n + e is the lower dart x of an edge exactly when
-    bit e of x is clear, and these edge slots, in ascending order, run
-    through x ascending and then e ascending: the ``enumerate_edges`` order
-    of ``keys``. So the i-th edge slot is node i, and compressing a
-    translated row to its edge slots, in order (``_compress_steps``), gives
-    its adjacency over node indices.
+    ``EXACT_TIME_LIMIT`` seconds from the call. It is ``_orbit_graph``
+    under the trivial code, whose coset ranks are the vertices: every
+    orbit is one edge, keyed by its edge key, in ``enumerate_edges`` order.
     """
     _check_dim(n)
     _check_k(n, k)
@@ -366,50 +342,115 @@ def conflict_graph(n: int, k: int, deadline: Optional[float] = None) -> Conflict
         )
     if deadline is None:
         deadline = time.monotonic() + EXACT_TIME_LIMIT
-    width = n << n
+    return ConflictGraph(n, k, *_orbit_graph(n, k // 2, list(range(1 << n)), deadline))
+
+
+def _orbit_graph(
+    n: int, half: int, syn, deadline: Optional[float]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The orbit graph G/W of the conflict graph G (k = 2 * ``half``) under
+    a linear code W of minimum distance at least 3, given by the coset rank
+    ``syn[x]`` of every vertex x (``_syndromes``), as (key s << 5 | d of
+    each orbit, its adjacency over orbits); the clock is read every 64
+    coset ranks.
+
+    XOR by a vertex maps k-cycles to k-cycles, so it is an automorphism of
+    G. With h_d = syn[2^d] (not 0, as 2^d is not in W), the ends of edge
+    (x, d) have the ranks syn[x] and syn[x] ^ h_d. Its orbit under W, the
+    edges of direction d between those two cosets, is orbit (s, d),
+    s = min(syn[x], syn[x] ^ h_d), with the darts s n + d and
+    (s ^ h_d) n + d among n 2^r slots, 2^r cosets.
+
+    Rows. The base row of d sets both darts of the orbit of each edge that
+    shares a k-cycle with (0, d) (``_neighbourhoods``): by the
+    automorphisms, the row of the orbit of (0, d). A dart of that orbit
+    itself raises InternalError. For W of distance at least k/2 + 1 it
+    cannot occur, as a translate of an edge by w in W differs from it in
+    |w \\ {d}| + 1 >= k/2 + 1 span coordinates (``_conflicts``), and then a
+    proper coloring of G/W lifts to one of G. XOR by a vertex of rank t
+    maps dart s n + e to (s ^ t) n + e (syn is linear), moving each n-bit
+    block s to block s ^ t whole, and so takes the base row of d to the
+    row of orbit (min(t, t ^ h_d), d). XOR by 2^j swaps the blocks s and
+    s ^ 2^j: (a & M_j) << n 2^j | (a >> n 2^j) & M_j, M_j the blocks with
+    bit j clear. The ranks are walked in Gray-code order, i ^ i >> 1, which
+    at step i flips the lowest set bit of i: one swap per row a step.
+
+    Node order. Orbit (s, d) owns the lower dart, s n + d: the top bit of
+    h_d is clear in s. The translations act transitively on the orbits of
+    one direction, so the degree depends on d only, and the nodes are the
+    orbits in (-degree, s, d) order: each row is compressed
+    (``_compress_steps``) to the lower darts of each degree in turn,
+    highest first, and the pieces are concatenated. Within one degree this
+    is the order in which the orbits first appear in ``enumerate_edges``
+    order: each word z of the two cosets of orbit (s, d) is an end of its
+    edge (z, d), so the orbit's least bottom is the least word of the two
+    cosets, that of coset s, as the least words of the cosets are in rank
+    order. For W = {0}, syn[x] = x, the orbits are the edges, key for key,
+    all of one degree, in ``enumerate_edges`` order.
+    """
+    h = [syn[1 << d] for d in range(n)]
+    top = [c.bit_length() - 1 for c in h]
+    bits = max(h).bit_length()  # 2^bits coset ranks, spanned by the h_d
+    width = n << bits
     rows = []
-    for near in _neighbourhoods(n, k // 2, deadline):
+    for d, near in enumerate(_neighbourhoods(n, half, deadline)):
         darts = bytearray(width + 7 >> 3)
         for y, _, e in near:
-            for slot in (y * n + e, (y ^ 1 << e) * n + e):
+            s = syn[y]
+            for slot in (s * n + e, (s ^ h[e]) * n + e):
                 darts[slot >> 3] |= 1 << (slot & 7)
-        rows.append(int.from_bytes(darts, "little"))
+        row = int.from_bytes(darts, "little")
+        if row >> d & 1 or row >> h[d] * n + d & 1:
+            raise InternalError(f"edge (0, {d + 1}) shares a k-cycle with its orbit")
+        rows.append(row)
     # M_j holds the low 2^j blocks of every 2^(j+1): P = n 2^(j+1) divides
     # the width, so (2^width - 1) / (2^P - 1) has a one every P bits
     full = (1 << width) - 1
     swaps = [
         (n << j, full // ((1 << (n << j + 1)) - 1) * ((1 << (n << j)) - 1))
-        for j in range(n)
+        for j in range(bits)
     ]
-    edge_slots = sum(((1 << n) - 1 ^ x) << x * n for x in range(1 << n))
-    steps = _compress_steps(edge_slots, width)
-    by_bottom: list[list[int]] = [[] for _ in range(1 << n)]
-    for i in range(1 << n):
+    ones = full // ((1 << n) - 1)  # the first slot of every block
+    lower = sum(swaps[top[e]][1] & ones << e for e in range(n))
+    degree = [(row & lower).bit_count() for row in rows]
+    pieces = []  # (lower darts of one degree, compress steps, first node)
+    keys: list[int] = []
+    for value in sorted(set(degree), reverse=True):
+        dirs = [d for d in range(n) if degree[d] == value]
+        mask = lower & sum(ones << d for d in dirs)
+        pieces.append((mask, _compress_steps(mask, width), len(keys)))
+        keys += [
+            s << 5 | d for s in range(1 << bits) for d in dirs if not s >> top[d] & 1
+        ]
+    by_key = [0] * (32 << bits)
+    for i in range(1 << bits):
         if i % 64 == 63:
             _check_deadline(deadline, n)
         if i:
             shift, low = swaps[(i & -i).bit_length() - 1]
             rows = [(a & low) << shift | a >> shift & low for a in rows]
-        b = i ^ i >> 1
+        t = i ^ i >> 1
         for d, row in enumerate(rows):
-            if not b >> d & 1:
-                row &= edge_slots
-                for shift, move, stay in steps:
-                    row = row & stay | (row & move) >> shift
-                by_bottom[b].append(row)
-    keys = tuple(b << 5 | d for b in range(1 << n) for d in range(n) if not b >> d & 1)
-    return ConflictGraph(n, k, keys, tuple(row for at in by_bottom for row in at))
+            if not t >> top[d] & 1:
+                out = 0
+                for mask, steps, offset in pieces:
+                    piece = row & mask
+                    for shift, move, stay in steps:
+                        piece = piece & stay | (piece & move) >> shift
+                    out |= piece << offset
+                by_key[t << 5 | d] = out
+    return tuple(keys), tuple(map(by_key.__getitem__, keys))
 
 
 def _greedy_clique(adj: tuple[int, ...]) -> list[int]:
-    m = len(adj)
-    order = sorted(range(m), key=lambda i: (-adj[i].bit_count(), i))
+    """A clique taken greedily over the nodes in their given order, which
+    for every graph built here is (-degree, index) order."""
     clique: list[int] = []
-    mask = (1 << m) - 1
-    for i in order:
+    mask = (1 << len(adj)) - 1
+    for i, row in enumerate(adj):
         if mask >> i & 1:
             clique.append(i)
-            mask &= adj[i]
+            mask &= row
     return clique
 
 
@@ -429,8 +470,10 @@ def _try_color(
     With ``limit = len(adj)`` and no clique its first descent never
     backtracks: the DSATUR greedy coloring.
 
-    Nothing is rescanned per node. The nodes are labelled in
-    (-degree, index) order and every set below is a bitmask over labels:
+    Nothing is rescanned per node. The nodes must come in (-degree, index)
+    order, as ``_orbit_graph`` emits them, so the pick below meets the
+    tie-break; a row with more neighbours than the row before it raises
+    InternalError. Every set below is a bitmask over nodes:
     ``blocked[c]`` holds the nodes with a neighbour of color c, and
     ``level[s]`` the uncolored nodes of saturation s, so the pick is the
     lowest bit of the highest non-empty level. Coloring a node with c moves
@@ -438,41 +481,21 @@ def _try_color(
     level; uncoloring it moves them back. The stack uncolors every node
     colored after a node before that node, so colored nodes need no
     updates. The clique's colors fill the levels the same way, one move
-    per color and level.
-
-    Where the label order is the identity, as on every conflict graph,
-    which is regular (XOR translations and coordinate permutations act
-    transitively on the edges of Q_n and keep k-cycles), the labels are
-    the indices and ``adj`` is used as it is. Otherwise, as on a quotient
-    graph, the rows are relabelled once, with the clock read per row.
+    per color and level, after one clock read.
     """
     m = len(adj)
     if len(clique) > limit:
         return None
-    order = sorted(range(m), key=lambda i: (-adj[i].bit_count(), i))
-    label = order  # the identity, its own inverse, unless relabelled below
-    nbrs = adj  # neighbour mask of each label
-    if order != list(range(m)):
-        label = [0] * m
-        for p, i in enumerate(order):
-            label[i] = p
-        nbrs = []
-        for i in order:
-            if deadline is not None and time.monotonic() > deadline:
-                raise BudgetError("chromatic search timed out", kind="timeout")
-            mask = adj[i]
-            near = 0
-            while mask:
-                low = mask & -mask
-                near |= 1 << label[low.bit_length() - 1]
-                mask ^= low
-            nbrs.append(near)
+    if deadline is not None and time.monotonic() > deadline:
+        raise BudgetError("chromatic search timed out", kind="timeout")
+    degree = [row.bit_count() for row in adj]
+    if degree != sorted(degree, reverse=True):
+        raise InternalError("nodes are not in (-degree, index) order")
     blocked = [0] * min(limit, m)
-    free = (1 << m) - 1  # uncolored labels
+    free = (1 << m) - 1  # uncolored nodes
     for c, i in enumerate(clique):
-        p = label[i]
-        free ^= 1 << p
-        blocked[c] |= nbrs[p]
+        free ^= 1 << i
+        blocked[c] |= adj[i]
     level = [0] * (min(limit, m) + 2)  # a spare one for ``top += 1``
     level[0] = free
     for c in range(len(clique)):  # color c lifts the nodes it blocks
@@ -519,7 +542,7 @@ def _try_color(
                 s += 1
             c += 1
         free ^= bit
-        touched = rest = nbrs[bit.bit_length() - 1] & free & ~blocked[c]
+        touched = rest = adj[bit.bit_length() - 1] & free & ~blocked[c]
         blocked[c] |= touched
         s = top
         while rest:  # top down, so nothing moves twice
@@ -536,7 +559,7 @@ def _try_color(
     for c, i in enumerate(clique):
         colors[i] = c
     for bit, c, *_ in stack:
-        colors[order[bit.bit_length() - 1]] = c
+        colors[bit.bit_length() - 1] = c
     return colors
 
 
@@ -563,94 +586,86 @@ def _lexicode(n: int, dist: int, deadline: Optional[float]) -> list[int]:
     return code
 
 
-def _code_quotient(
-    graph: ConflictGraph, code: list[int], deadline: Optional[float]
-) -> tuple[tuple[int, ...], list[int]]:
-    """The orbit graph G/W of the conflict graph G under a linear code W of
-    minimum distance at least k/2 + 1, as (adjacency over orbits, orbit
-    index of each node of G).
+def _syndromes(n: int, code: list[int]) -> list[int]:
+    """The coset rank of every word x of length n under the linear code W
+    whose words are ``code``: syn[x] is the rank of min(x ^ W) among the
+    least words of the cosets, which the scan meets in ascending order.
 
-    The orbit of edge key (x, d) is {((x ^ w) & ~bit_d, d) : w in W}, the
-    images of the edge under the vertex maps v -> v ^ w. Each such map
-    keeps k-cycles k-cycles, so it is an automorphism of G; W is closed
-    under XOR, so the orbits partition the nodes and two orbits are
-    adjacent exactly when one member of the first, its representative, is
-    adjacent to some member of the second. A translate by w != 0 differs
-    from its edge in the span coordinates w minus {d}, and the direction
-    d adds one more: |w \\ {d}| + 1 >= |w| >= k/2 + 1, so by
-    ``_conflicts`` it does not share a k-cycle with the edge, and by the
-    automorphisms no two members of one orbit do. Hence a proper coloring
-    of G/W, lifted to the nodes, is a proper coloring of G. A
-    representative adjacent to a member of its own orbit raises
-    InternalError. The deadline is checked once per orbit in each pass.
+    syn is linear. Call the top bits of the nonzero words of W pivots. A
+    word with no pivot set is the least of its coset, as any other word
+    of the coset differs from it by a nonzero word of W, so agrees with it
+    above that word's top bit, a pivot, and has that bit set. Clearing the
+    pivots of x from the top down with words of W reaches such a word, so
+    the least words are the words with no pivot set: they are closed under
+    XOR, so x -> min(x ^ W) is linear, and their ranks are their other
+    bits packed in order, a linear map too. W = {0} gives syn[x] = x.
     """
-    index = {key: i for i, key in enumerate(graph.keys)}
-    orbit = [-1] * len(graph.keys)
-    reps = []
-    for i, key in enumerate(graph.keys):
-        if orbit[i] >= 0:
-            continue
-        _check_deadline(deadline, graph.n)
-        x, d = key >> 5, key & 31
-        clear = ~(1 << d)
-        members = 0
-        for w in code:
-            j = index[((x ^ w) & clear) << 5 | d]
-            orbit[j] = len(reps)
-            members |= 1 << j
-        if graph.adj[i] & members:
-            raise InternalError(f"edge key {key:#x} shares a k-cycle with its orbit")
-        reps.append(i)
-    qadj = []
-    for i in reps:
-        _check_deadline(deadline, graph.n)
-        mask, near = graph.adj[i], 0
-        while mask:
-            low = mask & -mask
-            near |= 1 << orbit[low.bit_length() - 1]
-            mask ^= low
-        qadj.append(near)
-    return tuple(qadj), orbit
+    syn = [-1] * (1 << n)
+    rank = 0
+    for x in range(1 << n):
+        if syn[x] < 0:
+            for w in code:
+                syn[x ^ w] = rank
+            rank += 1
+    return syn
 
 
-def _code_quotient_coloring(
-    graph: ConflictGraph, target: int, deadline: Optional[float]
-) -> Optional[list[int]]:
-    """A proper coloring of the conflict graph G lifted from its orbit
-    graph G/W (``_code_quotient``), or None when W = {0}.
-
-    W is the lexicode of length n and minimum distance k/2 + 1. G/W gets
-    its DSATUR greedy coloring and then a ``_try_color``, seeded with its
-    greedy clique, at each limit from ``target``, or the clique size if
-    larger (no coloring has fewer colors), up to one below the greedy
-    count; the first coloring found is kept, and a search that
-    runs out of time keeps the best one so far. Since G/W has |W| times
-    fewer nodes than G, those searches are often short where the one on
-    G is not: with the shortened Hamming codes the lexicode gives at
-    k = 4, G/W has an n-coloring for n = 6, 7, 9 and 11, and at n = 8
-    a 9-coloring. The lifted coloring is checked proper against
-    ``graph.adj``, one mask per color, and a failure raises InternalError.
-    """
-    code = _lexicode(graph.n, graph.k // 2 + 1, deadline)
-    if len(code) == 1:
-        return None
-    qadj, orbit = _code_quotient(graph, code, deadline)
-    qcolors = _try_color(qadj, len(qadj), [], deadline)
-    clique = _greedy_clique(qadj)
-    try:
-        for limit in range(max(target, len(clique)), max(qcolors) + 1):
-            found = _try_color(qadj, limit, clique, deadline)
-            if found is not None:
-                qcolors = found
-                break
-    except BudgetError:
-        pass  # the best coloring so far stands; the search on G times out next
+def _lift(graph: ConflictGraph, orbit: list[int], qcolors: list[int]) -> list[int]:
+    """The coloring of the conflict graph that gives node i the color of
+    its orbit ``orbit[i]`` in ``qcolors``, checked proper against
+    ``graph.adj``, one mask per color; a failure raises InternalError."""
     colors = [qcolors[o] for o in orbit]
     classes = [0] * (max(colors) + 1)
     for i, c in enumerate(colors):
         classes[c] |= 1 << i
     if any(adj & classes[c] for adj, c in zip(graph.adj, colors)):
         raise InternalError("a coloring lifted from G/W is not proper")
+    return colors
+
+
+def _code_quotient_coloring(
+    graph: ConflictGraph, target: int, upper: int, deadline: Optional[float]
+) -> Optional[list[int]]:
+    """A proper coloring of the conflict graph G with fewer than ``upper``
+    colors, lifted from its orbit graph G/W (``_orbit_graph``), or None
+    when W = {0} or no such coloring of G/W is found.
+
+    W is the lexicode of length n and minimum distance k/2 + 1. G/W gets
+    its DSATUR greedy coloring and then a ``_try_color``, seeded with its
+    greedy clique, at each limit from ``target``, or the clique size if
+    larger (no coloring has fewer colors), up to one below the greedy
+    count or ``upper``, whichever is less; the first coloring found is
+    kept, and a search that runs out of time keeps the best one so far.
+    Each coloring kept is lifted (``_lift``; edge (x, d) lies in orbit
+    min(syn[x], syn[x] ^ h_d) << 5 | d) when it is found, so a search cut
+    off by the deadline leaves no work behind it. Since G/W has |W| times
+    fewer nodes than G, those searches are often short where the one on G
+    is not: with the shortened Hamming codes the lexicode gives at k = 4,
+    G/W has an n-coloring for n = 6, 7, 9 and 11, and at n = 8 a
+    9-coloring.
+    """
+    n = graph.n
+    code = _lexicode(n, graph.k // 2 + 1, deadline)
+    if len(code) == 1:
+        return None
+    syn = _syndromes(n, code)
+    keys, qadj = _orbit_graph(n, graph.k // 2, syn, deadline)
+    index = {key: i for i, key in enumerate(keys)}
+    orbit = []
+    for key in graph.keys:
+        s, d = syn[key >> 5], key & 31
+        orbit.append(index[min(s, s ^ syn[1 << d]) << 5 | d])
+    qcolors = _try_color(qadj, len(qadj), [], deadline)
+    colors = _lift(graph, orbit, qcolors) if max(qcolors) + 1 < upper else None
+    clique = _greedy_clique(qadj)
+    try:
+        for limit in range(max(target, len(clique)), min(max(qcolors) + 1, upper)):
+            found = _try_color(qadj, limit, clique, deadline)
+            if found is not None:
+                colors = _lift(graph, orbit, found)
+                break
+    except BudgetError:
+        pass  # the best coloring so far stands; the search on G times out next
     return colors
 
 
@@ -669,8 +684,10 @@ def exact_min_colors(
     backtracking would start, a coloring lifted from the orbit graph under
     a lexicode (``_code_quotient_coloring``) is tried first and becomes
     the upper bound when it uses fewer colors; instances the greedy
-    coloring closes never build it. At k = 4 it meets the lower bound
-    n of f(n, 4) = n for n > 5 (Faudree, Gyarfas, Lesniak and Schelp):
+    coloring closes never build it. Both graphs come from one kernel,
+    ``_orbit_graph``, in the node order the search takes. At k = 4 the
+    seed meets the lower bound n of f(n, 4) = n for n > 5 (Faudree,
+    Gyarfas, Lesniak and Schelp):
     (6, 4) closes with no search on the conflict graph, and (7, 4),
     (9, 4) and (11, 4) close within 1.3 s. (8, 4) still times out,
     with bounds [8, 9], where the greedy coloring alone gave 11; the
@@ -679,7 +696,8 @@ def exact_min_colors(
     ``time_limit`` is a finite number of seconds, at least 0,
     ``EXACT_TIME_LIMIT`` when not given; it covers the conflict graph
     (clock read every 64 bottoms), the greedy coloring and search
-    (per node) and the seed (per orbit). On timeout raises BudgetError
+    (per node) and the seed (every 64 coset ranks, then per node). On
+    timeout raises BudgetError
     with certified (lower, upper) bounds; before the greedy coloring
     completes the upper bound is the edge count. The only size refusal
     is the adjacency cap of ``conflict_graph``.
@@ -702,8 +720,8 @@ def exact_min_colors(
         best_assign = _try_color(graph.adj, upper, [], deadline)
         upper = max(best_assign) + 1 if best_assign else 0
         if target < upper:
-            seed = _code_quotient_coloring(graph, target, deadline)
-            if seed is not None and max(seed) + 1 < upper:
+            seed = _code_quotient_coloring(graph, target, upper, deadline)
+            if seed is not None:
                 best_assign, upper = seed, max(seed) + 1
         while target < upper:
             found = _try_color(graph.adj, target, clique, deadline)

@@ -35,7 +35,10 @@ it once kept beside the bitsets. The key check of an explicit
 and runs ``validate_edge``, and ``addsets._smallest_irreducible`` by the
 set of every product of two monic polynomials. The covering scan of
 ``verifier._lexicode`` is checked against the greedy scan that measures
-each word's distance to every word kept before it. The start rule of
+each word's distance to every word kept before it, and the orbit graph
+that ``verifier._orbit_graph`` translates from base rows against
+``orbit_graph_scan``, which groups the edges into orbits word by word and
+joins two orbits by testing every pair of their edges. The start rule of
 ``hypercube._pair_starts``, one budget of coordinates outside the span,
 is checked against ``pair_starts_endpoint_budgets``, the walk it
 replaced, which bounds closed walks with one budget per choice of
@@ -70,7 +73,7 @@ from rainbowcube.hypercube import (
     validate_edge,
 )
 from rainbowcube.errors import BudgetError, InternalError, UsageError
-from rainbowcube.verifier import BoundCertificate, Violation, verify_rainbow
+from rainbowcube.verifier import BoundCertificate, Violation, _conflicts, verify_rainbow
 
 
 def cube_graph(n: int) -> nx.Graph:
@@ -130,6 +133,35 @@ def lexicode_scan(n: int, dist: int) -> list[int]:
         if all((x ^ w).bit_count() >= dist for w in code):
             code.append(x)
     return code
+
+
+def orbit_graph_scan(n: int, k: int, code: list[int]) -> tuple[dict, list[int]]:
+    """The orbit graph of the conflict graph under the maps v -> v ^ w, w
+    in ``code``, as (orbit index of every edge key, adjacency over
+    orbits). The orbit of (x, d) is {((x ^ w) & ~2^d, d)}; orbits are
+    numbered as they first appear in ``enumerate_edges`` order, two are
+    joined when some two of their edges share a k-cycle by ``_conflicts``,
+    tested for every pair of edges, and the orbits are then relabelled in
+    (-degree, index) order."""
+    keys = [e.key() for e in enumerate_edges(n)]
+    first: dict[int, int] = {}
+    count = 0
+    for a in keys:
+        if a not in first:
+            x, d = a >> 5, a & 31
+            for w in code:
+                first[((x ^ w) & ~(1 << d)) << 5 | d] = count
+            count += 1
+    rows = [0] * count
+    for a, b in itertools.permutations(keys, 2):
+        if _conflicts(a, b, k // 2):
+            rows[first[a]] |= 1 << first[b]
+    order = sorted(range(len(rows)), key=lambda i: (-rows[i].bit_count(), i))
+    label = {i: p for p, i in enumerate(order)}
+    relabelled = [
+        sum(1 << label[j] for j in range(len(rows)) if rows[i] >> j & 1) for i in order
+    ]
+    return {a: label[i] for a, i in first.items()}, relabelled
 
 
 def conflict_adjacency_nx(n: int, k: int) -> tuple[list, list[set[int]]]:

@@ -28,14 +28,15 @@ from rainbowcube.hypercube import (
 from rainbowcube.verifier import (
     Violation,
     _clashes,
-    _code_quotient,
     _code_quotient_coloring,
     _conflicts,
     _greedy_clique,
     _lexicode,
     _neighbourhood_size,
     _neighbourhoods,
+    _orbit_graph,
     _smallest_cycle,
+    _syndromes,
     _try_color,
     conflict_graph,
     exact_min_colors,
@@ -458,10 +459,19 @@ class TestSpanRule:
 
 
 def assert_degree_order_is_the_identity(adj):
-    # conflict graphs are regular, so ``_try_color`` takes their rows as
-    # they are, with no relabelling
+    # ``_try_color`` and ``_greedy_clique`` take the rows in the order given,
+    # which must be (-degree, index) order
     m = len(adj)
     assert sorted(range(m), key=lambda i: (-adj[i].bit_count(), i)) == list(range(m))
+
+
+def in_degree_order(adj):
+    """``adj`` relabelled in (-degree, index) order, the node order that
+    ``_try_color`` and ``_greedy_clique`` take."""
+    m = len(adj)
+    order = sorted(range(m), key=lambda i: (-adj[i].bit_count(), i))
+    label = {i: p for p, i in enumerate(order)}
+    return tuple(sum(1 << label[j] for j in range(m) if adj[i] >> j & 1) for i in order)
 
 
 class TestConflictGraph:
@@ -523,7 +533,7 @@ class TestConflictGraph:
         assert time.monotonic() - start < limit + 0.5
         assert info.value.kind == "timeout"
         assert info.value.bounds == (1, 12 << 11)
-        assert info.traceback[-2].name == "conflict_graph"  # the row loop
+        assert info.traceback[-2].name == "_orbit_graph"  # the row loop
 
     @pytest.mark.parametrize(
         "n,k", [(n, k) for n in range(2, 8) for k in range(4, min(1 << n, 16) + 1, 2)]
@@ -675,7 +685,8 @@ class TestCodeQuotientSeed:
     @pytest.mark.parametrize("n,k", SEEDED)
     def test_lifted_coloring_is_proper(self, n, k):
         g = conflict_graph(n, k)
-        colors = _code_quotient_coloring(g, len(_greedy_clique(g.adj)), None)
+        clique = _greedy_clique(g.adj)
+        colors = _code_quotient_coloring(g, len(clique), len(g.adj), None)
         assert all(
             colors[i] != colors[j]
             for i in range(len(g.adj))
@@ -690,7 +701,7 @@ class TestCodeQuotientSeed:
     def test_trivial_code_gives_no_seed(self):
         g = conflict_graph(4, 12)
         assert _lexicode(4, 7, None) == [0]
-        assert _code_quotient_coloring(g, 32, None) is None
+        assert _code_quotient_coloring(g, 32, 32, None) is None
 
     @pytest.mark.parametrize("n,k", [(3, 4), (4, 4), (5, 4), (6, 4), (3, 6), (4, 8)])
     def test_values_unchanged_without_seed(self, monkeypatch, n, k):
@@ -724,7 +735,7 @@ class TestCodeQuotientSeed:
         # below the greedy count
         deadline = time.monotonic() + 30
         g = conflict_graph(8, 4, deadline)
-        colors = _code_quotient_coloring(g, 8, deadline)
+        colors = _code_quotient_coloring(g, 8, len(g.adj), deadline)
         assert max(colors) + 1 == 9
         assert all(
             colors[i] != colors[j]
@@ -733,48 +744,79 @@ class TestCodeQuotientSeed:
             if g.adj[i] >> j & 1
         )
 
+    def test_no_seed_unless_below_the_upper_bound(self):
+        # the (5, 6) quotient's best coloring uses 24 colors, more than the
+        # greedy 20 on G: it is lifted only for an upper bound above 24
+        g = conflict_graph(5, 6)
+        assert _code_quotient_coloring(g, 15, 24, None) is None
+        colors = _code_quotient_coloring(g, 15, 25, None)
+        assert max(colors) + 1 == 24
+
     def test_planted_orbit_conflict_raises(self):
-        g = conflict_graph(4, 4)
         with pytest.raises(InternalError):
-            _code_quotient(g, [0, 0b11], None)  # distance 2 < k/2 + 1
+            _orbit_graph(4, 2, _syndromes(4, [0, 0b11]), None)  # distance 2 < k/2 + 1
 
     def test_deadline_checked_per_orbit(self):
-        g = conflict_graph(5, 4)
+        # the (8, 8) lexicode has 64 cosets, and the 512 edges of the
+        # neighbourhoods pass no clock read, so the rank walk raises
+        syn = _syndromes(8, _lexicode(8, 5, None))
         with pytest.raises(BudgetError) as info:
-            _code_quotient(g, _lexicode(5, 3, None), time.monotonic() - 1)
+            _orbit_graph(8, 4, syn, time.monotonic() - 1)
         assert info.value.kind == "timeout"
+        assert info.traceback[-2].name == "_orbit_graph"
 
     def test_improper_lift_raises(self, monkeypatch):
         g = conflict_graph(5, 4)
-        qadj, orbit = _code_quotient(g, _lexicode(5, 3, None), None)
+        keys, qadj = _orbit_graph(5, 2, _syndromes(5, _lexicode(5, 3, None)), None)
         monkeypatch.setattr(
-            verifier, "_code_quotient", lambda *args: ((0,) * len(qadj), orbit)
+            verifier, "_orbit_graph", lambda *args: (keys, (0,) * len(qadj))
         )
         with pytest.raises(InternalError):
-            _code_quotient_coloring(g, 5, None)
+            _code_quotient_coloring(g, 5, len(g.adj), None)
+
+
+class TestOrbitGraph:
+    @pytest.mark.parametrize("k", [4, 6, 8])
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_syndromes_rank_the_coset_minima(self, n, k):
+        code = _lexicode(n, k // 2 + 1, None)
+        syn = _syndromes(n, code)
+        least = [min(x ^ w for w in code) for x in range(1 << n)]
+        rank = {z: r for r, z in enumerate(sorted(set(least)))}
+        assert syn == [rank[z] for z in least]
+        assert all(
+            syn[x ^ 1 << j] == syn[x] ^ syn[1 << j]
+            for x in range(1 << n)
+            for j in range(n)
+        )
+
+    def test_trivial_code_ranks_are_the_words(self):
+        assert _syndromes(6, [0]) == list(range(64))
+
+    @pytest.mark.parametrize("n,k", SEEDED + [(7, 6), (8, 8)])
+    def test_lexicode_quotient_matches_orbit_pair_scan(self, n, k):
+        code = _lexicode(n, k // 2 + 1, None)
+        syn = _syndromes(n, code)
+        keys, rows = _orbit_graph(n, k // 2, syn, None)
+        orbit, want = oracles.orbit_graph_scan(n, k, code)
+        assert rows == tuple(want)
+        assert_degree_order_is_the_identity(rows)
+        # the lift's rule sends each edge to the orbit that holds it
+        node = {key: i for i, key in enumerate(keys)}
+        for e in enumerate_edges(n):
+            s, d = syn[e.bottom], e.dir - 1
+            assert node[min(s, s ^ syn[1 << d]) << 5 | d] == orbit[e.key()]
 
 
 class TestTryColor:
     def test_long_descent_does_not_recurse(self):
         assert _try_color(tuple([0] * 1500), 1, [], None) == [0] * 1500
 
-    def test_relabelling_checks_the_deadline(self):
-        # relabelling pops all 2,998 or 2,999 bits of each node's adjacency,
-        # about 2 s in all, before the search loop first reads the clock;
-        # without the edge (0, 1) the two lower degrees go last, so the
-        # (-degree, index) order is not the identity and the rows are
-        # relabelled
-        m = 3000
-        full = (1 << m) - 1
-        adj = [full ^ 1 << i for i in range(m)]
-        adj[0] ^= 0b10
-        adj[1] ^= 0b01
-        adj = tuple(adj)
-        start = time.monotonic()
-        with pytest.raises(BudgetError) as info:
-            _try_color(adj, m, [], start + 0.05)
-        assert time.monotonic() - start < 0.5
-        assert info.value.kind == "timeout"
+    def test_rows_out_of_degree_order_raise(self):
+        path = (0b010, 0b101, 0b010)  # node 1 has more neighbours than node 0
+        with pytest.raises(InternalError):
+            _try_color(path, 3, [], None)
+        assert _try_color(in_degree_order(path), 3, [], None) == [0, 1, 1]
 
     def test_seeded_levels_before_the_first_clock_read(self):
         # a complete graph keeps its labels; each of the 2,000 clique colors
@@ -821,8 +863,8 @@ class TestTryColor:
     def test_matches_scan_search_on_random_graphs(self, graph_seed, offset, seeded):
         # Hypothesis leans to tiny sizes and densities, so the graph comes
         # from a seeded generator; uneven node weights spread the degrees,
-        # which conflict graphs (all regular) never do, so the degree
-        # tie-break is exercised
+        # as in quotient graphs, and the nodes are put in the (-degree,
+        # index) order ``_try_color`` takes
         rng = random.Random(graph_seed)
         m = rng.randint(2, 40)
         density = rng.random()
@@ -833,7 +875,7 @@ class TestTryColor:
                 if rng.random() < density * (weight[i] + weight[j]) / 2:
                     adj[i] |= 1 << j
                     adj[j] |= 1 << i
-        adj = tuple(adj)
+        adj = in_degree_order(adj)
         clique = _greedy_clique(adj)
         limit = max(0, len(clique) + offset)
         seed = clique if seeded else []
