@@ -43,7 +43,8 @@ _WS = re.compile(r"[ \t\n\r]*")
 _COLON = re.compile(r"[ \t\n\r]*:[ \t\n\r]*")
 _NEXT = re.compile(r"[ \t\n\r]*([,}])[ \t\n\r]*")
 _DECODER = json.JSONDecoder()
-# edge records per write in save_coloring
+# about this many edge records per write in save_coloring: whole bottoms of a
+# scheme coloring, 2 * SAVE_CHUNK // n of them, as a bottom has n / 2 edges
 SAVE_CHUNK = 4096
 # characters _read_json reads before it walks a document's header; a whole
 # coloring document of Q_8 (44 KB for c2) fits in this first read
@@ -52,7 +53,11 @@ HEAD_CHARS = 1 << 16
 
 def save_coloring(col: coloring.EdgeColoring, path: str) -> None:
     """Write the coloring document, the text ``json.dumps`` gives it plus a
-    newline, streaming the edge records in chunks of SAVE_CHUNK.
+    newline, streaming the edge records.
+
+    A scheme coloring is rendered a bottom at a time (``_bottom_records``),
+    and each write holds whole bottoms, about SAVE_CHUNK records. An
+    explicit table is rendered a record at a time (``_records``).
 
     Everything that can refuse the coloring runs before the file is
     opened, so a refused coloring leaves the path untouched: the size
@@ -74,14 +79,14 @@ def save_coloring(col: coloring.EdgeColoring, path: str) -> None:
             for key, val in col.params.items()
         },
     })
-    records = _records(col._rows())
-    if col.scheme == "explicit":
-        first = list(records)
+    if col.scheme == "explicit":  # a per_write of None renders it all at once
+        parts, per_write = _records(col._rows()), None
     else:
-        first = list(islice(records, SAVE_CHUNK))
+        parts, per_write = _bottom_records(col), max(1, 2 * SAVE_CHUNK // col.n)
+    first = list(islice(parts, per_write))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(head[:-1] + ', "edges": [' + ", ".join(first))
-        while chunk := list(islice(records, SAVE_CHUNK)):
+        while chunk := list(islice(parts, per_write)):
             fh.write(", " + ", ".join(chunk))
         fh.write("]}\n")
 
@@ -100,6 +105,19 @@ def _records(rows) -> Iterator[str]:
                 yield f'{lead}{d}, "color": [{c}, {p}]}}'
                 continue
         yield json.dumps({"b": hex(bottom), "dir": d, "color": list(color)})
+
+
+def _bottom_records(col: coloring.EdgeColoring) -> Iterator[str]:
+    """The edge records of a scheme coloring, as ``_records`` renders
+    them, one string of ", "-joined records per bottom with an edge. A
+    record is the bottom's lead, its direction's fragment with the first
+    color part and the bottom's tail, so a bottom's records are its
+    fragments joined by tail + ", " + lead, the parts filled in by %d."""
+    fragments = [f'{d}, "color": [%d' for d in range(1, col.n + 1)]
+    for bottom, frags, firsts, level in col._bottoms(fragments):
+        lead = f'{{"b": "{bottom:#x}", "dir": '
+        tail = f", {level}]}}"
+        yield lead + (tail + ", " + lead).join(frags) % tuple(firsts) + tail
 
 
 def _read_json(path: str, peek: Optional[Callable[[str, dict], None]] = None):
@@ -529,10 +547,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# build_parser's result, made on the first main call and reused: the build
+# reads the terminal size 29 times (once per HelpFormatter that add_argument
+# makes), which costs more than many commands do
+_parser: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:

@@ -14,7 +14,8 @@ class. The two schemes:
   6N colors appear.
 
 Scheme colorings are recomputed from their parameters, whose formulas
-``EdgeColoring._form`` writes once, and are counted on bitsets of reachable
+``EdgeColoring._form`` writes once and ``EdgeColoring._bottoms`` applies to
+every edge, a bottom at a time, and are counted on bitsets of reachable
 sums (``_count_bits``); explicit colorings carry a full table, whose keys
 ``EdgeColoring`` checks once, when it is built.
 """
@@ -127,19 +128,45 @@ class EdgeColoring:
         """(bottom, direction, color) of every edge, bottom ascending, then
         direction: the order of ``sorted(key_table())``. An explicit table
         is read in sorted key order; a scheme's colors come from
-        ``_form``."""
+        ``_bottoms``."""
         table = self._table
         if table is not None:
             for key in sorted(table):
                 yield key >> 5, (key & 31) + 1, table[key]
             return
+        for bottom, dirs, firsts, level in self._bottoms(range(1, self.n + 1)):
+            for d, c in zip(dirs, firsts):
+                yield bottom, d, (c, level)
+
+    def _bottoms(self, tags) -> Iterator[tuple[int, list, list[int], int]]:
+        """A scheme's edges grouped by bottom, bottoms ascending, skipping
+        the all-ones bottom, which has none: (v, the tags of the directions
+        free at v, ascending, the first color parts of their edges in the
+        same order, the level part they share). ``tags`` holds one value
+        per direction, 1 to n, for the caller to name them by.
+
+        This is where ``_form``'s formula is applied to every edge, once
+        per bottom. Split v = hi << h | lo, h = n // 2: the free tags and
+        offsets of v are those of lo, then those of hi, and a(v) = a(lo) +
+        a(hi << h), so tables of 2^h and 2^(n - h) entries serve all 2^n
+        bottoms."""
         s, offsets, mod, levels = self._form()
-        dirs = [(d, 1 << d - 1, off) for d, off in enumerate(offsets, 1)]
-        for bottom, a in enumerate(_weight_table(self.n, s)):
-            level = (bottom.bit_count() + 1) % levels
-            for d, bit, off in dirs:
-                if not bottom & bit:
-                    yield bottom, d, ((a + off) % mod if mod else a + off, level)
+        n = self.n
+        h = n // 2
+        low = _free_parts(tags[:h], offsets[:h], s[:h])
+        high = _free_parts(tags[h:], offsets[h:], s[h:])
+        level_of = [(n - free + 1) % levels for free in range(n + 1)]
+        for hi, (hi_tags, hi_offs, hi_a) in enumerate(high):
+            base = hi << h
+            for lo, (lo_tags, lo_offs, lo_a) in enumerate(low):
+                offs = lo_offs + hi_offs
+                if offs:
+                    a = lo_a + hi_a
+                    if mod:
+                        firsts = [(a + off) % mod for off in offs]
+                    else:
+                        firsts = [a + off for off in offs]
+                    yield base | lo, lo_tags + hi_tags, firsts, level_of[len(offs)]
 
     def key_table(self) -> dict[int, Color]:
         """Full table keyed by Edge.key(): a copy of an explicit table, or a
@@ -170,12 +197,17 @@ def weight_a(v: int, s) -> int:
     return total
 
 
-def _weight_table(n: int, s) -> list[int]:
-    table = [0] * (1 << n)
-    for v in range(1, 1 << n):
-        low = v & -v
-        table[v] = table[v ^ low] + s[low.bit_length() - 1]
-    return table
+def _free_parts(tags, offsets, s) -> list[tuple[list, list[int], int]]:
+    """For each mask m on len(s) bits, ascending: the tags and the offsets
+    at the clear bits of m, and a(m), the sum of s over its set bits. The
+    masks below 2^(i + 1) are those below 2^i with bit i clear, then with
+    bit i set."""
+    parts: list[tuple[list, list[int], int]] = [([], [], 0)]
+    for tag, off, x in zip(tags, offsets, s):
+        parts = [(t + [tag], o + [off], a) for t, o, a in parts] + [
+            (t, o, a + x) for t, o, a in parts
+        ]
+    return parts
 
 
 def _checked_set(s, n: int) -> tuple[int, ...]:

@@ -10,9 +10,17 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 import oracles
 from rainbowcube import cli
 from rainbowcube.addsets import behrend_set, greedy_bt
-from rainbowcube.cli import SAVE_CHUNK, _read_json, load_coloring, main, save_coloring
+from rainbowcube.cli import (
+    SAVE_CHUNK,
+    _read_json,
+    build_parser,
+    load_coloring,
+    main,
+    save_coloring,
+)
 from rainbowcube.errors import BudgetError, UsageError
 from rainbowcube.coloring import (
+    TABLE_DIM_LIMIT,
     EdgeColoring,
     construction1,
     construction2,
@@ -791,6 +799,46 @@ def test_unknown_command_exit_two():
     assert run("frobnicate") == 2
 
 
+class TestParserReuse:
+    def test_built_once(self, monkeypatch):
+        built = []
+
+        def counted():
+            built.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "build_parser", counted)
+        assert run("genus", "--conjecture", "10") == 0
+        assert run("genus", "--conjecture", "14") == 0
+        assert built == [1]
+
+    def test_defaults_not_carried_between_calls(self, monkeypatch):
+        modes = []
+        free_subset = cli.addsets.equation_free_subset
+
+        def recorded(system, limit, mode):
+            modes.append(mode)
+            return free_subset(system, limit, mode=mode)
+
+        monkeypatch.setattr(cli.addsets, "equation_free_subset", recorded)
+        args = ("genus", "--conjecture", "10", "--freeset", "12")
+        assert run(*args, "--mode", "exhaustive") == 0
+        assert run(*args) == 0
+        assert modes == ["exhaustive", "greedy"]
+
+    def test_usage_error_then_a_valid_call(self, capsys):
+        assert run("genus", "--conjecture", "x") == 2
+        assert run("genus", "--conjecture", "10") == 0
+        assert "genus 2" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [["--help"], ["construct", "--help"]])
+    def test_help_exits_zero(self, capsys, argv):
+        for _ in range(2):
+            assert run(*argv) == 0
+            assert capsys.readouterr().out.startswith("usage: rainbowcube")
+
+
 @st.composite
 def saved_colorings(draw):
     """An explicit table on Q_n, n <= 5, with random int colors, or a c1 or
@@ -857,6 +905,24 @@ def test_save_matches_dumps_oracle(tmp_path, col):
     ).read_bytes()
 
 
+@pytest.mark.parametrize("chunk", [1, SAVE_CHUNK], ids=["one bottom a write", "default"])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_scheme_documents_match_dumps_oracle(tmp_path, monkeypatch, n, chunk):
+    # SAVE_CHUNK = 1 writes one bottom at a time, so the all-ones bottom, which
+    # has no free direction and no record, would be a write of its own
+    monkeypatch.setattr(cli, "SAVE_CHUNK", chunk)
+    s, cap, _ = derive_c2_params(n, 1)
+    wide = construction1(n, 12, [2**64 * x + 1 for x in greedy_bt(2, n)])
+    assert wide.params["M"] > 2**64  # first color parts past 64 bits
+    cols = [construction2(n, s, cap), construction1(n, 8, greedy_bt(1, n)), wide]
+    for col in cols:
+        save_coloring(col, str(tmp_path / "streamed.json"))
+        oracles.save_coloring_dumps(col, str(tmp_path / "dumped.json"))
+        assert (tmp_path / "streamed.json").read_bytes() == (
+            tmp_path / "dumped.json"
+        ).read_bytes()
+
+
 class TestStreamedSave:
     def test_exact_document_matches_dumps_oracle(self, tmp_path):
         out = tmp_path / "exact.json"
@@ -899,6 +965,20 @@ class TestStreamedSave:
         path.write_bytes(b"earlier bytes\n")
         with pytest.raises(error):
             save_coloring(EdgeColoring(n, 6, "explicit", {}, table), str(path))
+        assert path.read_bytes() == b"earlier bytes\n"
+
+    @pytest.mark.parametrize("scheme", ["c1", "c2"])
+    def test_oversized_scheme_refused_before_open(self, tmp_path, scheme):
+        n = TABLE_DIM_LIMIT + 1
+        if scheme == "c1":
+            col = construction1(n, 8, range(1, n + 1))
+        else:
+            col = construction2(n, *derive_c2_params(n, 1)[:2])
+        path = tmp_path / "kept.json"
+        path.write_bytes(b"earlier bytes\n")
+        with pytest.raises(BudgetError) as info:
+            save_coloring(col, str(path))
+        assert info.value.kind == "class"
         assert path.read_bytes() == b"earlier bytes\n"
 
     def test_c2_n14_memory_stays_flat(self, tmp_path):
