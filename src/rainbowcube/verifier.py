@@ -386,7 +386,8 @@ def _orbit_graph(
     edge (z, d), so the orbit's least bottom is the least word of the two
     cosets, that of coset s, as the least words of the cosets are in rank
     order. For W = {0}, syn[x] = x, the orbits are the edges, key for key,
-    all of one degree, in ``enumerate_edges`` order.
+    all of one degree, in ``enumerate_edges`` order. The finished rows are
+    checked in that order once (``_check_degree_order``).
     """
     h = [syn[1 << d] for d in range(n)]
     top = [c.bit_length() - 1 for c in h]
@@ -439,7 +440,19 @@ def _orbit_graph(
                         piece = piece & stay | (piece & move) >> shift
                     out |= piece << offset
                 by_key[t << 5 | d] = out
-    return tuple(keys), tuple(map(by_key.__getitem__, keys))
+    adj = tuple(map(by_key.__getitem__, keys))
+    _check_degree_order(adj)
+    return tuple(keys), adj
+
+
+def _check_degree_order(adj: tuple[int, ...]) -> None:
+    """Raise InternalError unless the nodes come in (-degree, index) order,
+    the order ``_try_color`` and ``_greedy_clique`` rely on: no row has
+    more neighbours than the row before it. ``_orbit_graph`` checks each
+    graph it builds once, so the searches on it need not."""
+    degree = [row.bit_count() for row in adj]
+    if degree != sorted(degree, reverse=True):
+        raise InternalError("nodes are not in (-degree, index) order")
 
 
 def _greedy_clique(adj: tuple[int, ...]) -> list[int]:
@@ -471,9 +484,9 @@ def _try_color(
     backtracks: the DSATUR greedy coloring.
 
     Nothing is rescanned per node. The nodes must come in (-degree, index)
-    order, as ``_orbit_graph`` emits them, so the pick below meets the
-    tie-break; a row with more neighbours than the row before it raises
-    InternalError. Every set below is a bitmask over nodes:
+    order, as ``_orbit_graph`` emits them and checks once per graph
+    (``_check_degree_order``), so the pick below meets the tie-break.
+    Every set below is a bitmask over nodes:
     ``blocked[c]`` holds the nodes with a neighbour of color c, and
     ``level[s]`` the uncolored nodes of saturation s, so the pick is the
     lowest bit of the highest non-empty level. Coloring a node with c moves
@@ -488,9 +501,6 @@ def _try_color(
         return None
     if deadline is not None and time.monotonic() > deadline:
         raise BudgetError("chromatic search timed out", kind="timeout")
-    degree = [row.bit_count() for row in adj]
-    if degree != sorted(degree, reverse=True):
-        raise InternalError("nodes are not in (-degree, index) order")
     blocked = [0] * min(limit, m)
     free = (1 << m) - 1  # uncolored nodes
     for c, i in enumerate(clique):

@@ -388,6 +388,37 @@ def greedy_bt_oracle(t: int, size: int) -> list[int]:
     return elems
 
 
+def greedy_bt_scan(t: int, size: int) -> tuple[int, ...]:
+    """``addsets.greedy_bt`` without its sieve or budget: every candidate
+    in turn gets the layer scan, which forms the sums s + (t - r) c over
+    the sums s of r-multisets of the set, r < t, and rejects c on a sum
+    already a t-sum of the set or formed before."""
+    elems = [1]
+    subs = [{0}] + [{r} for r in range(1, t)]
+    full = {t}
+    cand = 1
+    while len(elems) < size:
+        cand += 1
+        fresh: set[int] = set()
+        ok = True
+        for r in range(t):
+            for s in subs[r]:
+                val = s + (t - r) * cand
+                if val in full or val in fresh:
+                    ok = False
+                    break
+                fresh.add(val)
+            if not ok:
+                break
+        if not ok:
+            continue
+        full |= fresh
+        for r in range(t - 1, 0, -1):
+            subs[r] |= {s + j * cand for j in range(1, r + 1) for s in subs[r - j]}
+        elems.append(cand)
+    return tuple(elems)
+
+
 def smallest_irreducible_products(t: int, q: int) -> tuple:
     """``addsets._smallest_irreducible`` by its definition: the lower
     coefficients of the first monic polynomial of degree t over GF(q), in

@@ -1,4 +1,5 @@
 import collections
+import functools
 import itertools
 import random
 import time
@@ -65,6 +66,12 @@ class TestVerifyBt:
             verify_bt([1, 2], 0)
 
 
+@functools.lru_cache(maxsize=None)
+def greedy_scan(t):
+    """The candidate-by-candidate scan, to the largest size tested at t."""
+    return oracles.greedy_bt_scan(t, {1: 8, 2: 100, 3: 40, 4: 14}[t])
+
+
 class TestGreedyBt:
     def test_t1_is_initial_segment(self):
         assert greedy_bt(1, 4) == (1, 2, 3, 4)
@@ -86,6 +93,15 @@ class TestGreedyBt:
         assert len(elems) == size
         ok, _ = verify_bt(elems, t)
         assert ok
+
+    @pytest.mark.parametrize(
+        "t,size",
+        [(t, size) for t in range(1, 5) for size in range(1, 9)]
+        + [(3, 12), (3, 20), (2, 30), (2, 100), (4, 14), (3, 40)],
+    )
+    def test_sieve_matches_candidate_scan(self, t, size):
+        # the scan is prefix-stable, so one run per t serves every size
+        assert greedy_bt(t, size) == greedy_scan(t)[:size]
 
 
 class TestBtLimits:
@@ -124,6 +140,21 @@ class TestBtLimits:
         with pytest.raises(BudgetError) as info:
             greedy_bt(2, 40)
         assert info.value.kind == "budget"
+
+    def test_sieve_leaves_few_survivors(self, monkeypatch):
+        # (3, 20) charges 7,162 units: 22 survivors are scanned, out of the
+        # 10,986 candidates up to 10,987
+        monkeypatch.setattr(addsets, "DEFAULT_SEARCH_NODES", 10_000)
+        assert greedy_bt(3, 20) == greedy_scan(3)[:20]
+
+    def test_default_budget_stops_the_sieve(self):
+        # a rebuild is charged per 2^SIEVE_UNIT_BITS bits shifted, which pins
+        # where the default budget stops: t = 4 at 27 elements, where a scan
+        # of every candidate, one unit per sum tested, stopped at 18
+        with pytest.raises(BudgetError) as info:
+            greedy_bt(4, 30)
+        assert info.value.kind == "budget"
+        assert "at 27 of 30 elements" in str(info.value)
 
 
 class TestBoseChowla:

@@ -27,6 +27,7 @@ from rainbowcube.hypercube import (
 )
 from rainbowcube.verifier import (
     Violation,
+    _check_degree_order,
     _clashes,
     _code_quotient_coloring,
     _conflicts,
@@ -807,16 +808,36 @@ class TestOrbitGraph:
             s, d = syn[e.bottom], e.dir - 1
             assert node[min(s, s ^ syn[1 << d]) << 5 | d] == orbit[e.key()]
 
+    def test_rows_out_of_degree_order_raise(self):
+        path = (0b010, 0b101, 0b010)  # node 1 has more neighbours than node 0
+        with pytest.raises(InternalError):
+            _check_degree_order(path)
+        _check_degree_order(in_degree_order(path))
+        assert _try_color(in_degree_order(path), 3, [], None) == [0, 1, 1]
+
+    def test_each_graph_is_checked_once(self, monkeypatch):
+        # the order is a property of the graph: G and G/W are checked when
+        # built, and the searches on them, one per limit, check nothing
+        checked, colored = [], []
+
+        def check(adj):
+            checked.append(len(adj))
+            _check_degree_order(adj)
+
+        def color(adj, *args):
+            colored.append(len(adj))
+            return _try_color(adj, *args)
+
+        monkeypatch.setattr(verifier, "_check_degree_order", check)
+        monkeypatch.setattr(verifier, "_try_color", color)
+        assert exact_min_colors(5, 4)[0] == 6
+        assert checked == [80, 20]
+        assert colored == [80, 20, 20, 80]
+
 
 class TestTryColor:
     def test_long_descent_does_not_recurse(self):
         assert _try_color(tuple([0] * 1500), 1, [], None) == [0] * 1500
-
-    def test_rows_out_of_degree_order_raise(self):
-        path = (0b010, 0b101, 0b010)  # node 1 has more neighbours than node 0
-        with pytest.raises(InternalError):
-            _try_color(path, 3, [], None)
-        assert _try_color(in_degree_order(path), 3, [], None) == [0, 1, 1]
 
     def test_seeded_levels_before_the_first_clock_read(self):
         # a complete graph keeps its labels; each of the 2,000 clique colors
