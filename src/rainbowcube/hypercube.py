@@ -134,16 +134,6 @@ def _edge_gen(n: int) -> Iterator[Edge]:
                 yield Edge(bottom, d)
 
 
-def _bitmasks(mask: int) -> list[int]:
-    """Single-bit masks of ``mask``, ascending."""
-    out = []
-    while mask:
-        b = mask & -mask
-        out.append(b)
-        mask ^= b
-    return out
-
-
 def canonical_cycle(verts) -> Cycle:
     """Rotate to the minimum vertex, orient so second < last."""
     verts = tuple(verts)
@@ -484,8 +474,14 @@ def _span_cycle(n: int, k: int, a: int, b: int) -> Cycle:
     x, d, e = a >> 5, 1 << (a & 31), 1 << (b & 31)
     p = x ^ b >> 5
     span = p | d | e
-    q = _bitmasks(p & ~(d | e))
-    r = _bitmasks(~span & (1 << n) - 1)[: k // 2 - span.bit_count()]
+    q, rest = [], p & ~(d | e)
+    while rest:
+        q.append(rest & -rest)
+        rest &= rest - 1
+    r, rest = [], ~span & (1 << n) - 1
+    for _ in range(k // 2 - span.bit_count()):
+        r.append(rest & -rest)
+        rest &= rest - 1
     if d == e:
         word = [d, *q, d, *r, *q, *r]
     elif p & d:

@@ -22,8 +22,11 @@ from __future__ import annotations
 
 import math
 import time
+from array import array
 from dataclasses import dataclass
-from itertools import combinations
+from functools import reduce
+from itertools import combinations, islice
+from operator import or_
 from typing import Iterator, Optional
 
 from .coloring import Color, EdgeColoring
@@ -52,6 +55,8 @@ EXACT_TIME_LIMIT = 20.0
 # Most level-edge pairs ``lower_bound_clique`` holds a witness for:
 # (13, 12) with 367,653 pairs builds, (16, 12) with 1.41M is refused.
 CLIQUE_PAIR_LIMIT = 500_000
+# Witnesses ``lower_bound_clique`` checks at once, one 64-bit lane each.
+WITNESS_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -684,11 +689,22 @@ def exact_min_colors(
 ) -> tuple[int, EdgeColoring]:
     """Chromatic number of the conflict graph plus an optimal coloring.
 
-    Branch and bound: greedy clique lower bound (seeded by the one-level
-    edge count when n > k and k = 0 mod 4), the DSATUR greedy coloring as
-    upper bound (the first descent of the search), then backtracking at
-    each candidate count; ``_try_color`` keeps the uncolored nodes in one
-    bitmask per saturation level, so no step rescans them.
+    Branch and bound: the clique-coclique lower bound of the greedy
+    clique C (below; raised to the one-level edge count when n > k and
+    k = 0 mod 4), the DSATUR greedy coloring as upper bound (the first
+    descent of the search), then backtracking at each candidate count;
+    ``_try_color`` keeps the uncolored nodes in one bitmask per saturation
+    level, so no step rescans them.
+
+    The clique-coclique bound is ceil(m / floor(m / |C|)) for the m nodes
+    of G. G is vertex-transitive: Aut(Q_n) is transitive on edges and
+    preserves spans, hence the conflicts of ``_conflicts``. In a
+    vertex-transitive graph an independent set I and a clique C satisfy
+    |I| |C| <= m: over the automorphisms s of a transitive group, every
+    node lies in s(C) equally often, so the mean of |s(C) & I| is
+    |C| |I| / m, and each term is at most 1. So alpha <= floor(m / |C|),
+    and as each color class is independent, chi >= ceil(m / alpha) >=
+    ceil(m / floor(m / |C|)). It closes (5, 8) at 40 and (6, 10) at 96.
 
     Where the greedy bound lies above the lower bound, so that the
     backtracking would start, a coloring lifted from the orbit graph under
@@ -722,10 +738,11 @@ def exact_min_colors(
     graph = conflict_graph(n, k, deadline=deadline)
 
     clique = _greedy_clique(graph.adj)
-    target = len(clique)
+    m = len(graph.adj)
+    target = math.ceil(m / (m // len(clique)))  # at least len(clique)
     if k % 4 == 0 and n > k:
         target = max(target, count_level_edges(n, k // 4))
-    upper = len(graph.adj)
+    upper = m
     try:
         best_assign = _try_color(graph.adj, upper, [], deadline)
         upper = max(best_assign) + 1 if best_assign else 0
@@ -764,9 +781,12 @@ def lower_bound_clique(n: int, k: int) -> tuple[int, BoundCertificate]:
     keys, as in ``build_cycle_same_level``. Two bottoms of k/4 - 1 ones
     differ in at most k/2 - 2 coordinates, so with the two directions a
     pair spans at most k/2, and n > k, so the router applies. Each
-    witness is checked once: the rules of ``cycle_problem`` and both edge
-    keys of the pair among its edges, in one walk on int keys. A failure
-    is an InternalError.
+    witness is checked once, against the rules of ``cycle_problem`` and
+    both edge keys of the pair among its edges. The pairs come in chunks
+    of ``WITNESS_CHUNK``, and ``_lanes_hold`` checks a chunk at once, one
+    64-bit lane per witness. A chunk it does not pass goes through the
+    scalar walk on int keys (``_cycle_keys_or_problem``), whose first
+    failing pair is an InternalError.
 
     A certificate of more than ``CLIQUE_PAIR_LIMIT`` pairs is refused with
     a class BudgetError before any witness is built.
@@ -797,10 +817,81 @@ def lower_bound_clique(n: int, k: int) -> tuple[int, BoundCertificate]:
             f"level {level} edge scan found {len(edges)}, expected {expected}"
         )
     witnesses = {}
-    for (e1, a), (e2, b) in combinations([(e, e.key()) for e in edges], 2):
-        cyc = _span_cycle(n, k, a, b)
-        keys, problem = _cycle_keys_or_problem(n, cyc)
-        if problem or a not in keys or b not in keys:
-            raise InternalError(f"witness for {e1} and {e2} failed validation")
-        witnesses[(e1, e2)] = cyc
+    edge_pairs = combinations(edges, 2)
+    key_pairs = combinations([e.key() for e in edges], 2)
+    while chunk := list(islice(key_pairs, WITNESS_CHUNK)):
+        names = list(islice(edge_pairs, len(chunk)))
+        cycs = [_span_cycle(n, k, a, b) for a, b in chunk]
+        if not _lanes_hold(n, k, chunk, cycs):
+            for (e1, e2), (a, b), cyc in zip(names, chunk, cycs):
+                keys, problem = _cycle_keys_or_problem(n, cyc)
+                if problem or a not in keys or b not in keys:
+                    raise InternalError(f"witness for {e1} and {e2} failed validation")
+        witnesses.update(zip(names, cycs))
     return expected, BoundCertificate(level, edges, witnesses)
+
+
+def _lanes_hold(n: int, k: int, pairs: list, cycs: list) -> bool:
+    """Whether every ``cycs[j]`` is a valid canonical k-cycle of Q_n through
+    both edges of the key pair ``pairs[j]``: the check of
+    ``_cycle_keys_or_problem`` plus key membership, for a whole chunk at
+    once. False only sends the chunk to that scalar walk, which names the
+    first failing pair.
+
+    Broadword lane tests (Knuth, TAOCP 7.1.3). Vertex column i packs into
+    one int Vi with a 64-bit lane per witness. Let L be the lane ones and
+    H = L << n the guard bits. Once every vertex lies in [0, 2^n), a lane
+    of X | H is 2^n + x, so (X | H) - L keeps the guard of exactly the
+    lanes with x >= 1, and no subtraction below borrows across a lane.
+    The rules, in the terms of ``_cycle_keys_or_problem``:
+
+    - length k, and range: packing refuses a vertex outside [0, 2^64),
+      and no lane may hold a bit at n or above;
+    - distinct: Vi ^ Vj has no zero lane, for every i < j;
+    - adjacent: each step Si = Vi ^ Vi+1 (indices mod k) has at most one
+      bit per lane, S & ((S | H) - L) == 0, and at least one as its ends
+      are distinct;
+    - canonical: (Vi | H) - V0 keeps every guard (v0 is the minimum), and
+      so does (Vk-1 | H) - V1 - L (v1 < vk-1);
+    - both edges: edge i is (x, d) exactly when the lane of
+      ((Vi & Vi+1) ^ X) | (Si ^ D) is zero, for X the bottoms and D the
+      direction bits of one side of the pairs; for each side, every lane
+      must see a zero.
+    """
+    if set(map(len, cycs)) != {k}:
+        return False
+
+    def pack(col) -> int:
+        return int.from_bytes(array("Q", col).tobytes(), "little")
+
+    try:
+        v = [pack(col) for col in zip(*cycs)]
+    except OverflowError:
+        return False
+    lanes = pack([1] * len(cycs))
+    guard = lanes << n
+    low = guard - lanes
+    if reduce(or_, v) & ~low:
+        return False
+    nxt = v[1:] + v[:1]
+    step = [u ^ w for u, w in zip(v, nxt)]
+    if any(s & (s | guard) - lanes for s in step):
+        return False
+    kept = guard  # ANDs the results that keep their guards when a rule holds
+    for u, w in combinations(v, 2):
+        kept &= (u ^ w | guard) - lanes
+    for u in v[1:]:
+        kept &= (u | guard) - v[0]
+    kept &= (v[-1] | guard) - v[1] - lanes
+    if kept & guard != guard:
+        return False
+    bottoms = [u & w for u, w in zip(v, nxt)]
+    for side in zip(*pairs):
+        x = pack(side) >> 5 & low
+        d = pack([1 << (c & 31) for c in side])
+        missed = guard
+        for b, s in zip(bottoms, step):
+            missed &= (b ^ x | s ^ d | guard) - lanes
+        if missed & guard:
+            return False
+    return True

@@ -81,10 +81,11 @@ def test_criterion_2_construction1_rainbow():
 
 def test_criterion_3_exact_values():
     # f(n, 4) = n for n = 4 and n > 5 (Faudree, Gyarfas, Lesniak and Schelp);
-    # f(5, 4) = 6 comes from the exhaustive search here.
+    # f(5, 4) = 6 comes from the exhaustive search here. f(5, 8) = 40 and
+    # f(6, 10) = 96 meet the clique-coclique bound m / floor(m / omega).
     want = {
         (2, 4): 4, (4, 4): 4, (5, 4): 6, (6, 4): 6, (7, 4): 7, (9, 4): 9,
-        (11, 4): 11, (3, 6): 12,
+        (11, 4): 11, (3, 6): 12, (5, 8): 40, (6, 10): 96,
     }
     got, rainbow = {}, {}
     for n, k in want:

@@ -19,6 +19,7 @@ from rainbowcube import verifier
 from rainbowcube.errors import BudgetError, InternalError, UsageError
 from rainbowcube.hypercube import (
     Edge,
+    _cycle_keys_or_problem,
     cycles_containing_pair,
     edge_level,
     edges_of_cycle,
@@ -32,6 +33,7 @@ from rainbowcube.verifier import (
     _code_quotient_coloring,
     _conflicts,
     _greedy_clique,
+    _lanes_hold,
     _lexicode,
     _neighbourhood_size,
     _neighbourhoods,
@@ -619,7 +621,8 @@ class TestExactMinColors:
     def test_timeout_before_greedy_reports_edge_count(self):
         with pytest.raises(BudgetError) as info:
             exact_min_colors(4, 6, time_limit=0.0)
-        assert info.value.bounds == (10, 32)  # greedy clique, edges of Q_4
+        # clique-coclique bound of the greedy 10-clique, edges of Q_4
+        assert info.value.bounds == (11, 32)
 
     def test_timeout_covers_conflict_graph_build(self):
         start = time.monotonic()
@@ -973,6 +976,93 @@ class TestLowerBoundClique:
         monkeypatch.setattr(verifier, "_span_cycle", lambda n, k, a, b: cycle)
         with pytest.raises(InternalError, match="failed validation"):
             lower_bound_clique(5, 4)
+
+
+def scalar_holds(n, pairs, cycs):
+    """The reference for ``_lanes_hold``: the one-walk check of each
+    witness and both keys of its pair among the walk's edge keys."""
+    for (a, b), cyc in zip(pairs, cycs):
+        keys, problem = _cycle_keys_or_problem(n, tuple(cyc))
+        if problem or a not in keys or b not in keys:
+            return False
+    return True
+
+
+def level_witnesses(n, k):
+    keys = [e.key() for e in enumerate_edges(n) if edge_level(e) == k // 4]
+    pairs = list(itertools.combinations(keys, 2))
+    return pairs, [verifier._span_cycle(n, k, a, b) for a, b in pairs]
+
+
+def corruptions(n, pair, cyc):
+    """One broken witness per kind, each rejected by the scalar check."""
+    a, b = pair
+    on = set(cycle_keys(cyc))
+    off = next(e.key() for e in enumerate_edges(n) if e.key() not in on)
+    c = list(cyc)
+    turns = [c[i:] + c[:i] for i in range(1, len(c))]
+    k01, k02 = Edge(0, 1).key(), Edge(0, 2).key()
+    w = list(verifier._span_cycle(n, 8, k01, k02))  # (0, 1, 5, 13, 15, 14, 10, 2)
+    return {
+        "flipped bit": (pair, c[:3] + [c[3] ^ 1] + c[4:]),
+        # a rotation that keeps the second vertex below the last
+        "rotation": (pair, next(r for r in turns if r[1] < r[-1])),
+        "longer walk": (pair, c + c[:2]),
+        "shorter walk": (pair, c[:-2]),
+        "reversal": (pair, c[::-1]),
+        "second above last": (pair, c[:1] + c[:0:-1]),
+        "repeated vertex": (pair, c[:2] + [c[0]] + c[3:]),
+        "vertex 2^n": (pair, c[:3] + [c[3] | 1 << n] + c[4:]),
+        "every vertex above 2^n": (pair, [u | 1 << n + 1 for u in c]),
+        "vertex 2^64": (pair, c[:3] + [1 << 64] + c[4:]),
+        "negative vertex": (pair, c[:3] + [-1] + c[4:]),
+        "wrong first key": ((off, b), c),
+        "wrong partner key": ((a, off), c),
+        # breaks only its own rule: a backtracking closed walk, and a
+        # witness with one vertex moved off the cycle by an unused bit
+        "backtracking walk": ((k01, k02), [0, 1, 0, 2, 0, 4, 0, 8]),
+        "two-bit steps": ((k01, k02), w[:3] + [w[3] | 1 << n - 1] + w[4:]),
+    }
+
+
+CORRUPTIONS = list(corruptions(9, (0, 1), (0, 1, 3, 2, 6, 7, 5, 4)))
+
+
+class TestWitnessLanes:
+    """``_lanes_hold`` against the scalar check it stands in for."""
+
+    @pytest.mark.parametrize("n,k", [(9, 8), (10, 4)])
+    def test_agrees_on_every_level_witness(self, n, k):
+        pairs, cycs = level_witnesses(n, k)
+        assert scalar_holds(n, pairs, cycs)
+        assert _lanes_hold(n, k, pairs, cycs)
+        for pair, cyc in zip(pairs, cycs):
+            assert _lanes_hold(n, k, [pair], [cyc])
+
+    @pytest.mark.parametrize("lane", [0, -1])
+    @pytest.mark.parametrize("kind", CORRUPTIONS)
+    def test_agrees_on_one_corrupted_lane(self, kind, lane):
+        pairs, cycs = level_witnesses(9, 8)
+        pairs[lane], cycs[lane] = corruptions(9, pairs[lane], cycs[lane])[kind]
+        assert not scalar_holds(9, [pairs[lane]], [cycs[lane]])
+        assert not _lanes_hold(9, 8, pairs, cycs)
+
+    def test_failure_in_a_later_chunk_names_its_first_pair(self, monkeypatch):
+        route = verifier._span_cycle
+        pairs = list(itertools.combinations(lower_bound_clique(6, 4)[1].edges, 2))
+        broken = {pairs[9], pairs[10]}  # the third chunk of four
+
+        def router(n, k, a, b):
+            cyc = route(n, k, a, b)
+            e1, e2 = (Edge(c >> 5, (c & 31) + 1) for c in (a, b))
+            return cyc[1:] + cyc[:1] if (e1, e2) in broken else cyc
+
+        monkeypatch.setattr(verifier, "WITNESS_CHUNK", 4)
+        monkeypatch.setattr(verifier, "_span_cycle", router)
+        e1, e2 = pairs[9]
+        with pytest.raises(InternalError) as info:
+            lower_bound_clique(6, 4)
+        assert str(info.value) == f"witness for {e1} and {e2} failed validation"
 
 
 class TestQ3Equivalence:
