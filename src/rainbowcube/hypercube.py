@@ -402,9 +402,9 @@ def build_cycle_same_level(n: int, k: int, e1: Edge, e2: Edge) -> Cycle:
     ``_span_cycle`` routes every pair accepted here.
 
     Every argument check above comes first. The constructed cycle is then
-    checked by the rules of ``cycle_problem`` in one walk that also yields
-    its edge keys, and both edges must be among them; either failure is
-    an InternalError.
+    checked by ``_witness_problem``: length k, the rules of
+    ``cycle_problem``, and both edges among its edges; a failure is an
+    InternalError.
     """
     _check_dim(n)
     _check_cycle_length(n, k)
@@ -431,12 +431,23 @@ def build_cycle_same_level(n: int, k: int, e1: Edge, e2: Edge) -> Cycle:
             )
 
     cyc = _span_cycle(n, k, e1.key(), e2.key())
-    keys, problem = _cycle_keys_or_problem(n, cyc)
+    problem = _witness_problem(n, k, cyc, e1.key(), e2.key())
     if problem is not None:
         raise InternalError(f"constructed cycle invalid: {problem}")
-    if e1.key() not in keys or e2.key() not in keys:
-        raise InternalError("constructed cycle misses a required edge")
     return cyc
+
+
+def _witness_problem(n: int, k: int, cyc, a: int, b: int) -> Optional[str]:
+    """Why the tuple ``cyc`` is not a k-cycle witness for the edges with
+    keys ``a`` and ``b``, or None if it is: its length must be k, it must
+    pass ``_cycle_keys_or_problem`` for Q_n, and both keys must be among
+    its edge keys, checked in that order."""
+    if len(cyc) != k:
+        return f"length {len(cyc)}, not {k}"
+    keys, problem = _cycle_keys_or_problem(n, cyc)
+    if problem is None and (a not in keys or b not in keys):
+        return "misses a required edge"
+    return problem
 
 
 def _span_cycle(n: int, k: int, a: int, b: int) -> Cycle:

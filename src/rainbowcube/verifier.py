@@ -39,6 +39,7 @@ from .hypercube import (
     _cycle_keys_or_problem,
     _pair_cycle,
     _span_cycle,
+    _witness_problem,
 )
 
 # Not called here. perfbench/spans.py wraps verifier.build_cycle_same_level
@@ -480,13 +481,13 @@ def _try_color(
 ) -> Optional[list[int]]:
     """A proper coloring with at most ``limit`` colors, or None.
 
-    DSATUR search on an explicit stack: the ``clique`` nodes take colors
-    0, 1, ... and stay fixed; then each step colors the uncolored node
-    with the most distinct neighbour colors (its saturation), ties to
-    higher degree then lower index, with its lowest allowed color at
-    most one above the largest in use, and backtracks when none is left.
-    With ``limit = len(adj)`` and no clique its first descent never
-    backtracks: the DSATUR greedy coloring.
+    DSATUR search on an explicit stack: the ``clique`` nodes are the first
+    picks, node ``clique[j]`` with color j, and are never uncolored; then
+    each step colors the uncolored node with the most distinct neighbour
+    colors (its saturation), ties to higher degree then lower index, with
+    its lowest allowed color at most one above the largest in use, and
+    backtracks when none is left. With ``limit = len(adj)`` and no clique
+    its first descent never backtracks: the DSATUR greedy coloring.
 
     Nothing is rescanned per node. The nodes must come in (-degree, index)
     order, as ``_orbit_graph`` emits them and checks once per graph
@@ -498,41 +499,32 @@ def _try_color(
     its uncolored neighbours outside ``blocked[c]`` (``touched``) up one
     level; uncoloring it moves them back. The stack uncolors every node
     colored after a node before that node, so colored nodes need no
-    updates. The clique's colors fill the levels the same way, one move
-    per color and level, after one clock read.
+    updates. Pick j of the clique sits on level j, as it sees colors 0 to
+    j - 1, and takes color j at the first test of the color scan: no node
+    has that color yet, and with j colors in use it is allowed.
     """
     m = len(adj)
     if len(clique) > limit:
         return None
-    if deadline is not None and time.monotonic() > deadline:
-        raise BudgetError("chromatic search timed out", kind="timeout")
     blocked = [0] * min(limit, m)
     free = (1 << m) - 1  # uncolored nodes
-    for c, i in enumerate(clique):
-        free ^= 1 << i
-        blocked[c] |= adj[i]
     level = [0] * (min(limit, m) + 2)  # a spare one for ``top += 1``
     level[0] = free
-    for c in range(len(clique)):  # color c lifts the nodes it blocks
-        rest, s = blocked[c] & free, c
-        while rest:  # top down, so nothing moves twice
-            moved = level[s] & rest
-            level[s] ^= moved
-            level[s + 1] |= moved
-            rest ^= moved
-            s -= 1
-    top = len(level) - 1  # no non-empty level lies above it
+    top = 0  # no non-empty level lies above it
     stack = []  # (node bit, color, used before it, nodes it touched, its level)
-    used = len(clique)
-    while len(stack) < m - len(clique):
+    used = 0
+    while len(stack) < m:
         if deadline is not None and time.monotonic() > deadline:
             raise BudgetError("chromatic search timed out", kind="timeout")
         while not level[top]:
             top -= 1
-        sat = top
-        bit = level[top] & -level[top]
-        level[top] ^= bit
-        c = 0
+        if len(stack) < len(clique):
+            sat = c = len(stack)
+            bit = 1 << clique[c]
+        else:
+            sat, c = top, 0
+            bit = level[top] & -level[top]
+        level[sat] ^= bit
         while True:  # lowest allowed color, backtracking when none is left
             cap = min(limit, used + 1)
             while c < cap and blocked[c] & bit:
@@ -543,7 +535,7 @@ def _try_color(
             # the highest level there is, so no node returned before the
             # next pick lies above ``top``.
             level[sat] |= bit
-            if not stack:
+            if len(stack) == len(clique):
                 return None
             bit, c, used, touched, sat = stack.pop()
             free |= bit
@@ -571,8 +563,6 @@ def _try_color(
         stack.append((bit, c, used, touched, sat))
         used = max(used, c + 1)
     colors = [0] * m
-    for c, i in enumerate(clique):
-        colors[i] = c
     for bit, c, *_ in stack:
         colors[bit.bit_length() - 1] = c
     return colors
@@ -745,7 +735,7 @@ def exact_min_colors(
     upper = m
     try:
         best_assign = _try_color(graph.adj, upper, [], deadline)
-        upper = max(best_assign) + 1 if best_assign else 0
+        upper = max(best_assign) + 1
         if target < upper:
             seed = _code_quotient_coloring(graph, target, upper, deadline)
             if seed is not None:
@@ -781,12 +771,13 @@ def lower_bound_clique(n: int, k: int) -> tuple[int, BoundCertificate]:
     keys, as in ``build_cycle_same_level``. Two bottoms of k/4 - 1 ones
     differ in at most k/2 - 2 coordinates, so with the two directions a
     pair spans at most k/2, and n > k, so the router applies. Each
-    witness is checked once, against the rules of ``cycle_problem`` and
-    both edge keys of the pair among its edges. The pairs come in chunks
-    of ``WITNESS_CHUNK``, and ``_lanes_hold`` checks a chunk at once, one
-    64-bit lane per witness. A chunk it does not pass goes through the
-    scalar walk on int keys (``_cycle_keys_or_problem``), whose first
-    failing pair is an InternalError.
+    witness is checked once: length k, the rules of ``cycle_problem``,
+    and both edge keys of the pair among its edges. The pairs come in
+    chunks of ``WITNESS_CHUNK``, and ``_lanes_hold`` checks a chunk at
+    once, one 64-bit lane per witness. A chunk it does not pass goes
+    through the scalar walk on int keys (``hypercube._witness_problem``,
+    the check of ``build_cycle_same_level``), whose first failing pair
+    is an InternalError.
 
     A certificate of more than ``CLIQUE_PAIR_LIMIT`` pairs is refused with
     a class BudgetError before any witness is built.
@@ -824,8 +815,7 @@ def lower_bound_clique(n: int, k: int) -> tuple[int, BoundCertificate]:
         cycs = [_span_cycle(n, k, a, b) for a, b in chunk]
         if not _lanes_hold(n, k, chunk, cycs):
             for (e1, e2), (a, b), cyc in zip(names, chunk, cycs):
-                keys, problem = _cycle_keys_or_problem(n, cyc)
-                if problem or a not in keys or b not in keys:
+                if _witness_problem(n, k, cyc, a, b):
                     raise InternalError(f"witness for {e1} and {e2} failed validation")
         witnesses.update(zip(names, cycs))
     return expected, BoundCertificate(level, edges, witnesses)
@@ -834,8 +824,7 @@ def lower_bound_clique(n: int, k: int) -> tuple[int, BoundCertificate]:
 def _lanes_hold(n: int, k: int, pairs: list, cycs: list) -> bool:
     """Whether every ``cycs[j]`` is a valid canonical k-cycle of Q_n through
     both edges of the key pair ``pairs[j]``: the check of
-    ``_cycle_keys_or_problem`` plus key membership, for a whole chunk at
-    once. False only sends the chunk to that scalar walk, which names the
+    ``_witness_problem``, for a whole chunk at once. False only sends the chunk to that scalar walk, which names the
     first failing pair.
 
     Broadword lane tests (Knuth, TAOCP 7.1.3). Vertex column i packs into

@@ -265,6 +265,14 @@ class TestSameLevelWitnessCheck:
         with pytest.raises(InternalError, match="misses a required edge"):
             build_cycle_same_level(9, 8, self.e1, self.e2)
 
+    def test_valid_cycle_of_the_wrong_length(self, monkeypatch):
+        six = (0, 1, 3, 7, 6, 2)
+        assert cycle_problem(5, six) is None
+        assert {self.e1, self.e2} <= set(edges_of_cycle(six))
+        self.break_router(monkeypatch, lambda c: six)
+        with pytest.raises(InternalError, match="length 6, not 4"):
+            build_cycle_same_level(5, 4, self.e1, self.e2)
+
 
 def _assert_span_witness(n, k, a, b):
     cyc = _span_cycle(n, k, a, b)

@@ -19,7 +19,7 @@ from rainbowcube import verifier
 from rainbowcube.errors import BudgetError, InternalError, UsageError
 from rainbowcube.hypercube import (
     Edge,
-    _cycle_keys_or_problem,
+    _witness_problem,
     cycles_containing_pair,
     edge_level,
     edges_of_cycle,
@@ -843,9 +843,9 @@ class TestTryColor:
         assert _try_color(tuple([0] * 1500), 1, [], None) == [0] * 1500
 
     def test_seeded_levels_before_the_first_clock_read(self):
-        # a complete graph keeps its labels; each of the 2,000 clique colors
-        # lifts the other 2,000 nodes one level, one mask move per color,
-        # before the search loop first reads the clock
+        # a complete graph keeps its labels; the 2,000 clique nodes are the
+        # search's first picks, and the loop reads the clock before the
+        # first of them, so a passed deadline raises before any mask moves
         m = 4000
         full = (1 << m) - 1
         adj = tuple(full ^ 1 << i for i in range(m))
@@ -854,6 +854,24 @@ class TestTryColor:
             _try_color(adj, m, list(range(2000)), start)
         assert time.monotonic() - start < 0.25
         assert info.value.kind == "timeout"
+
+    def test_clique_nodes_keep_their_pick_colors(self):
+        adj = conflict_graph(4, 6).adj
+        clique = _greedy_clique(adj)
+        colors = _try_color(adj, 16, clique, None)
+        assert max(colors) == 15
+        assert all(
+            colors[i] != colors[j]
+            for i, row in enumerate(adj)
+            for j in range(i)
+            if row >> j & 1
+        )
+        assert [colors[i] for i in clique] == list(range(len(clique)))
+
+    def test_seeded_search_exhausts_below_fifteen(self):
+        # certifies f(5, 6) >= 15: no 14-coloring extends the clique's colors
+        adj = conflict_graph(5, 6).adj
+        assert _try_color(adj, 14, _greedy_clique(adj), None) is None
 
     def test_infeasible_limit(self):
         g = conflict_graph(3, 6)  # complete on 12 nodes
@@ -977,15 +995,26 @@ class TestLowerBoundClique:
         with pytest.raises(InternalError, match="failed validation"):
             lower_bound_clique(5, 4)
 
+    def test_witness_of_the_wrong_length_is_refused(self, monkeypatch):
+        # a valid 6-cycle through both edges of the first pair only
+        route = verifier._span_cycle
 
-def scalar_holds(n, pairs, cycs):
-    """The reference for ``_lanes_hold``: the one-walk check of each
-    witness and both keys of its pair among the walk's edge keys."""
-    for (a, b), cyc in zip(pairs, cycs):
-        keys, problem = _cycle_keys_or_problem(n, tuple(cyc))
-        if problem or a not in keys or b not in keys:
-            return False
-    return True
+        def router(n, k, a, b):
+            return (0, 1, 3, 7, 6, 2) if (a, b) == (0, 1) else route(n, k, a, b)
+
+        monkeypatch.setattr(verifier, "_span_cycle", router)
+        with pytest.raises(InternalError) as info:
+            lower_bound_clique(5, 4)
+        want = f"witness for {Edge(0, 1)} and {Edge(0, 2)} failed validation"
+        assert str(info.value) == want
+
+
+def scalar_holds(n, k, pairs, cycs):
+    """The reference for ``_lanes_hold``: the witness check of
+    ``build_cycle_same_level`` on each witness and its pair."""
+    return not any(
+        _witness_problem(n, k, tuple(cyc), a, b) for (a, b), cyc in zip(pairs, cycs)
+    )
 
 
 def level_witnesses(n, k):
@@ -1034,7 +1063,7 @@ class TestWitnessLanes:
     @pytest.mark.parametrize("n,k", [(9, 8), (10, 4)])
     def test_agrees_on_every_level_witness(self, n, k):
         pairs, cycs = level_witnesses(n, k)
-        assert scalar_holds(n, pairs, cycs)
+        assert scalar_holds(n, k, pairs, cycs)
         assert _lanes_hold(n, k, pairs, cycs)
         for pair, cyc in zip(pairs, cycs):
             assert _lanes_hold(n, k, [pair], [cyc])
@@ -1044,8 +1073,15 @@ class TestWitnessLanes:
     def test_agrees_on_one_corrupted_lane(self, kind, lane):
         pairs, cycs = level_witnesses(9, 8)
         pairs[lane], cycs[lane] = corruptions(9, pairs[lane], cycs[lane])[kind]
-        assert not scalar_holds(9, [pairs[lane]], [cycs[lane]])
+        assert not scalar_holds(9, 8, [pairs[lane]], [cycs[lane]])
         assert not _lanes_hold(9, 8, pairs, cycs)
+
+    def test_agrees_on_a_valid_cycle_of_the_wrong_length(self):
+        pairs, cycs = [(0, 1)], [(0, 1, 3, 7, 6, 2)]
+        assert not scalar_holds(5, 4, pairs, cycs)
+        assert not _lanes_hold(5, 4, pairs, cycs)
+        assert scalar_holds(5, 6, pairs, cycs)
+        assert _lanes_hold(5, 6, pairs, cycs)
 
     def test_failure_in_a_later_chunk_names_its_first_pair(self, monkeypatch):
         route = verifier._span_cycle
