@@ -177,8 +177,12 @@ class EdgeColoring:
             raise BudgetError(
                 f"refusing to materialize a color table for n={self.n}", kind="class"
             )
-        # edge_key, inline
-        return {bottom << 5 | d - 1: color for bottom, d, color in self._rows()}
+        # edge_key, inline: the tags are the directions less one
+        return {
+            bottom << 5 | tag: (c, level)
+            for bottom, tags, firsts, level in self._bottoms(range(self.n))
+            for tag, c in zip(tags, firsts)
+        }
 
 
 def weight_a(v: int, s) -> int:

@@ -23,9 +23,11 @@ from __future__ import annotations
 import math
 import time
 from array import array
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations, islice
+from numbers import Real
 from operator import or_
 from typing import Iterator, Optional
 
@@ -53,8 +55,8 @@ VERIFY_DIM_LIMIT = 14
 CONFLICT_GRAPH_BYTES = 128 << 20
 # Seconds ``exact_min_colors`` runs when no time limit is given.
 EXACT_TIME_LIMIT = 20.0
-# Most level-edge pairs ``lower_bound_clique`` holds a witness for:
-# (13, 12) with 367,653 pairs builds, (16, 12) with 1.41M is refused.
+# Most level-edge pairs ``lower_bound_clique`` checks, a bound on time (about
+# 2 s for the 367,653 of (13, 12)), not memory: (16, 12) with 1.41M is refused.
 CLIQUE_PAIR_LIMIT = 500_000
 # Witnesses ``lower_bound_clique`` checks at once, one 64-bit lane each.
 WITNESS_CHUNK = 4096
@@ -86,11 +88,13 @@ class ConflictGraph:
 
 @dataclass(frozen=True)
 class BoundCertificate:
-    """All edges of one level plus a witness cycle for every pair."""
+    """All edges of one level plus a witness cycle for every pair (e1, e2),
+    e1 first, in pair order. The certificates of ``lower_bound_clique``
+    build and check each witness when it is read."""
 
     level: int
     edges: tuple[Edge, ...]
-    witnesses: dict
+    witnesses: Mapping
 
 
 def _check_k(n: int, k: int) -> None:
@@ -720,7 +724,9 @@ def exact_min_colors(
     """
     _check_dim(n)
     _check_k(n, k)
-    if time_limit is not None and not 0 <= time_limit < math.inf:
+    if time_limit is not None and not (
+        isinstance(time_limit, Real) and 0 <= time_limit < math.inf
+    ):
         raise UsageError(f"time limit must be finite and >= 0, got {time_limit!r}")
     deadline = time.monotonic() + (
         EXACT_TIME_LIMIT if time_limit is None else time_limit
@@ -779,6 +785,9 @@ def lower_bound_clique(n: int, k: int) -> tuple[int, BoundCertificate]:
     the check of ``build_cycle_same_level``), whose first failing pair
     is an InternalError.
 
+    No witness is kept: the certificate's ``witnesses`` (``_Witnesses``)
+    builds and checks a pair's witness again each time it is read.
+
     A certificate of more than ``CLIQUE_PAIR_LIMIT`` pairs is refused with
     a class BudgetError before any witness is built.
     """
@@ -807,18 +816,46 @@ def lower_bound_clique(n: int, k: int) -> tuple[int, BoundCertificate]:
         raise InternalError(
             f"level {level} edge scan found {len(edges)}, expected {expected}"
         )
-    witnesses = {}
-    edge_pairs = combinations(edges, 2)
     key_pairs = combinations([e.key() for e in edges], 2)
     while chunk := list(islice(key_pairs, WITNESS_CHUNK)):
-        names = list(islice(edge_pairs, len(chunk)))
         cycs = [_span_cycle(n, k, a, b) for a, b in chunk]
         if not _lanes_hold(n, k, chunk, cycs):
-            for (e1, e2), (a, b), cyc in zip(names, chunk, cycs):
+            for (a, b), cyc in zip(chunk, cycs):
                 if _witness_problem(n, k, cyc, a, b):
+                    e1, e2 = (Edge(c >> 5, (c & 31) + 1) for c in (a, b))
                     raise InternalError(f"witness for {e1} and {e2} failed validation")
-        witnesses.update(zip(names, cycs))
-    return expected, BoundCertificate(level, edges, witnesses)
+    return expected, BoundCertificate(level, edges, _Witnesses(n, k, edges))
+
+
+class _Witnesses(Mapping):
+    """The witnesses of a level certificate as a rule: the pairs of
+    ``edges``, e1 first, in ``combinations`` order, each mapped to the
+    cycle ``_span_cycle`` routes for it, checked by ``_witness_problem``
+    on every access. Any other key is missing."""
+
+    def __init__(self, n: int, k: int, edges: tuple[Edge, ...]):
+        self._n, self._k = n, k
+        # edges come in enumerate_edges order, which is ascending key order
+        self._keys = {e: e.key() for e in edges}
+
+    def __iter__(self):
+        return combinations(self._keys, 2)
+
+    def __len__(self) -> int:
+        return math.comb(len(self._keys), 2)
+
+    def __getitem__(self, pair) -> tuple:
+        if not (isinstance(pair, tuple) and len(pair) == 2):
+            raise KeyError(pair)
+        e1, e2 = pair
+        a, b = self._keys.get(e1), self._keys.get(e2)
+        if a is None or b is None or a >= b:
+            raise KeyError(pair)
+        n, k = self._n, self._k
+        cyc = _span_cycle(n, k, a, b)
+        if _witness_problem(n, k, cyc, a, b):
+            raise InternalError(f"witness for {e1} and {e2} failed validation")
+        return cyc
 
 
 def _lanes_hold(n: int, k: int, pairs: list, cycs: list) -> bool:

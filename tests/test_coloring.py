@@ -394,6 +394,13 @@ class TestEdgeColoring:
             assert all(c == expected[e.key()] == col.color_of(e) for e, c in pairs)
             assert count_colors(col) == len(set(expected.values()))
 
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_scheme_key_table_is_the_walk(self, n):
+        s, cap, _ = derive_c2_params(n, 1)
+        for col in (construction1(n, 8, greedy_bt(1, n)), construction2(n, s, cap)):
+            want = {edge_key(b, d): c for b, d, c in col._rows()}
+            assert col.key_table() == want
+
     def test_explicit_requires_table(self):
         with pytest.raises(UsageError):
             EdgeColoring(3, 6, "explicit")

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import time
 from collections import Counter
@@ -662,10 +663,10 @@ class TestExactMinColors:
         assert lo <= 10 <= hi  # f(10, 4) = 10
 
     @pytest.mark.parametrize(
-        "limit", [float("nan"), float("inf"), float("-inf"), -1.0]
+        "limit", [float("nan"), float("inf"), float("-inf"), -1.0, "5", [1.0], 1j]
     )
     def test_time_limit_must_be_finite(self, limit):
-        with pytest.raises(UsageError):
+        with pytest.raises(UsageError, match="time limit must be finite and >= 0"):
             exact_min_colors(3, 6, time_limit=limit)
 
 
@@ -1007,6 +1008,46 @@ class TestLowerBoundClique:
             lower_bound_clique(5, 4)
         want = f"witness for {Edge(0, 1)} and {Edge(0, 2)} failed validation"
         assert str(info.value) == want
+
+    def test_witnesses_answer_only_the_certificate_pairs(self):
+        cert = lower_bound_clique(5, 4)[1]
+        e = cert.edges
+        off_level = Edge(1, 2)
+        for key in [(e[1], e[0]), (e[0], e[0]), (e[0], off_level), 5, e[:3]]:
+            with pytest.raises(KeyError):
+                cert.witnesses[key]
+            assert key not in cert.witnesses
+            assert cert.witnesses.get(key) is None
+        assert (e[0], e[1]) in cert.witnesses
+        assert cert.witnesses.get((e[0], e[1])) == (0, 1, 3, 2)
+
+    def test_witnesses_are_built_once_by_the_certificate_then_on_access(
+        self, monkeypatch
+    ):
+        route = verifier._span_cycle
+        calls = []
+
+        def counted(n, k, a, b):
+            calls.append((a, b))
+            return route(n, k, a, b)
+
+        monkeypatch.setattr(verifier, "_span_cycle", counted)
+        count, cert = lower_bound_clique(9, 8)
+        assert len(calls) == math.comb(count, 2) == 2556
+        assert len(cert.witnesses) == 2556
+        assert len(calls) == 2556  # len builds nothing
+        first, last = cert.edges[0], cert.edges[-1]
+        assert len(cert.witnesses[first, last]) == 8
+        assert cert.witnesses[first, last] == route(9, 8, first.key(), last.key())
+        assert calls[2556:] == [(first.key(), last.key())] * 2
+
+    def test_witness_read_after_the_build_is_checked(self, monkeypatch):
+        cert = lower_bound_clique(5, 4)[1]
+        e1, e2 = cert.edges[:2]
+        monkeypatch.setattr(verifier, "_span_cycle", lambda n, k, a, b: (0, 4, 12, 8))
+        with pytest.raises(InternalError) as info:
+            cert.witnesses[e1, e2]
+        assert str(info.value) == f"witness for {e1} and {e2} failed validation"
 
 
 def scalar_holds(n, k, pairs, cycs):
