@@ -57,6 +57,11 @@ BEHREND_LIMIT = 1 << 22
 AP_BITSET_DENSITY = 512
 
 
+def _check_positive_int(name: str, value) -> None:
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise UsageError(f"{name} must be a positive int, got {value!r}")
+
+
 def _as_intset(elems, what: str = "set") -> tuple[int, ...]:
     out = tuple(sorted(elems))
     if any(not isinstance(e, int) or isinstance(e, bool) for e in out):
@@ -117,8 +122,7 @@ def verify_bt(elems, t: int):
     a class error.
     """
     s = _as_intset(elems)
-    if not isinstance(t, int) or t < 1:
-        raise UsageError(f"t must be a positive int, got {t!r}")
+    _check_positive_int("t", t)
     _check_bt_scan(len(s), t)
     first: dict[int, tuple[int, ...]] = {}
     best: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None
@@ -163,10 +167,8 @@ def greedy_bt(t: int, size: int) -> tuple[int, ...]:
     units raises BudgetError: the candidates to scan and the width of F
     grow like size^t and faster, which no class limit on the result bounds.
     """
-    if not isinstance(t, int) or t < 1:
-        raise UsageError(f"t must be a positive int, got {t!r}")
-    if not isinstance(size, int) or size < 1:
-        raise UsageError(f"size must be a positive int, got {size!r}")
+    _check_positive_int("t", t)
+    _check_positive_int("size", size)
     _check_bt_scan(size, t)
     if t == 1 or size == 1:  # distinct ints are B_1, and one int B_t for any t
         return tuple(range(1, size + 1))
@@ -235,18 +237,7 @@ BOSE_CHOWLA_LIMIT = 2_000_000
 
 
 def _is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    if m < 4:
-        return True
-    if m % 2 == 0:
-        return False
-    f = 3
-    while f * f <= m:
-        if m % f == 0:
-            return False
-        f += 2
-    return True
+    return m >= 2 and _prime_factors(m) == [m]
 
 
 def _prime_factors(m: int) -> list[int]:
@@ -450,8 +441,7 @@ def behrend_set(limit: int) -> tuple[int, ...]:
     A limit above BEHREND_LIMIT is refused as a class error before
     anything is built.
     """
-    if not isinstance(limit, int) or limit < 1:
-        raise UsageError(f"limit must be a positive int, got {limit!r}")
+    _check_positive_int("limit", limit)
     if limit > BEHREND_LIMIT:
         raise BudgetError(
             f"behrend_set supports limit <= {BEHREND_LIMIT}", kind="class"
@@ -744,8 +734,7 @@ def equation_free_subset(
     set found so far.
     """
     sys_ = _as_system(system)
-    if not isinstance(limit, int) or limit < 1:
-        raise UsageError(f"limit must be a positive int, got {limit!r}")
+    _check_positive_int("limit", limit)
     if mode not in ("greedy", "exhaustive"):
         raise UsageError(f"mode must be 'greedy' or 'exhaustive', got {mode!r}")
     if mode == "exhaustive" and limit > EXHAUSTIVE_LIMIT:

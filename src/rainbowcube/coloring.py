@@ -28,7 +28,7 @@ from fractions import Fraction
 from math import log2
 from typing import Iterator, Union
 
-from .addsets import behrend_set, verify_3ap_free, verify_bt
+from .addsets import _check_positive_int, behrend_set, verify_3ap_free, verify_bt
 from .errors import BudgetError, UsageError
 from .hypercube import Edge, validate_edge, _check_dim
 
@@ -239,8 +239,7 @@ def construction2(n: int, s, cap: int) -> EdgeColoring:
     """Coloring from a 3-AP-free subset of [1, cap], for 6-cycles."""
     _check_dim(n)
     used = _checked_set(s, n)
-    if not isinstance(cap, int) or cap < 1:
-        raise UsageError(f"cap must be a positive int, got {cap!r}")
+    _check_positive_int("cap", cap)
     if used[-1] > cap:
         raise UsageError(f"max element {used[-1]} exceeds the cap {cap}")
     ok, witness = verify_3ap_free(used)
@@ -312,8 +311,7 @@ def derive_c2_params(n: int, eps: Union[Fraction, int, float, str]):
     decimal text whose exponent is past EPS_EXPONENT_LIMIT is refused
     unread (``_check_eps_exponent``).
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise UsageError(f"n must be a positive int, got {n!r}")
+    _check_positive_int("n", n)
     # a text is echoed as given: str() of the Fraction may pass Python's
     # 4,300-digit limit for int-to-str conversion
     given = eps.strip() if isinstance(eps, str) else eps

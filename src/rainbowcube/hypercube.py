@@ -15,18 +15,21 @@ scheme coloring. ``EdgeColoring`` reads it inline: its constructor, once
 per key, to check that an explicit table holds the edges of Q_n, and
 ``_rows``, to turn a key back into (bottom, direction). Both pair
 kernels take two keys and rest on their span, the coordinates where the
-bottoms differ plus both directions: ``_pair_cycle`` searches from the
-starts it allows (``_pair_starts``), and ``_span_cycle``, the one router,
-joins two edges of span at most k/2 into a k-cycle for n >= k/2, the
-witnesses of ``build_cycle_same_level`` and ``verifier.lower_bound_clique``.
+bottoms differ plus both directions: ``_pair_cycle``, one depth-first
+loop, searches from the starts it allows (``_pair_starts``), and
+``_span_cycle``, the one router, joins two edges of span at most k/2 into
+a k-cycle for n >= k/2, the witnesses of ``build_cycle_same_level`` and
+``verifier.lower_bound_clique``.
 
 Cycles are canonical vertex tuples: the minimum vertex comes first and the
 orientation is chosen so the second vertex is smaller than the last. Cycle
 enumeration is a depth-first search from each vertex in ascending order,
 as the minimum vertex, pruned by the Hamming distance back to the start;
 the start/orientation rule makes every cycle appear exactly once, in a
-deterministic order. Both cycle searches keep the vertices of the current
-path in one set, so their memory does not grow with 2^n.
+deterministic order. Both cycle searches walk an explicit stack, so their
+depth is not bounded by the interpreter's recursion limit, and keep the
+vertices of the current path in one set, so their memory does not grow
+with 2^n.
 """
 
 from __future__ import annotations
@@ -276,14 +279,79 @@ def cycles_containing_pair(
 def _pair_cycle(n: int, k: int, a: int, b: int) -> Optional[Cycle]:
     """The smallest canonical k-cycle of Q_n through the distinct edges
     with keys ``a`` and ``b``, or None. Nothing is checked: the caller
-    stands for an even k in [4, 2^n] and both edges inside Q_n."""
+    stands for an even k in [4, 2^n] and both edges inside Q_n.
+
+    The minimum vertices the span allows (``_pair_starts``) are tried in
+    ascending order. From each, ``start``, one depth-first loop walks an
+    explicit stack, one entry per path vertex: the index of its next step
+    and the mask of the edges still missing (bit 0 for ``a``, bit 1 for
+    ``b``). The index runs over the down-steps, highest bit first, then
+    the up-steps, lowest bit first, so neighbours come in ascending order
+    and the first cycle closed is the smallest; its orientation is
+    canonical, as the reverse walk is larger. From ``start`` only
+    up-steps are tried, as every down-step leads below it. A step to w is
+    pruned when w <= ``start`` or w is on the path; when it leaves an
+    endpoint other than ``start`` of an edge it leaves missing (that
+    endpoint is on the path now, so the edge can no longer be used); or
+    when the shortest tour from w through the edges still missing and
+    back to ``start`` (see ``tours``) is not shorter than ``left``, the
+    steps of the cycle still to take from v. The vertices of the
+    path are kept in one set, so the search holds O(k) of them whatever
+    n is, and its depth is not bounded by the interpreter's stack.
+
+    A path of k vertices closes without a test: the step to its last
+    vertex w passed the prune at left = 2, so an entry (x, c) of its
+    tours has |w ^ x| + c <= 1. Both edges missing gives c >= 2, pruned;
+    only e1 missing gives x an endpoint of e1 other than ``start`` and
+    c = 1 + |y ^ start| for the other endpoint y, so w = x, y = start and
+    the closing edge is e1 (likewise e2); none missing gives the entry
+    (start, 0), so w is adjacent to ``start``.
+    """
     b1, b2 = a >> 5, b >> 5
     d1, d2 = 1 << (a & 31), 1 << (b & 31)
     span = b1 ^ b2 | d1 | d2
+    e1, e2 = (b1, b1 | d1), (b2, b2 | d2)
     for start in _pair_starts(n, k // 2 - span.bit_count(), b1, span, min(b1, b2)):
-        cyc = _first_cycle_from(n, k, start, b1, b1 | d1, b2, b2 | d2)
-        if cyc is not None:
-            return cyc
+        # (entry endpoint x, length c of the rest of the tour from x)
+        rest1, rest2 = (
+            [(x, 1 + (y ^ start).bit_count()) for x, y in (e, e[::-1]) if x != start]
+            for e in (e1, e2)
+        )
+        via = [
+            (x, 1 + min((y ^ z).bit_count() + c for z, c in rest))
+            for e, rest in ((e1, rest2), (e2, rest1))
+            if start not in e
+            for x, y in (e, e[::-1])
+        ]
+        # tours[mask of the edges missing]: the tour from w is at least
+        # min(|w ^ x| + c) over its (x, c); an empty list means none exists
+        tours = ([(start, 0)], rest1, rest2, via)
+        path, onpath, stack = [start], set(), [(n, 3)]
+        while stack:
+            v, (i, miss) = path[-1], stack[-1]
+            left = k + 1 - len(path)
+            ends = 0 if v == start else (v in e1) | (v in e2) << 1
+            for i in range(i, 2 * n):
+                d = n - 1 - i if i < n else i - n
+                w = v ^ 1 << d
+                if (w < v) != (i < n) or w <= start or w in onpath:
+                    continue
+                key = (v & w) << 5 | d
+                m = miss & ~((key == a) | (key == b) << 1)
+                if m & ends or not tours[m]:
+                    continue
+                if min((w ^ x).bit_count() + c for x, c in tours[m]) >= left:
+                    continue
+                stack[-1] = (i + 1, miss)
+                stack.append((0, m))
+                path.append(w)
+                if len(path) == k:  # the prune at left = 2 proved it closes
+                    return tuple(path)
+                onpath.add(w)
+                break
+            else:
+                stack.pop()
+                onpath.discard(path.pop())
     return None
 
 
@@ -311,84 +379,6 @@ def _pair_starts(n: int, spare: int, x: int, span: int, top: int) -> Iterator[in
                 yield from walk(bit >> 1, s, left)
 
     return walk(1 << n - 1, 0, spare)
-
-
-def _first_cycle_from(
-    n: int, k: int, start: int, b1: int, t1: int, b2: int, t2: int
-) -> Optional[Cycle]:
-    """The smallest canonical k-cycle with minimum vertex ``start`` through
-    the edges (b1, t1) and (b2, t2), given by their endpoints, or None.
-
-    Neighbours are tried in ascending order, so the first cycle closed is
-    the smallest; its orientation is canonical, as the reverse walk is
-    larger. A step is pruned when the shortest tour from it through the
-    edges still missing and back to ``start`` is too long (see ``tours``),
-    or when it leaves an endpoint of a missing edge other than ``start``:
-    that endpoint is on the path now, so the edge can no longer be used.
-    The vertices of the path are kept in one set, so the search holds
-    O(k) of them whatever n is.
-
-    A path with one step left closes without a test: the step to its last
-    vertex w passed the prune at left = 2, so an entry (x, c) of its
-    state has |w ^ x| + c <= 1. Both edges missing gives c >= 2, pruned;
-    only e1 missing gives x an endpoint of e1 other than ``start`` and
-    c = 1 + |y ^ start| for the other endpoint y, so w = x, y = start and
-    the closing edge is e1 (likewise e2); none missing gives the entry
-    (start, 0), so w is adjacent to ``start``.
-    """
-    up = [1 << d for d in range(n)]
-    down = up[::-1]
-
-    def rest(b: int, t: int) -> list[tuple[int, int]]:
-        # (entry endpoint, length of the rest of the tour from it)
-        ends = ((b, t), (t, b))
-        return [(x, 1 + (y ^ start).bit_count()) for x, y in ends if x != start]
-
-    def via(pairs, rest2) -> list[tuple[int, int]]:
-        return [
-            (x, 1 + min((y ^ a).bit_count() + c for a, c in rest2))
-            for x, y in pairs
-            if x != start and y != start and rest2
-        ]
-
-    rest1, rest2 = rest(b1, t1), rest(b2, t2)
-    # tours[missing e1, missing e2]: the tour from v is at least
-    # min(|v ^ x| + c) over its (x, c); an empty list means none exists
-    tours = {
-        (True, True): via(((b1, t1), (t1, b1)), rest2)
-        + via(((b2, t2), (t2, b2)), rest1),
-        (True, False): rest1,
-        (False, True): rest2,
-        (False, False): [(start, 0)],
-    }
-    path = [start]
-    onpath = set()
-
-    def rec(v: int, left: int, miss1: bool, miss2: bool) -> bool:
-        if left == 1:  # the prune on the step to v proved it closes
-            return True
-        end1 = miss1 and v != start and (v == b1 or v == t1)
-        end2 = miss2 and v != start and (v == b2 or v == t2)
-        for w in [v ^ b for b in down if v & b] + [v | b for b in up if not v & b]:
-            if w <= start or w in onpath:
-                continue
-            lo, hi = v & w, v | w
-            m1 = miss1 and not (lo == b1 and hi == t1)
-            m2 = miss2 and not (lo == b2 and hi == t2)
-            if m1 and end1 or m2 and end2:
-                continue
-            entries = tours[m1, m2]
-            if not entries or min((w ^ x).bit_count() + c for x, c in entries) >= left:
-                continue
-            onpath.add(w)
-            path.append(w)
-            if rec(w, left - 1, m1, m2):
-                return True
-            onpath.discard(w)
-            path.pop()
-        return False
-
-    return tuple(path) if rec(start, k, True, True) else None
 
 
 def build_cycle_same_level(n: int, k: int, e1: Edge, e2: Edge) -> Cycle:

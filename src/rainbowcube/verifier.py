@@ -713,7 +713,7 @@ def exact_min_colors(
     with bounds [8, 9], where the greedy coloring alone gave 11; the
     extended Hamming code, whose quotient has an 8-coloring, is not tried.
 
-    ``time_limit`` is a finite number of seconds, at least 0,
+    ``time_limit`` is a finite number of seconds (not a bool), at least 0,
     ``EXACT_TIME_LIMIT`` when not given; it covers the conflict graph
     (clock read every 64 bottoms), the greedy coloring and search
     (per node) and the seed (every 64 coset ranks, then per node). On
@@ -725,7 +725,9 @@ def exact_min_colors(
     _check_dim(n)
     _check_k(n, k)
     if time_limit is not None and not (
-        isinstance(time_limit, Real) and 0 <= time_limit < math.inf
+        isinstance(time_limit, Real)
+        and not isinstance(time_limit, bool)
+        and 0 <= time_limit < math.inf
     ):
         raise UsageError(f"time limit must be finite and >= 0, got {time_limit!r}")
     deadline = time.monotonic() + (

@@ -66,6 +66,27 @@ class TestVerifyBt:
             verify_bt([1, 2], 0)
 
 
+@pytest.mark.parametrize(
+    "func,args,name",
+    [
+        pytest.param(verify_bt, ((1, 2, 3), True), "t", id="verify_bt-t"),
+        pytest.param(greedy_bt, (True, 5), "t", id="greedy_bt-t"),
+        pytest.param(greedy_bt, (2, True), "size", id="greedy_bt-size"),
+        pytest.param(behrend_set, (True,), "limit", id="behrend_set"),
+        pytest.param(
+            equation_free_subset,
+            ([(1, 1, -2)], True),
+            "limit",
+            id="equation_free_subset",
+        ),
+    ],
+)
+def test_bool_is_not_a_positive_int(func, args, name):
+    with pytest.raises(UsageError) as info:
+        func(*args)
+    assert str(info.value) == f"{name} must be a positive int, got True"
+
+
 @functools.lru_cache(maxsize=None)
 def greedy_scan(t):
     """The candidate-by-candidate scan, to the largest size tested at t."""

@@ -1,6 +1,8 @@
+import decimal
 import random
 import time
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -151,6 +153,19 @@ class TestConstruction2:
             construction2(4, [1, 2, 4], 10)  # fewer than n elements
 
 
+@pytest.mark.parametrize(
+    "func,args,name",
+    [
+        pytest.param(construction2, (1, (1,), True), "cap", id="construction2-cap"),
+        pytest.param(derive_c2_params, (True, 1), "n", id="derive_c2_params-n"),
+    ],
+)
+def test_bool_is_not_a_positive_int(func, args, name):
+    with pytest.raises(UsageError) as info:
+        func(*args)
+    assert str(info.value) == f"{name} must be a positive int, got True"
+
+
 def fail(*args):
     raise AssertionError("this path should not run")
 
@@ -298,6 +313,41 @@ class TestDeriveC2Params:
     )
     def test_exponent_guard_keeps_ordinary_values(self, eps, expected):
         assert derive_c2_params(8, eps) == derive_c2_params(8, expected)
+
+
+def _eps_below_three(delta, places):
+    """eps with 2^(1+eps) = 3 - 10^-delta, to ``places`` digits."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = places
+        return Fraction((3 - Decimal(10) ** -delta).ln() / Decimal(2).ln() - 1)
+
+
+def _counting_localcontext(monkeypatch):
+    passes = []
+
+    def counted(*args, **kwargs):
+        passes.append(1)
+        return decimal.localcontext(*args, **kwargs)
+
+    monkeypatch.setattr(coloring, "localcontext", counted)
+    return passes
+
+
+def test_ceil_power_raises_its_precision(monkeypatch):
+    # 2^(1+eps) lies 10^-30 below 3, past what 32 digits resolve
+    passes = _counting_localcontext(monkeypatch)
+    s, cap, _ = derive_c2_params(2, _eps_below_three(30, 80))
+    assert cap == 3 and s == (1, 2)
+    assert len(passes) == 2
+
+
+def test_ceil_power_gives_up_past_its_precision(monkeypatch):
+    # 10^-1100 below 3 is past the 1,024 digits of the last pass
+    passes = _counting_localcontext(monkeypatch)
+    with pytest.raises(BudgetError) as info:
+        derive_c2_params(2, _eps_below_three(1100, 1200))
+    assert info.value.kind == "class"
+    assert len(passes) == 6
 
 
 def test_iroot_is_exact_on_large_ints():

@@ -424,6 +424,15 @@ class TestCyclesContainingPair:
         assert found
         assert peak < 1 << 20  # a 2^24-byte visited array would be 16 MiB
 
+    @pytest.mark.parametrize("n", [12, 32])
+    def test_long_cycle_needs_no_recursion(self, n):
+        # one stack entry per path vertex, not one interpreter frame
+        e1, e2 = Edge(0, 1), Edge(2, 1)
+        found, witness = cycles_containing_pair(n, 1000, e1, e2)
+        assert found and len(witness) == 1000
+        assert cycle_problem(n, witness) is None
+        assert {e1, e2} <= set(edges_of_cycle(witness))
+
     def test_large_cubes_match_q8(self):
         # pairs inside Q_7, k <= 12: larger cubes give the smallest cycle of Q_8
         rng = random.Random(20261019)

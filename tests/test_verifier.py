@@ -133,6 +133,12 @@ class TestVerifyRainbow:
         with pytest.raises(UsageError):
             verify_rainbow(distinct_coloring(3), 5)
 
+    def test_long_cycle_witness(self):
+        # the witness search walks 1,000 vertices deep without recursing
+        vio = verify_rainbow(monochrome(12, 1000), 1000)
+        assert (vio.e1, vio.e2) == (Edge(0, 1), Edge(0, 12))
+        assert vio.cycle == _smallest_cycle(12, 1000)
+
     def test_invalid_witness_raises(self, monkeypatch):
         # the pair search is patched to hand back a walk that is no cycle
         monkeypatch.setattr(verifier, "_pair_cycle", lambda *args: (0, 1, 2, 3, 4, 5))
@@ -663,7 +669,8 @@ class TestExactMinColors:
         assert lo <= 10 <= hi  # f(10, 4) = 10
 
     @pytest.mark.parametrize(
-        "limit", [float("nan"), float("inf"), float("-inf"), -1.0, "5", [1.0], 1j]
+        "limit",
+        [float("nan"), float("inf"), float("-inf"), -1.0, "5", [1.0], 1j, True, False],
     )
     def test_time_limit_must_be_finite(self, limit):
         with pytest.raises(UsageError, match="time limit must be finite and >= 0"):
