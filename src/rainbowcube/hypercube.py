@@ -17,9 +17,11 @@ per key, to check that an explicit table holds the edges of Q_n, and
 kernels take two keys and rest on their span, the coordinates where the
 bottoms differ plus both directions: ``_pair_cycle``, one depth-first
 loop, searches from the starts it allows (``_pair_starts``), and
-``_span_cycle``, the one router, joins two edges of span at most k/2 into
-a k-cycle for n >= k/2, the witnesses of ``build_cycle_same_level`` and
-``verifier.lower_bound_clique``.
+``_span_cycle``, the scalar router, joins two edges of span at most k/2
+into a k-cycle for n >= k/2: the witness of ``build_cycle_same_level``
+and of each read of a ``verifier.lower_bound_clique`` certificate. It is
+the spec of ``lanes._span_columns``, which routes a whole chunk of a
+certificate's pairs to the same cycles at once, one lane per pair.
 
 Cycles are canonical vertex tuples: the minimum vertex comes first and the
 orientation is chosen so the second vertex is smaller than the last. Cycle

@@ -25,10 +25,8 @@ import time
 from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import reduce
-from itertools import combinations, islice
+from itertools import combinations
 from numbers import Real
-from operator import or_
 from typing import Iterator, Optional
 
 from .coloring import Color, EdgeColoring
@@ -43,6 +41,7 @@ from .hypercube import (
     _span_cycle,
     _witness_problem,
 )
+from .lanes import _lanes_hold, _pair_chunks, _span_columns
 
 # Not called here. perfbench/spans.py wraps verifier.build_cycle_same_level
 # and verifier.enumerate_cycles, and its installer raises KeyError when
@@ -56,10 +55,12 @@ CONFLICT_GRAPH_BYTES = 128 << 20
 # Seconds ``exact_min_colors`` runs when no time limit is given.
 EXACT_TIME_LIMIT = 20.0
 # Most level-edge pairs ``lower_bound_clique`` checks, a bound on time (about
-# 2 s for the 367,653 of (13, 12)), not memory: (16, 12) with 1.41M is refused.
+# 0.35 s for the 367,653 of (13, 12)), not memory: (16, 12) with 1.41M is refused.
 CLIQUE_PAIR_LIMIT = 500_000
-# Witnesses ``lower_bound_clique`` checks at once, one 64-bit lane each.
-WITNESS_CHUNK = 4096
+# Witnesses ``lower_bound_clique`` routes and checks at once, one 64-bit lane
+# each. 4096 ran at the same speed but raised the peak memory of perfbench's
+# exact workload by 0.5 MB.
+WITNESS_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -775,20 +776,21 @@ def lower_bound_clique(n: int, k: int) -> tuple[int, BoundCertificate]:
     maps each pair (e1, e2), e1 first in that order, to the cycle
     ``build_cycle_same_level(n, k, e1, e2)`` returns.
 
-    Each witness comes from ``hypercube._span_cycle`` on the pair's int
-    keys, as in ``build_cycle_same_level``. Two bottoms of k/4 - 1 ones
-    differ in at most k/2 - 2 coordinates, so with the two directions a
-    pair spans at most k/2, and n > k, so the router applies. Each
-    witness is checked once: length k, the rules of ``cycle_problem``,
-    and both edge keys of the pair among its edges. The pairs come in
-    chunks of ``WITNESS_CHUNK``, and ``_lanes_hold`` checks a chunk at
-    once, one 64-bit lane per witness. A chunk it does not pass goes
-    through the scalar walk on int keys (``hypercube._witness_problem``,
-    the check of ``build_cycle_same_level``), whose first failing pair
-    is an InternalError.
+    Two bottoms of k/4 - 1 ones differ in at most k/2 - 2 coordinates, so
+    with the two directions a pair spans at most k/2, and n > k, so the
+    router of ``build_cycle_same_level``, ``hypercube._span_cycle``,
+    applies. The pairs come in chunks of ``WITNESS_CHUNK``, one 64-bit
+    lane per pair: ``_span_columns`` routes a whole chunk at once into
+    the k vertex columns of the cycles ``_span_cycle`` gives, and
+    ``_lanes_hold`` checks every witness of the chunk once: length k,
+    the rules of ``cycle_problem``, and both edge keys of the pair among
+    its edges. A chunk it does not pass is routed and checked again pair
+    by pair (``_chunk_error``), and the first failing pair is an
+    InternalError.
 
     No witness is kept: the certificate's ``witnesses`` (``_Witnesses``)
-    builds and checks a pair's witness again each time it is read.
+    routes and checks a pair's witness again, through ``_span_cycle``,
+    each time it is read.
 
     A certificate of more than ``CLIQUE_PAIR_LIMIT`` pairs is refused with
     a class BudgetError before any witness is built.
@@ -818,14 +820,10 @@ def lower_bound_clique(n: int, k: int) -> tuple[int, BoundCertificate]:
         raise InternalError(
             f"level {level} edge scan found {len(edges)}, expected {expected}"
         )
-    key_pairs = combinations([e.key() for e in edges], 2)
-    while chunk := list(islice(key_pairs, WITNESS_CHUNK)):
-        cycs = [_span_cycle(n, k, a, b) for a, b in chunk]
-        if not _lanes_hold(n, k, chunk, cycs):
-            for (a, b), cyc in zip(chunk, cycs):
-                if _witness_problem(n, k, cyc, a, b):
-                    e1, e2 = (Edge(c >> 5, (c & 31) + 1) for c in (a, b))
-                    raise InternalError(f"witness for {e1} and {e2} failed validation")
+    for chunk in _pair_chunks([e.key() for e in edges], WITNESS_CHUNK):
+        cols = _span_columns(n, k, *chunk)
+        if not _lanes_hold(n, k, *chunk, cols):
+            raise _chunk_error(n, k, *chunk, cols)
     return expected, BoundCertificate(level, edges, _Witnesses(n, k, edges))
 
 
@@ -860,66 +858,33 @@ class _Witnesses(Mapping):
         return cyc
 
 
-def _lanes_hold(n: int, k: int, pairs: list, cycs: list) -> bool:
-    """Whether every ``cycs[j]`` is a valid canonical k-cycle of Q_n through
-    both edges of the key pair ``pairs[j]``: the check of
-    ``_witness_problem``, for a whole chunk at once. False only sends the chunk to that scalar walk, which names the
-    first failing pair.
-
-    Broadword lane tests (Knuth, TAOCP 7.1.3). Vertex column i packs into
-    one int Vi with a 64-bit lane per witness. Let L be the lane ones and
-    H = L << n the guard bits. Once every vertex lies in [0, 2^n), a lane
-    of X | H is 2^n + x, so (X | H) - L keeps the guard of exactly the
-    lanes with x >= 1, and no subtraction below borrows across a lane.
-    The rules, in the terms of ``_cycle_keys_or_problem``:
-
-    - length k, and range: packing refuses a vertex outside [0, 2^64),
-      and no lane may hold a bit at n or above;
-    - distinct: Vi ^ Vj has no zero lane, for every i < j;
-    - adjacent: each step Si = Vi ^ Vi+1 (indices mod k) has at most one
-      bit per lane, S & ((S | H) - L) == 0, and at least one as its ends
-      are distinct;
-    - canonical: (Vi | H) - V0 keeps every guard (v0 is the minimum), and
-      so does (Vk-1 | H) - V1 - L (v1 < vk-1);
-    - both edges: edge i is (x, d) exactly when the lane of
-      ((Vi & Vi+1) ^ X) | (Si ^ D) is zero, for X the bottoms and D the
-      direction bits of one side of the pairs; for each side, every lane
-      must see a zero.
-    """
-    if set(map(len, cycs)) != {k}:
-        return False
-
-    def pack(col) -> int:
-        return int.from_bytes(array("Q", col).tobytes(), "little")
-
-    try:
-        v = [pack(col) for col in zip(*cycs)]
-    except OverflowError:
-        return False
-    lanes = pack([1] * len(cycs))
-    guard = lanes << n
-    low = guard - lanes
-    if reduce(or_, v) & ~low:
-        return False
-    nxt = v[1:] + v[:1]
-    step = [u ^ w for u, w in zip(v, nxt)]
-    if any(s & (s | guard) - lanes for s in step):
-        return False
-    kept = guard  # ANDs the results that keep their guards when a rule holds
-    for u, w in combinations(v, 2):
-        kept &= (u ^ w | guard) - lanes
-    for u in v[1:]:
-        kept &= (u | guard) - v[0]
-    kept &= (v[-1] | guard) - v[1] - lanes
-    if kept & guard != guard:
-        return False
-    bottoms = [u & w for u, w in zip(v, nxt)]
-    for side in zip(*pairs):
-        x = pack(side) >> 5 & low
-        d = pack([1 << (c & 31) for c in side])
-        missed = guard
-        for b, s in zip(bottoms, step):
-            missed &= (b ^ x | s ^ d | guard) - lanes
-        if missed & guard:
-            return False
-    return True
+def _chunk_error(
+    n: int, k: int, count: int, ka: int, kb: int, cols: list
+) -> InternalError:
+    """The error for a chunk ``_lanes_hold`` refuses. Each pair is routed
+    again by ``_span_cycle`` and checked by ``_witness_problem``, and the
+    first that fails is named. If none fails, the lanes are at fault: the
+    first pair whose lane witness in ``cols`` differs from its scalar one
+    is named, or the chunk's first pair if none differs."""
+    pairs = list(zip(*(array("Q", c.to_bytes(8 * count, "little")) for c in (ka, kb))))
+    edges = [[Edge(c >> 5, (c & 31) + 1) for c in pair] for pair in pairs]
+    cycs = []
+    for (a, b), (e1, e2) in zip(pairs, edges):
+        cyc = _span_cycle(n, k, a, b)
+        if _witness_problem(n, k, cyc, a, b):
+            return InternalError(f"witness for {e1} and {e2} failed validation")
+        cycs.append(cyc)
+    lane = 0
+    if len(cols) == k:
+        diff = 0
+        for col, scalar in zip(cols, zip(*cycs)):
+            diff |= col ^ int.from_bytes(array("Q", scalar).tobytes(), "little")
+        lane = ((diff & -diff).bit_length() - 1) // 64 if diff else count
+    if lane < count:
+        e1, e2 = edges[lane]
+        return InternalError(f"lane witness for {e1} and {e2} differs from _span_cycle")
+    e1, e2 = edges[0]
+    return InternalError(
+        f"lane check refused the chunk from {e1} and {e2}, whose lanes hold "
+        "the scalar witnesses"
+    )

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import time
+from array import array
 from collections import Counter
 from functools import lru_cache
 
@@ -16,7 +17,7 @@ from rainbowcube.coloring import (
     count_colors,
     derive_c2_params,
 )
-from rainbowcube import verifier
+from rainbowcube import lanes, verifier
 from rainbowcube.errors import BudgetError, InternalError, UsageError
 from rainbowcube.hypercube import (
     Edge,
@@ -27,6 +28,7 @@ from rainbowcube.hypercube import (
     enumerate_cycles,
     enumerate_edges,
 )
+from rainbowcube.lanes import _lanes_hold
 from rainbowcube.verifier import (
     Violation,
     _check_degree_order,
@@ -34,7 +36,6 @@ from rainbowcube.verifier import (
     _code_quotient_coloring,
     _conflicts,
     _greedy_clique,
-    _lanes_hold,
     _lexicode,
     _neighbourhood_size,
     _neighbourhoods,
@@ -983,6 +984,7 @@ class TestLowerBoundClique:
             raise AssertionError("a witness was built")
 
         monkeypatch.setattr(verifier, "_span_cycle", never)
+        monkeypatch.setattr(verifier, "_span_columns", never)
         start = time.monotonic()
         with pytest.raises(BudgetError, match="witness cycles") as info:
             lower_bound_clique(n, k)
@@ -998,8 +1000,8 @@ class TestLowerBoundClique:
         ],
     )
     def test_witness_check_is_live(self, monkeypatch, cycle):
-        # the router checks nothing, so its output reaches the one check
-        monkeypatch.setattr(verifier, "_span_cycle", lambda n, k, a, b: cycle)
+        # the routers check nothing, so their output reaches the checks
+        route_both(monkeypatch, lambda n, k, a, b: cycle)
         with pytest.raises(InternalError, match="failed validation"):
             lower_bound_clique(5, 4)
 
@@ -1010,7 +1012,7 @@ class TestLowerBoundClique:
         def router(n, k, a, b):
             return (0, 1, 3, 7, 6, 2) if (a, b) == (0, 1) else route(n, k, a, b)
 
-        monkeypatch.setattr(verifier, "_span_cycle", router)
+        route_both(monkeypatch, router)
         with pytest.raises(InternalError) as info:
             lower_bound_clique(5, 4)
         want = f"witness for {Edge(0, 1)} and {Edge(0, 2)} failed validation"
@@ -1031,22 +1033,29 @@ class TestLowerBoundClique:
     def test_witnesses_are_built_once_by_the_certificate_then_on_access(
         self, monkeypatch
     ):
-        route = verifier._span_cycle
-        calls = []
+        route, columns = verifier._span_cycle, verifier._span_columns
+        calls, routed = [], []
 
         def counted(n, k, a, b):
             calls.append((a, b))
             return route(n, k, a, b)
 
+        def counted_columns(n, k, count, ka, kb):
+            routed.append(count)
+            return columns(n, k, count, ka, kb)
+
         monkeypatch.setattr(verifier, "_span_cycle", counted)
+        monkeypatch.setattr(verifier, "_span_columns", counted_columns)
         count, cert = lower_bound_clique(9, 8)
-        assert len(calls) == math.comb(count, 2) == 2556
+        assert sum(routed) == math.comb(count, 2) == 2556
+        assert calls == []  # every pair routed once, in lanes
         assert len(cert.witnesses) == 2556
-        assert len(calls) == 2556  # len builds nothing
+        assert calls == []  # len builds nothing
         first, last = cert.edges[0], cert.edges[-1]
         assert len(cert.witnesses[first, last]) == 8
         assert cert.witnesses[first, last] == route(9, 8, first.key(), last.key())
-        assert calls[2556:] == [(first.key(), last.key())] * 2
+        assert calls == [(first.key(), last.key())] * 2
+        assert sum(routed) == 2556  # a read routes no lanes
 
     def test_witness_read_after_the_build_is_checked(self, monkeypatch):
         cert = lower_bound_clique(5, 4)[1]
@@ -1055,6 +1064,46 @@ class TestLowerBoundClique:
         with pytest.raises(InternalError) as info:
             cert.witnesses[e1, e2]
         assert str(info.value) == f"witness for {e1} and {e2} failed validation"
+
+
+def pack(values):
+    return int.from_bytes(array("Q", values).tobytes(), "little")
+
+
+def unpack(count, col):
+    return array("Q", col.to_bytes(8 * count, "little")).tolist()
+
+
+def lanes_hold(n, k, pairs, cycs):
+    """``_lanes_hold`` on witnesses given as tuples. Packing refuses a
+    vertex outside [0, 2^64), and a walk shorter than the longest leaves 0
+    in the columns it lacks."""
+    try:
+        cols = [pack(col) for col in itertools.zip_longest(*cycs, fillvalue=0)]
+    except OverflowError:
+        return False
+    firsts, seconds = zip(*pairs)
+    return _lanes_hold(n, k, len(pairs), pack(firsts), pack(seconds), cols)
+
+
+def lane_router(route):
+    """A lane router, in place of ``verifier._span_columns``, that packs
+    ``route(n, k, a, b)`` for each pair, 0 past the end of a shorter
+    witness."""
+
+    def columns(n, k, count, ka, kb):
+        pairs = zip(unpack(count, ka), unpack(count, kb))
+        cycs = [route(n, k, a, b) for a, b in pairs]
+        return [pack(col) for col in itertools.zip_longest(*cycs, fillvalue=0)]
+
+    return columns
+
+
+def route_both(monkeypatch, route):
+    """Route a certificate's pairs through ``route`` in both routers: the
+    lanes of ``_span_columns`` and the scalar walk's ``_span_cycle``."""
+    monkeypatch.setattr(verifier, "_span_cycle", route)
+    monkeypatch.setattr(verifier, "_span_columns", lane_router(route))
 
 
 def scalar_holds(n, k, pairs, cycs):
@@ -1112,9 +1161,9 @@ class TestWitnessLanes:
     def test_agrees_on_every_level_witness(self, n, k):
         pairs, cycs = level_witnesses(n, k)
         assert scalar_holds(n, k, pairs, cycs)
-        assert _lanes_hold(n, k, pairs, cycs)
+        assert lanes_hold(n, k, pairs, cycs)
         for pair, cyc in zip(pairs, cycs):
-            assert _lanes_hold(n, k, [pair], [cyc])
+            assert lanes_hold(n, k, [pair], [cyc])
 
     @pytest.mark.parametrize("lane", [0, -1])
     @pytest.mark.parametrize("kind", CORRUPTIONS)
@@ -1122,14 +1171,14 @@ class TestWitnessLanes:
         pairs, cycs = level_witnesses(9, 8)
         pairs[lane], cycs[lane] = corruptions(9, pairs[lane], cycs[lane])[kind]
         assert not scalar_holds(9, 8, [pairs[lane]], [cycs[lane]])
-        assert not _lanes_hold(9, 8, pairs, cycs)
+        assert not lanes_hold(9, 8, pairs, cycs)
 
     def test_agrees_on_a_valid_cycle_of_the_wrong_length(self):
         pairs, cycs = [(0, 1)], [(0, 1, 3, 7, 6, 2)]
         assert not scalar_holds(5, 4, pairs, cycs)
-        assert not _lanes_hold(5, 4, pairs, cycs)
+        assert not lanes_hold(5, 4, pairs, cycs)
         assert scalar_holds(5, 6, pairs, cycs)
-        assert _lanes_hold(5, 6, pairs, cycs)
+        assert lanes_hold(5, 6, pairs, cycs)
 
     def test_failure_in_a_later_chunk_names_its_first_pair(self, monkeypatch):
         route = verifier._span_cycle
@@ -1142,11 +1191,136 @@ class TestWitnessLanes:
             return cyc[1:] + cyc[:1] if (e1, e2) in broken else cyc
 
         monkeypatch.setattr(verifier, "WITNESS_CHUNK", 4)
-        monkeypatch.setattr(verifier, "_span_cycle", router)
+        route_both(monkeypatch, router)
         e1, e2 = pairs[9]
         with pytest.raises(InternalError) as info:
             lower_bound_clique(6, 4)
         assert str(info.value) == f"witness for {e1} and {e2} failed validation"
+
+    def test_refuses_a_bit_past_the_last_lane(self):
+        pairs, cycs = level_witnesses(9, 8)
+        count, cols = len(pairs), [pack(col) for col in zip(*cycs)]
+        firsts, seconds = (pack(side) for side in zip(*pairs))
+        assert _lanes_hold(9, 8, count, firsts, seconds, cols)
+        cols[3] |= 1 << 64 * count
+        assert not _lanes_hold(9, 8, count, firsts, seconds, cols)
+
+
+def level_keys(n, k):
+    """The keys of the edges on level k/4, from the coordinate sets of their
+    bottoms, so that n = 32 needs no scan of 2^32 vertices."""
+    bottoms = sorted(
+        sum(1 << c for c in cs) for cs in itertools.combinations(range(n), k // 4 - 1)
+    )
+    return [
+        Edge(b, d).key() for b in bottoms for d in range(1, n + 1) if not b >> d - 1 & 1
+    ]
+
+
+def lane_cycles(n, k, pairs):
+    """The witnesses ``_span_columns`` routes for ``pairs`` in one chunk, as
+    tuples."""
+    count, (firsts, seconds) = len(pairs), zip(*pairs)
+    cols = lanes._span_columns(n, k, count, pack(firsts), pack(seconds))
+    return list(zip(*(unpack(count, col) for col in cols)))
+
+
+class TestLaneRouter:
+    """``_span_columns`` against ``_span_cycle``, the router it stands in for."""
+
+    @pytest.mark.parametrize(
+        "n,k", [(n, 4) for n in range(5, 13)] + [(n, 8) for n in (9, 10, 11)]
+    )
+    def test_agrees_on_every_level_pair(self, n, k):
+        keys = level_keys(n, k)
+        assert keys == [e.key() for e in enumerate_edges(n) if edge_level(e) == k // 4]
+        got = []
+        for count, ka, kb in lanes._pair_chunks(keys, verifier.WITNESS_CHUNK):
+            cols = lanes._span_columns(n, k, count, ka, kb)
+            got += zip(*(unpack(count, col) for col in cols))
+        pairs = itertools.combinations(keys, 2)
+        assert got == [verifier._span_cycle(n, k, a, b) for a, b in pairs]
+
+    @pytest.mark.parametrize("size", [1, 3, 7, 4096])
+    def test_chunks_hold_every_pair_in_order(self, size):
+        keys = level_keys(6, 4) + [1 << 36]
+        got = []
+        for count, ka, kb in lanes._pair_chunks(keys, size):
+            assert 0 < count <= size
+            got += zip(unpack(count, ka), unpack(count, kb))
+        assert got == list(itertools.combinations(keys, 2))
+
+    @pytest.mark.parametrize("n,k", [(13, 12), (32, 8)])
+    def test_agrees_on_sampled_level_pairs(self, n, k):
+        # at n = 32 the guard bit is bit 32 of each 64-bit lane
+        keys, rng, pairs = level_keys(n, k), random.Random(n * 100 + k), set()
+        while len(pairs) < 4096:
+            pairs.add(tuple(sorted(rng.sample(keys, 2))))
+        pairs = sorted(pairs)
+        assert lane_cycles(n, k, pairs) == [
+            verifier._span_cycle(n, k, a, b) for a, b in pairs
+        ]
+
+    @pytest.mark.parametrize(
+        "n,k",
+        [(2, 4), (3, 4), (3, 6), (5, 6), (4, 8), (7, 10), (16, 14), (32, 20), (32, 64)],
+    )
+    def test_agrees_on_random_pairs_of_small_span(self, n, k):
+        # any pair spanning at most k/2 coordinates, in all three cases
+        rng, pairs = random.Random(n * 1000 + k), set()
+        for _ in range(1000):
+            x, d, e = rng.randrange(1 << n), rng.randrange(n), rng.randrange(n)
+            y = x ^ sum({1 << rng.randrange(n) for _ in range(rng.randrange(k // 2))})
+            a, b = sorted([(x & ~(1 << d)) << 5 | d, (y & ~(1 << e)) << 5 | e])
+            span = (a ^ b) >> 5 | 1 << (a & 31) | 1 << (b & 31)
+            if a != b and span.bit_count() <= k // 2:
+                pairs.add((a, b))
+        pairs = sorted(pairs)
+        assert lane_cycles(n, k, pairs) == [
+            verifier._span_cycle(n, k, a, b) for a, b in pairs
+        ]
+
+    def test_rotated_lanes_are_named(self, monkeypatch):
+        columns = verifier._span_columns
+        e1, e2 = lower_bound_clique(5, 4)[1].edges[:2]
+
+        def rotated(*chunk):
+            cols = columns(*chunk)
+            return cols[1:] + cols[:1]
+
+        monkeypatch.setattr(verifier, "_span_columns", rotated)
+        with pytest.raises(InternalError) as info:
+            lower_bound_clique(5, 4)
+        want = f"lane witness for {e1} and {e2} differs from _span_cycle"
+        assert str(info.value) == want
+
+    def test_first_differing_lane_is_named(self, monkeypatch):
+        # the scalar router is sound, so the lanes are at fault
+        route = verifier._span_cycle
+        pairs = list(itertools.combinations(lower_bound_clique(6, 4)[1].edges, 2))
+
+        def router(n, k, a, b):
+            cyc = route(n, k, a, b)
+            e1, e2 = (Edge(c >> 5, (c & 31) + 1) for c in (a, b))
+            return cyc[1:] + cyc[:1] if (e1, e2) == pairs[10] else cyc
+
+        monkeypatch.setattr(verifier, "WITNESS_CHUNK", 4)
+        monkeypatch.setattr(verifier, "_span_columns", lane_router(router))
+        e1, e2 = pairs[10]
+        with pytest.raises(InternalError) as info:
+            lower_bound_clique(6, 4)
+        want = f"lane witness for {e1} and {e2} differs from _span_cycle"
+        assert str(info.value) == want
+
+    def test_a_refused_chunk_of_sound_lanes_is_named(self, monkeypatch):
+        e1, e2 = lower_bound_clique(5, 4)[1].edges[:2]
+        monkeypatch.setattr(verifier, "_lanes_hold", lambda *args: False)
+        with pytest.raises(InternalError) as info:
+            lower_bound_clique(5, 4)
+        assert str(info.value) == (
+            f"lane check refused the chunk from {e1} and {e2}, whose lanes hold "
+            "the scalar witnesses"
+        )
 
 
 class TestQ3Equivalence:
