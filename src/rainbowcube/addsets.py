@@ -806,11 +806,20 @@ def conjecture_system(k: int) -> tuple[tuple[int, ...], ...]:
 
     With m = k // 4 the equations are, as coefficient vectors:
     balanced m-vs-m sums, the (m+1)-vs-(m-1, double) variant, and the
-    doubled-endpoint variant.
+    doubled-endpoint variant. Their 2m, 2m + 1 and 2m variables are
+    refused past MAX_EQUATION_ARITY, as ``genus`` would refuse them, before
+    any is built: building costs memory linear in k.
     """
     if not isinstance(k, int) or k % 4 != 2 or k < 10:
         raise UsageError(f"k must be 2 mod 4 and at least 10, got {k!r}")
     m = k // 4
+    if 2 * m + 1 > MAX_EQUATION_ARITY:
+        refused = 2 * m if 2 * m > MAX_EQUATION_ARITY else 2 * m + 1
+        raise BudgetError(
+            f"genus search supports up to {MAX_EQUATION_ARITY} variables, "
+            f"got {refused}",
+            kind="class",
+        )
     eq1 = (1,) * m + (-1,) * m
     eq2 = (1,) * (m + 1) + (-1,) * (m - 1) + (-2,)
     eq3 = (1,) * (m - 1) + (2,) + (-1,) * (m - 1) + (-2,)

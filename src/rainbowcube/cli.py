@@ -460,17 +460,6 @@ def _cmd_genus(args) -> int:
     if (args.eqs is None) == (args.conjecture is None):
         raise UsageError("needs exactly one of --eqs or --conjecture")
     if args.conjecture is not None:
-        # conjecture_system(K) has equations of 2m, 2m + 1 and 2m variables,
-        # m = K // 4; genus refuses each above MAX_EQUATION_ARITY, so refuse
-        # here before building them, as building costs memory linear in K
-        m = args.conjecture // 4
-        if args.conjecture % 4 == 2 and 2 * m + 1 > addsets.MAX_EQUATION_ARITY:
-            refused = 2 * m if 2 * m > addsets.MAX_EQUATION_ARITY else 2 * m + 1
-            raise BudgetError(
-                f"genus search supports up to {addsets.MAX_EQUATION_ARITY} "
-                f"variables, got {refused}",
-                kind="class",
-            )
         system = addsets.conjecture_system(args.conjecture)
     else:
         system = load_equations(args.eqs)

@@ -22,7 +22,6 @@ sums (``_count_bits``); explicit colorings carry a full table, whose keys
 
 from __future__ import annotations
 
-import re
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import log2
@@ -45,11 +44,11 @@ C2_CAP_LIMIT = 1 << 20
 # in construction2 (n = 8, 10), 2^(n+8) to 2^(n+10) in construction1 (n = 10..14).
 COUNT_BITS_LEAD = 7
 COUNT_BITS_LOG_LIMIT = 22
-# Decimal exponent beyond which an eps text is refused before Fraction reads
-# it: Fraction("1e1000000") builds a million-digit power of ten (0.13 s, and
-# 12.9 s for 1e10000000). 10^1000 is far past any eps that yields N.
+# Decimal order of magnitude (Decimal.adjusted()) beyond which an eps is
+# refused before Fraction reads it: Fraction("1e1000000") builds a
+# million-digit power of ten (0.13 s, and 12.9 s for 1e10000000). 10^1000 is
+# far past any eps that yields N.
 EPS_EXPONENT_LIMIT = 1000
-_DECIMAL_EPS = re.compile(r"\s*([+-]?(?:\d+\.?\d*|\.\d+))[eE]([+-]?)0*(\d+)\s*")
 
 
 class EdgeColoring:
@@ -284,7 +283,10 @@ def _ceil_power(n: int, expo: Fraction) -> int:
     while prec <= 1024:
         with localcontext() as ctx:
             ctx.prec = prec
-            x = (Decimal(n).ln() * p / q).exp()
+            try:
+                x = (Decimal(n).ln() * p / q).exp()
+            except ArithmeticError:  # decimal.Overflow: p or q is past the Emax
+                break
             # ln, the product, the quotient and exp are each correctly
             # rounded and the exponent is below 15, so x is within a
             # relative 10^(3 - prec) of the power; the slack is 1000 times that
@@ -308,21 +310,38 @@ def derive_c2_params(n: int, eps: Union[Fraction, int, float, str]):
     Fails with guidance when the generator cannot produce n
     progression-free elements below N. Accepts any positive n; the
     cube-model dimension cap only applies once a coloring is built. A
-    decimal text whose exponent is past EPS_EXPONENT_LIMIT is refused
-    unread (``_check_eps_exponent``).
+    text is read once: a ratio "p/q" by Fraction, any other text by
+    Decimal, in every spelling Python reads (underscores, Unicode digits,
+    surrounding whitespace). A decimal whose order of magnitude is past
+    EPS_EXPONENT_LIMIT is refused by its sign and order alone.
     """
     _check_positive_int("n", n)
     # a text is echoed as given: str() of the Fraction may pass Python's
     # 4,300-digit limit for int-to-str conversion
     given = eps.strip() if isinstance(eps, str) else eps
-    if isinstance(eps, str):
-        _check_eps_exponent(eps)
     try:
-        eps = Fraction(eps)
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
-        raise UsageError(f"eps must be a rational number, got {eps!r}") from exc
+        # Decimal reads a decimal text once; a ratio p/q, which it does not
+        # read, goes to Fraction as written
+        if isinstance(eps, str) and "/" not in eps:
+            eps = Decimal(eps)
+        # 10^order <= |eps| < 10^(order + 1): past the limit the sign and
+        # the order decide, before Fraction builds the power of ten
+        order = eps.adjusted() if isinstance(eps, Decimal) and eps.is_finite() else 0
+        if abs(order) <= EPS_EXPONENT_LIMIT:
+            eps = Fraction(eps)
+    except (ArithmeticError, ValueError, TypeError) as exc:
+        raise UsageError(f"eps must be a rational number, got {given!r}") from exc
     if eps <= 0:
         raise UsageError(f"eps must be positive, got {given}")
+    if order < -EPS_EXPONENT_LIMIT:
+        raise UsageError(
+            f"eps has a decimal exponent below -{EPS_EXPONENT_LIMIT}; "
+            f"retry with a larger eps"
+        )
+    if order > EPS_EXPONENT_LIMIT:
+        raise BudgetError(
+            f"eps has a decimal exponent above {EPS_EXPONENT_LIMIT}", kind="class"
+        )
     expo = 1 + eps
     # log2 of the cap is expo * log2(n); past 21 the cap is surely too large
     # and its exact value is not worked out
@@ -340,31 +359,6 @@ def derive_c2_params(n: int, eps: Union[Fraction, int, float, str]):
             f"retry with a larger eps"
         )
     return full[:n], cap, eps
-
-
-def _check_eps_exponent(text: str) -> None:
-    """Refuse a decimal eps text like ``1e10000000`` whose exponent is past
-    EPS_EXPONENT_LIMIT, without building the power of ten: a positive
-    value that large is a class error, as for 1e400, and one that small
-    asks for a larger eps, as for 1e-400."""
-    m = _DECIMAL_EPS.fullmatch(text)
-    if m is None:
-        return
-    mantissa, sign, digits = m.groups()
-    short = len(digits) <= len(str(EPS_EXPONENT_LIMIT))  # int() stays cheap
-    if short and int(digits) <= EPS_EXPONENT_LIMIT:
-        return
-    # read the sign from the digits: a mantissa may be too long for int()
-    if mantissa.startswith("-") or not any(c in "123456789" for c in mantissa):
-        raise UsageError(f"eps must be positive, got {text.strip()}")
-    if sign == "-":
-        raise UsageError(
-            f"eps has a decimal exponent below -{EPS_EXPONENT_LIMIT}; "
-            f"retry with a larger eps"
-        )
-    raise BudgetError(
-        f"eps has a decimal exponent above {EPS_EXPONENT_LIMIT}", kind="class"
-    )
 
 
 def count_colors(coloring: EdgeColoring) -> int:

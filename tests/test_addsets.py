@@ -732,3 +732,20 @@ class TestConjectureSystem:
     def test_rejects_wrong_k(self, k):
         with pytest.raises(UsageError):
             conjecture_system(k)
+
+    @pytest.mark.parametrize("k,arity", [(26, 13), (10**9 + 2, 500_000_000)])
+    def test_above_arity_refused_before_building(self, k, arity):
+        tracemalloc.start()
+        start = time.monotonic()
+        try:
+            with pytest.raises(BudgetError) as info:
+                conjecture_system(k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.monotonic() - start < 1
+        assert peak < 1 << 20
+        assert info.value.kind == "class"
+        assert str(info.value) == (
+            f"genus search supports up to 12 variables, got {arity}"
+        )

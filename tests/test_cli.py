@@ -172,7 +172,17 @@ class TestConstruct:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "eps", ["1e10000000", "1e-10000000", "-1e5000", "-" + "1" * 4000 + "e1000"]
+        "eps",
+        [
+            "1e10000000",
+            "1e-10000000",
+            "-1e5000",
+            "-" + "1" * 4000 + "e1000",
+            "1e1_0000000",
+            "1e-1_000000",
+            "1e-1_0000000",
+            "0e9_9999999",
+        ],
     )
     def test_huge_eps_exponent_exit_two(self, tmp_path, eps):
         out = tmp_path / "c.json"
@@ -1099,7 +1109,10 @@ CHEAP_COLORING_ARGV = [
 REFUSED_VALUES = {
     ("construct", "--n"): ["0", "-1", "19", "33", str(10**30)],
     ("construct", "--k"): ["0", "-8", "4", "7", "10", str(10**30)],
-    ("construct", "--eps"): ["0", "-1", "x", "", "nan", "inf", "1/0", "10", "1e10000000"],
+    ("construct", "--eps"): [
+        "0", "-1", "x", "", "nan", "inf", "1/0", "10", "1e10000000", "1e1_0000000",
+        "1e-1_000000",
+    ],
     ("verify", "--k"): ["0", "3", "5", "-6", "1000", str(10**30)],
     ("exact", "--n"): ["0", "-1", "1", "33", str(10**30)],
     ("exact", "--k"): ["0", "3", "5", "-4", "1000", str(10**30)],

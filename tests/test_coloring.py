@@ -271,13 +271,25 @@ class TestDeriveC2Params:
         with pytest.raises(BudgetError):
             derive_c2_params(33, 3)
 
-    @pytest.mark.parametrize("eps", ["1/1000000", "1e-12", "1e-400", "1e-1000"])
+    @pytest.mark.parametrize(
+        "eps", ["1/1000000", "1e-12", "1e-400", "1e-1000", "1e-1_000", "١e-١٢"]
+    )
     def test_tiny_eps_advises_larger_eps(self, eps):
         # 8^(1 + eps) is just above 8, so N = 9
         with pytest.raises(UsageError, match="below 9; retry with a larger eps"):
             derive_c2_params(8, eps)
 
-    @pytest.mark.parametrize("eps", ["1e-1001", "1e-10000000", " 5.5E-0099999999 "])
+    @pytest.mark.parametrize(
+        "eps",
+        [
+            "1e-1001",
+            "1e-10000000",
+            " 5.5E-0099999999 ",
+            "1e-1_000000",
+            "1e-1_0000000",
+            "١e-١٠٠٠١",
+        ],
+    )
     def test_huge_negative_exponent_advises_larger_eps(self, eps):
         start = time.monotonic()
         with pytest.raises(UsageError, match="retry with a larger eps"):
@@ -286,7 +298,16 @@ class TestDeriveC2Params:
 
     @pytest.mark.parametrize(
         "eps",
-        ["1e400", "1e1000", "1e1001", "1e10000000", "2.E+0010000", "9" * 5000 + "e2000"],
+        [
+            "1e400",
+            "1e1000",
+            "1e1001",
+            "1e10000000",
+            "2.E+0010000",
+            "9" * 5000 + "e2000",
+            "1e1_0000000",
+            "١e١٠٠٠١",
+        ],
     )
     def test_huge_positive_exponent_is_class_error(self, eps):
         start = time.monotonic()
@@ -296,11 +317,22 @@ class TestDeriveC2Params:
         assert time.monotonic() - start < 1
 
     @pytest.mark.parametrize(
-        "eps", ["0e99999999", "-1e5000", "-.5e-10000000", "+00.000e2000", "-0e-2000"]
+        "eps",
+        [
+            "0e99999999",
+            "-1e5000",
+            "-.5e-10000000",
+            "+00.000e2000",
+            "-0e-2000",
+            "0e9_9999999",
+            "-١e٥٠٠٠",
+        ],
     )
     def test_huge_exponent_still_needs_positive_eps(self, eps):
+        start = time.monotonic()
         with pytest.raises(UsageError, match="eps must be positive"):
             derive_c2_params(8, eps)
+        assert time.monotonic() - start < 1
 
     @pytest.mark.parametrize("eps", ["1/2e99999999", "1e99999999x", "e99999999"])
     def test_non_decimal_text_is_not_rational(self, eps):
@@ -309,10 +341,25 @@ class TestDeriveC2Params:
 
     @pytest.mark.parametrize(
         "eps,expected",
-        [("1/2", Fraction(1, 2)), ("1.0", 1), ("2.5e-0000000001", Fraction(1, 4))],
+        [
+            ("1/2", Fraction(1, 2)),
+            ("1.0", 1),
+            ("2.5e-0000000001", Fraction(1, 4)),
+            (" 0.2_5 ", Fraction(1, 4)),
+            ("٠.٥", Fraction(1, 2)),
+            ("1_0e-1", 1),
+        ],
     )
     def test_exponent_guard_keeps_ordinary_values(self, eps, expected):
         assert derive_c2_params(8, eps) == derive_c2_params(8, expected)
+
+    def test_order_of_magnitude_decides_not_the_written_exponent(self):
+        # both are 0.111...: the first writes its exponent as -4000, past
+        # the limit, but its order of magnitude is -1; 4^(1 + eps) = 4.66
+        # gives N = 5
+        written = derive_c2_params(4, "1" * 4000 + "e-4000")
+        assert written == derive_c2_params(4, "0." + "1" * 4000)
+        assert written[:2] == ((1, 2, 4, 5), 5)
 
 
 def _eps_below_three(delta, places):
@@ -348,6 +395,16 @@ def test_ceil_power_gives_up_past_its_precision(monkeypatch):
         derive_c2_params(2, _eps_below_three(1100, 1200))
     assert info.value.kind == "class"
     assert len(passes) == 6
+
+
+def test_ceil_power_refuses_a_decimal_overflow():
+    # p and q past the context's Emax overflow the decimal product, as
+    # Fraction(1, 10**1000000) does under the default Emax of 999,999
+    with decimal.localcontext() as ctx:
+        ctx.Emax = 100
+        with pytest.raises(BudgetError, match="cannot tell") as info:
+            _ceil_power(8, Fraction(10**120 + 1, 10**120))
+    assert info.value.kind == "class"
 
 
 def test_iroot_is_exact_on_large_ints():
